@@ -1425,7 +1425,7 @@ let run_obs br =
   Obs.set_tracing was_tracing
 
 (* ------------------------------------------------------------------ *)
-(* Kernel comparison: scalar / grouped / batched certification         *)
+(* Kernel comparison: scalar / batched certification                   *)
 (* ------------------------------------------------------------------ *)
 
 (* wall-clock ms for [f ()]: best of [reps] runs (first result returned) *)
@@ -1453,8 +1453,8 @@ let run_kernels br =
       ~title:(Printf.sprintf "certification kernels (batch width %d)" Bfs_batch.width)
       ~columns:
         [
-          "construction"; "n"; "Delta"; "removed"; "sources"; "scalar ms"; "grouped ms";
-          "batched ms"; "x grouped"; "x batched"; "identical";
+          "construction"; "n"; "Delta"; "removed"; "sources"; "scalar ms"; "batched ms";
+          "x batched"; "identical";
         ]
   in
   List.iter
@@ -1474,9 +1474,8 @@ let run_kernels br =
             Array.fold_left (fun acc m -> if m then acc + 1 else acc) 0 marked
           in
           let s_scalar, t_scalar = time_best ~reps:1 (fun () -> Stretch.exact_reference g h) in
-          let s_grouped, t_grouped = time_best ~reps:3 (fun () -> Stretch.exact_grouped g h) in
           let s_batched, t_batched = time_best ~reps:3 (fun () -> Stretch.exact_parallel g h) in
-          let identical = s_scalar = s_grouped && s_grouped = s_batched in
+          let identical = s_scalar = s_batched in
           let speedup t = t_scalar /. t in
           Report.add_row table
             [
@@ -1486,9 +1485,7 @@ let run_kernels br =
               string_of_int removed;
               string_of_int sources;
               Printf.sprintf "%.2f" t_scalar;
-              Printf.sprintf "%.2f" t_grouped;
               Printf.sprintf "%.2f" t_batched;
-              Printf.sprintf "%.1fx" (speedup t_grouped);
               Printf.sprintf "%.1fx" (speedup t_batched);
               (if identical then "yes" else "** NO **");
             ];
@@ -1504,7 +1501,7 @@ let run_kernels br =
     constructions;
   Report.add_note table "scalar = per-removed-edge bounded BFS (pre-kernel path, 1 rep);";
   Report.add_note table
-    (Printf.sprintf "grouped = one sweep per source; batched = %d sources/sweep + domains."
+    (Printf.sprintf "batched = one sweep per source group, %d sources/sweep + domains."
        Bfs_batch.width);
   Report.print table
 

@@ -23,7 +23,7 @@ type t = {
   adds : (int * int) list array;  (* delta: added (neighbor, weight), per node *)
   deg : int array;  (* maintained degrees *)
   mutable m : int;
-  mutable weighted : bool;  (* monotone: some edge ever carried weight <> 1 *)
+  mutable nonunit : int;  (* live edges whose weight is not 1 *)
   mutable version : int;  (* bumped on every successful mutation *)
   mutable snap : (int * csr) option;  (* snapshot + the version it captured *)
 }
@@ -39,7 +39,7 @@ let create size =
     adds = Array.make size [];
     deg = Array.make size 0;
     m = 0;
-    weighted = false;
+    nonunit = 0;
     version = 0;
     snap = None;
   }
@@ -73,7 +73,7 @@ let iter_neighbors g v f =
   else Csr_store.iter_row g.base v (fun u -> if not (Hashtbl.mem g.dels (key g u v)) then f u);
   List.iter (fun (u, _) -> f u) g.adds.(v)
 
-let is_weighted g = g.weighted
+let is_weighted g = g.nonunit > 0
 
 let iter_neighbors_w g v f =
   check_node g v;
@@ -139,7 +139,7 @@ let edge_array g =
    [t] can name the snapshot type without a dependency cycle; [Csr] re-exports
    the record and the entry points. *)
 let to_csr g =
-  if g.weighted then
+  if is_weighted g then
     Csr_store.of_weighted_stream ~m_hint:g.m ~n:(n g) (fun emit -> iter_edges_w g emit)
   else Csr_store.of_stream ~m_hint:g.m ~n:(n g) (fun emit -> iter_edges g emit)
 
@@ -183,7 +183,7 @@ let add_edge ?(weight = 1) g u v =
     g.deg.(u) <- g.deg.(u) + 1;
     g.deg.(v) <- g.deg.(v) + 1;
     g.m <- g.m + 1;
-    if weight <> 1 then g.weighted <- true;
+    if weight <> 1 then g.nonunit <- g.nonunit + 1;
     g.version <- g.version + 1;
     maybe_commit g;
     true
@@ -194,12 +194,18 @@ let remove_edge g u v =
   check_node g v;
   if u <> v && mem_edge g u v then begin
     let k = key g u v in
-    if Hashtbl.mem g.added k then begin
-      Hashtbl.remove g.added k;
-      g.adds.(u) <- List.filter (fun (x, _) -> x <> v) g.adds.(u);
-      g.adds.(v) <- List.filter (fun (x, _) -> x <> u) g.adds.(v)
-    end
-    else Hashtbl.replace g.dels k ();
+    let weight =
+      match Hashtbl.find_opt g.added k with
+      | Some w ->
+          Hashtbl.remove g.added k;
+          g.adds.(u) <- List.filter (fun (x, _) -> x <> v) g.adds.(u);
+          g.adds.(v) <- List.filter (fun (x, _) -> x <> u) g.adds.(v);
+          w
+      | None ->
+          Hashtbl.replace g.dels k ();
+          if is_weighted g then Csr_store.weight g.base u v else 1
+    in
+    if weight <> 1 then g.nonunit <- g.nonunit - 1;
     g.deg.(u) <- g.deg.(u) - 1;
     g.deg.(v) <- g.deg.(v) - 1;
     g.m <- g.m - 1;
@@ -219,7 +225,7 @@ let copy g =
     adds = Array.copy g.adds;
     deg = Array.copy g.deg;
     m = g.m;
-    weighted = g.weighted;
+    nonunit = g.nonunit;
     version = g.version;
     snap = g.snap;
   }
@@ -237,6 +243,9 @@ let of_weighted_edges size es =
 let of_csr c =
   let size = Csr_store.n c in
   let deg = Array.init size (fun v -> Csr_store.degree c v) in
+  let nonunit = ref 0 in
+  if Csr_store.is_weighted c then
+    Csr_store.iter_edges_w c (fun _ _ w -> if w <> 1 then incr nonunit);
   {
     base = c;
     added = Hashtbl.create 16;
@@ -244,7 +253,7 @@ let of_csr c =
     adds = Array.make size [];
     deg;
     m = Csr_store.m c;
-    weighted = Csr_store.is_weighted c;
+    nonunit = !nonunit;
     version = 0;
     snap = Some (0, c);
   }

@@ -72,11 +72,12 @@ val iter_edges : t -> (int -> int -> unit) -> unit
 (** Iterate each edge exactly once as [(u, v)] with [u < v]. *)
 
 val is_weighted : t -> bool
-(** Whether some edge carries a weight [<> 1].  Monotone over the life of the
-    graph (conservatively stays [true] even if all such edges are removed).
-    This flag is the kernel dispatch rule: unweighted graphs take the
-    bit-parallel MS-BFS certification path, weighted ones the Dijkstra /
-    bounded Bellman–Ford path. *)
+(** Whether some live edge carries a weight [<> 1].  Exact at every point:
+    {!add_edge} and {!remove_edge} maintain a count of such edges, so a
+    graph whose last non-unit edge is removed is unweighted again.  This is
+    the kernel dispatch rule: unweighted graphs take the bit-parallel MS-BFS
+    certification path, weighted ones the Dijkstra / bounded Bellman–Ford
+    path. *)
 
 val edge_weight : t -> int -> int -> int
 (** Weight of an edge ([1] on unweighted graphs).  Raises [Invalid_argument]

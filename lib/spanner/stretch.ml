@@ -2,181 +2,140 @@
    lost one of its Delta edges typically lost Theta(Delta) of them.  Grouping
    the removed edges by source answers all of a source's edges from ONE
    bounded sweep — a Delta-factor fewer sweeps than the per-edge path — and
-   the batched kernel then runs up to [Bfs_batch.width] of those sweeps at
-   once.  [exact_reference] keeps the per-edge scalar path as the oracle the
-   property tests and the kernel-comparison bench compare against. *)
+   on unit weights up to [Bfs_batch.width] of those sweeps run at once.
 
-(* removed edges grouped by their smaller endpoint: sources ascending, each
-   with the array of opposite endpoints *)
-let removed_by_source g h =
-  let n = Graph.n g in
-  let buckets = Array.make n [] in
-  let count = ref 0 in
-  Graph.iter_edges g (fun u v ->
-      if not (Graph.mem_edge h u v) then begin
-        buckets.(u) <- v :: buckets.(u);
-        incr count
-      end);
-  let groups = ref [] in
-  for u = n - 1 downto 0 do
-    match buckets.(u) with
-    | [] -> ()
-    | vs -> groups := (u, Array.of_list vs) :: !groups
-  done;
-  (Array.of_list !groups, !count)
+   Every entry point is a fold over one kernel: [removed_by_source] builds
+   the groups, [rows] is the only place a traversal is picked, [verdict]
+   judges one group and [sweep] drives the work units.  A pair with any
+   non-unit weight takes Dijkstra / bounded Bellman–Ford; the weighted
+   stretch of a removed edge is [⌈d_H(u,v) / w(u,v)⌉], so "stretch ≤ bound"
+   and "d_H ≤ bound·w" agree.  [exact_reference] keeps the per-edge scalar
+   path as the oracle of the property tests and the kernel bench. *)
 
-(* weighted variant: each target carries the removed edge's weight *)
-let removed_by_source_w g h =
-  let n = Graph.n g in
-  let buckets = Array.make n [] in
-  let count = ref 0 in
-  Graph.iter_edges_w g (fun u v w ->
-      if not (Graph.mem_edge h u v) then begin
-        buckets.(u) <- (v, w) :: buckets.(u);
-        incr count
-      end);
-  let groups = ref [] in
-  for u = n - 1 downto 0 do
-    match buckets.(u) with
-    | [] -> ()
-    | vs -> groups := (u, Array.of_list vs) :: !groups
-  done;
-  (Array.of_list !groups, !count)
-
-let snapshot_of h = function Some c -> c | None -> Csr.snapshot h
-
-(* Kernel dispatch rule: a graph with any non-unit weight certifies through
-   the Dijkstra / bounded Bellman–Ford path below; everything else keeps the
-   bit-parallel MS-BFS path bit-for-bit.  The weighted stretch of a removed
-   edge is the ceiling ratio [⌈d_H(u,v) / w(u,v)⌉], so "stretch ≤ bound" and
-   "d_H ≤ bound·w" agree — the weighted generalization of the unweighted
-   edge-detour criterion. *)
 let weighted g h = Graph.is_weighted g || Graph.is_weighted h
 
 let ratio_ceil d w = (d + w - 1) / w
 
-(* Worst ceiling ratio over one weighted source group; [max_int] as soon as
-   some target is unreachable or exceeds [bound].  The unbounded case runs a
-   full Dijkstra; the bounded case runs the hop-capped Bellman–Ford with
-   [bound * wmax] rounds — weights are >= 1, so any target within its
-   weighted bound [bound * w] has a witness path of at most [bound * w <=
-   bound * wmax] edges and gets its exact distance, while a violating target
-   can only look worse (see {!Dijkstra.bellman_ford_bounded}). *)
-let group_worst_w hc (u, targets) ~bound =
-  let dist =
-    if bound = max_int then Dijkstra.distances hc u
-    else begin
-      let wmax = Array.fold_left (fun acc (_, w) -> max acc w) 1 targets in
-      Dijkstra.bellman_ford_bounded hc u ~hops:(bound * wmax)
-    end
+(* [bound·w] saturating at [max_int] (both factors are >= 1) *)
+let scaled bound w = if bound > max_int / w then max_int else bound * w
+
+(* Removed edges grouped by their smaller endpoint, sources ascending.  Each
+   group is [(u, targets, weights)] where [weights.(i)] is the weight of
+   [(u, targets.(i))] on a weighted pair and [weights = [||]] on a
+   unit-weight one; the pair's weightedness comes first. *)
+let removed_by_source g h =
+  let weighted = weighted g h and n = Graph.n g in
+  let vs = Array.make n [] and ws = if weighted then Array.make n [] else [||] in
+  Graph.iter_edges_w g (fun u v w ->
+      if not (Graph.mem_edge h u v) then begin
+        vs.(u) <- v :: vs.(u);
+        if weighted then ws.(u) <- w :: ws.(u)
+      end);
+  let groups = ref [] in
+  for u = n - 1 downto 0 do
+    match vs.(u) with
+    | [] -> ()
+    | targets ->
+        let weights = if weighted then Array.of_list ws.(u) else [||] in
+        groups := (u, Array.of_list targets, weights) :: !groups
+  done;
+  (weighted, Array.of_list !groups)
+
+let group_wmax (_, _, ws) = Array.fold_left max 1 ws
+
+(* The one place a traversal is picked: distance rows for the [len] groups
+   from [lo].  Unit weights run one bit-parallel MS-BFS over their sources,
+   stopped at depth [bound].  A weighted group runs Bellman–Ford capped at
+   [bound·w_max] hops — weights are >= 1, so a target within its bound
+   [bound·w] has a witness path of at most [bound·w_max] edges and gets its
+   exact distance, while a violating target can only look worse (see
+   {!Dijkstra.bellman_ford_bounded}) — or a full Dijkstra once that cap
+   saturates. *)
+let rows hc groups ~weighted ~bound ~lo ~len =
+  if weighted then
+    Array.init len (fun i ->
+        let ((u, _, _) as grp) = groups.(lo + i) in
+        let hops = scaled bound (group_wmax grp) in
+        if hops = max_int then Dijkstra.distances hc u
+        else Dijkstra.bellman_ford_bounded hc u ~hops)
+  else
+    Bfs_batch.run ~bound hc
+      (Array.init len (fun i ->
+           let u, _, _ = groups.(lo + i) in
+           u))
+
+(* The one per-group verdict, handed to [f u worst bad]: the worst [⌈d/w⌉]
+   over the group's targets and its violating pairs — unreachable, or
+   [d > bound·w], which for integers is [⌈d/w⌉ > bound] and so never forms
+   the product.  The worst is [max_int] once some target violates.  Unit vs
+   weighted is decided once per group, so the unit-weight target loop
+   divides and allocates nothing on the clean path. *)
+let verdict ~bound row (u, targets, ws) f =
+  let worst = ref 1 and bad = ref [] in
+  if Array.length ws = 0 then
+    for i = 0 to Array.length targets - 1 do
+      let v = targets.(i) in
+      let d = row.(v) in
+      if d < 0 || d > bound then begin
+        worst := max_int;
+        bad := (u, v) :: !bad
+      end
+      else if d > !worst then worst := d
+    done
+  else
+    for i = 0 to Array.length targets - 1 do
+      let v = targets.(i) in
+      let d = row.(v) in
+      let r = ratio_ceil d ws.(i) in
+      if d < 0 || r > bound then begin
+        worst := max_int;
+        bad := (u, v) :: !bad
+      end
+      else if r > !worst then worst := r
+    done;
+  f u !worst !bad
+
+(* The one sweep loop: runs [groups] in work units — [Bfs_batch.width] groups
+   per MS-BFS batch on unit weights, one group per weighted run — over
+   {!Parallel.max_range_saturating}, hands each group's verdict to [f] and
+   returns the max of [f]'s results (1 when there are no groups).  A result
+   of [max_int] stops the sweep early; with [~domains:1] the units run in
+   order on the calling domain. *)
+let sweep ?domains hc groups ~weighted ~bound f =
+  let width = if weighted then 1 else Bfs_batch.width in
+  let ng = Array.length groups in
+  let sweep_unit b =
+    let lo = b * width in
+    let len = min width (ng - lo) in
+    let rows = rows hc groups ~weighted ~bound ~lo ~len in
+    let acc = ref 1 in
+    for i = 0 to len - 1 do
+      let r = verdict ~bound rows.(i) groups.(lo + i) f in
+      if r > !acc then acc := r
+    done;
+    !acc
   in
-  let worst = ref 1 in
-  (try
-     Array.iter
-       (fun (v, w) ->
-         let d = dist.(v) in
-         if d < 0 || (bound < max_int && d > bound * w) then begin
-           worst := max_int;
-           raise Exit
-         end
-         else begin
-           let r = ratio_ceil d w in
-           if r > !worst then worst := r
-         end)
-       targets
-   with Exit -> ());
-  !worst
+  Trace.with_span
+    ~name:(if weighted then "dijkstra.sweep" else "bfs.sweep")
+    (fun () ->
+      max 1
+        (Parallel.max_range_saturating ?domains ((ng + width - 1) / width) sweep_unit
+           ~saturate:max_int))
 
-(* sequential weighted sweep over all groups, stopping once saturated *)
-let exact_impl_w hc groups ~bound =
-  Trace.with_span ~name:"dijkstra.sweep" (fun () ->
-      let ng = Array.length groups in
-      let worst = ref 1 and i = ref 0 in
-      while !worst < max_int && !i < ng do
-        worst := max !worst (group_worst_w hc groups.(!i) ~bound);
-        incr i
-      done;
-      !worst)
+let snapshot_of h = function Some c -> c | None -> Csr.snapshot h
 
-(* worst detour over the groups in [groups.(lo .. lo+len-1)], answered by one
-   batched sweep; [max_int] as soon as some edge is unreachable within
-   [bound] *)
-let batch_worst hc groups ~bound ~lo ~len =
-  let sources = Array.init len (fun i -> fst groups.(lo + i)) in
-  let rows = Bfs_batch.run ~bound hc sources in
-  let worst = ref 1 in
-  (try
-     for i = 0 to len - 1 do
-       let row = rows.(i) and _, targets = groups.(lo + i) in
-       Array.iter
-         (fun v ->
-           let d = row.(v) in
-           if d < 0 then begin
-             worst := max_int;
-             raise Exit
-           end
-           else if d > !worst then worst := d)
-         targets
-     done
-   with Exit -> ());
-  !worst
-
-let exact_impl ?snapshot g h ~bound =
+let certify ?domains ?snapshot g h ~bound =
   Trace.with_span ~name:"spanner.certify" (fun () ->
       let hc = snapshot_of h snapshot in
-      if weighted g h then begin
-        let groups, count = removed_by_source_w g h in
-        if count = 0 then 1 else exact_impl_w hc groups ~bound
-      end
-      else begin
-        let groups, count = removed_by_source g h in
-        if count = 0 then 1
-        else
-          Trace.with_span ~name:"bfs.sweep" (fun () ->
-              let ng = Array.length groups in
-              let worst = ref 1 and lo = ref 0 in
-              while !worst < max_int && !lo < ng do
-                let len = min Bfs_batch.width (ng - !lo) in
-                worst := max !worst (batch_worst hc groups ~bound ~lo:!lo ~len);
-                lo := !lo + len
-              done;
-              !worst)
-      end)
+      let weighted, groups = removed_by_source g h in
+      sweep ?domains hc groups ~weighted ~bound (fun _ worst _ -> worst))
 
-let exact ?snapshot g h = exact_impl ?snapshot g h ~bound:max_int
+let exact ?snapshot g h = certify ~domains:1 ?snapshot g h ~bound:max_int
 
 let exact_parallel ?domains ?(bound = max_int) ?snapshot g h =
-  Trace.with_span ~name:"spanner.certify" (fun () ->
-      let hc = snapshot_of h snapshot in
-      if weighted g h then begin
-        let groups, count = removed_by_source_w g h in
-        if count = 0 then 1
-        else
-          Trace.with_span ~name:"dijkstra.sweep" (fun () ->
-              (* one weighted group per work unit; the Dijkstra scratch arena
-                 is domain-local, so read-only fan-out is safe *)
-              max 1
-                (Parallel.max_range_saturating ?domains (Array.length groups)
-                   (fun i -> group_worst_w hc groups.(i) ~bound)
-                   ~saturate:max_int))
-      end
-      else begin
-        let groups, count = removed_by_source g h in
-        if count = 0 then 1
-        else begin
-          let ng = Array.length groups in
-          let nb = ((ng - 1) / Bfs_batch.width) + 1 in
-          let per_batch b =
-            let lo = b * Bfs_batch.width in
-            batch_worst hc groups ~bound ~lo ~len:(min Bfs_batch.width (ng - lo))
-          in
-          Trace.with_span ~name:"bfs.sweep" (fun () ->
-              (* one disconnected edge saturates the max: stop sweeping *)
-              max 1 (Parallel.max_range_saturating ?domains nb per_batch ~saturate:max_int))
-        end
-      end)
+  certify ?domains ?snapshot g h ~bound
 
-let exact_bounded ?snapshot g h ~bound = exact_impl ?snapshot g h ~bound
+let exact_bounded ?snapshot g h ~bound = certify ~domains:1 ?snapshot g h ~bound
 
 let exact_reference ?(bound = max_int) g h =
   let hc = Csr.snapshot h in
@@ -214,36 +173,6 @@ let exact_reference ?(bound = max_int) g h =
     !worst
   end
 
-let exact_grouped ?(bound = max_int) g h =
-  let hc = Csr.snapshot h in
-  if weighted g h then begin
-    let groups, count = removed_by_source_w g h in
-    if count = 0 then 1 else exact_impl_w hc groups ~bound
-  end
-  else begin
-    let groups, count = removed_by_source g h in
-    if count = 0 then 1
-    else begin
-      let worst = ref 1 in
-      (try
-         Array.iter
-           (fun (u, targets) ->
-             let dist = Bfs.distances_bounded hc u ~bound in
-             Array.iter
-               (fun v ->
-                 let d = dist.(v) in
-                 if d < 0 then begin
-                   worst := max_int;
-                   raise Exit
-                 end
-                 else if d > !worst then worst := d)
-               targets)
-           groups
-       with Exit -> ());
-      !worst
-    end
-  end
-
 let is_three_spanner g h = exact_bounded g h ~bound:3 <= 3
 
 let sampled_pairs ?snapshots rng g h ~samples =
@@ -273,42 +202,14 @@ let sampled_pairs ?snapshots rng g h ~samples =
     !worst
   end
 
-(* weighted violation scan of one group: flags targets with d_H > bound * w *)
-let group_violations_w hc (u, targets) ~bound bad =
-  let wmax = Array.fold_left (fun acc (_, w) -> max acc w) 1 targets in
-  let dist = Dijkstra.bellman_ford_bounded hc u ~hops:(bound * wmax) in
-  Array.iter
-    (fun (v, w) ->
-      let d = dist.(v) in
-      if d < 0 || d > bound * w then bad := (u, v) :: !bad)
-    targets
-
 let violations g h ~bound =
-  let hc = Csr.snapshot h in
+  let weighted, groups = removed_by_source g h in
   let bad = ref [] in
-  if weighted g h then begin
-    let groups, _ = removed_by_source_w g h in
-    Array.iter (fun grp -> group_violations_w hc grp ~bound bad) groups
-  end
-  else begin
-    let groups, _ = removed_by_source g h in
-    let ng = Array.length groups in
-    let lo = ref 0 in
-    while !lo < ng do
-      let len = min Bfs_batch.width (ng - !lo) in
-      let sources = Array.init len (fun i -> fst groups.(!lo + i)) in
-      let rows = Bfs_batch.run ~bound hc sources in
-      for i = 0 to len - 1 do
-        let u, targets = groups.(!lo + i) and row = rows.(i) in
-        Array.iter
-          (fun v ->
-            let d = row.(v) in
-            if d < 0 || d > bound then bad := (u, v) :: !bad)
-          targets
-      done;
-      lo := !lo + len
-    done
-  end;
+  (* [f] returns 1, never [max_int], so every group is swept *)
+  ignore
+    (sweep ~domains:1 (Csr.snapshot h) groups ~weighted ~bound (fun _ _ b ->
+         bad := List.rev_append b !bad;
+         1));
   (* canonical order: callers (Repair, reports) must not depend on hashtable
      iteration order *)
   List.sort compare !bad
@@ -318,19 +219,21 @@ let violations g h ~bound =
 (* Per-source cache of the bounded certificate.  After a localized mutation
    batch, a source group's verdict can only change if the group's removed-
    edge set changed (then an endpoint of the change was touched) or if the
-   bounded distance to some target changed.  In the latter case the old or
-   the new witness path (length <= bound) uses a changed edge, and its
-   prefix up to the FIRST changed edge survives in the new spanner — so the
-   source lies within [bound] hops of a touched node in the new spanner.
+   bounded distance to some target changed.  In the latter case a shortest
+   path realizing the smaller of the old and new distances (weight <=
+   bound·w, hence at most bound·w <= bound·w_max edges, weights being >= 1)
+   uses a changed edge, and its prefix up to the FIRST changed edge
+   survives in the new spanner — so the source lies within [bound·w_max]
+   hops of a touched node in the new spanner ([bound] on unit weights).
    Hence one multi-seed bounded sweep from the touched set marks every
-   source whose cached verdict could be stale, and only those groups re-run
-   their batched MS-BFS sweep. *)
+   source whose cached verdict could be stale, and only those groups are
+   swept again. *)
 
 type cert = {
   c_bound : int;
   c_worst : int array;
-      (* worst bounded detour per source group; 1 when the source has no
-         group, [max_int] when some target is unreachable within the bound *)
+      (* worst bounded stretch per source group; 1 when the source has no
+         group, [max_int] when some target violates the bound *)
   c_viol : (int * int) list array;  (* violating pairs per source, ascending *)
   mutable c_groups : int;  (* group count at the last refresh *)
 }
@@ -345,52 +248,14 @@ type inc_report = {
 let m_inc_swept = Metrics.counter "stretch.inc_swept"
 let m_inc_reused = Metrics.counter "stretch.inc_reused"
 
-(* one batched sweep over [groups.(lo .. lo+len-1)], recording per-source
-   worst detours and violation lists into the cache arrays *)
-let sweep_into cert hc groups ~lo ~len =
-  let bound = cert.c_bound in
-  let sources = Array.init len (fun i -> fst groups.(lo + i)) in
-  let rows = Bfs_batch.run ~bound hc sources in
-  for i = 0 to len - 1 do
-    let u, targets = groups.(lo + i) and row = rows.(i) in
-    let worst = ref 1 and bad = ref [] in
-    Array.iter
-      (fun v ->
-        let d = row.(v) in
-        if d < 0 || d > bound then begin
-          worst := max_int;
-          bad := (u, v) :: !bad
-        end
-        else if d > !worst then worst := d)
-      targets;
-    cert.c_worst.(u) <- !worst;
-    cert.c_viol.(u) <- List.sort compare !bad
-  done
-
-(* weighted counterpart of [sweep_into]: one hop-capped Bellman–Ford per
-   group, ratio verdicts into the same cache arrays *)
-let sweep_into_w cert hc groups ~lo ~len =
-  let bound = cert.c_bound in
-  for i = lo to lo + len - 1 do
-    let u, targets = groups.(i) in
-    let wmax = Array.fold_left (fun acc (_, w) -> max acc w) 1 targets in
-    let dist = Dijkstra.bellman_ford_bounded hc u ~hops:(bound * wmax) in
-    let worst = ref 1 and bad = ref [] in
-    Array.iter
-      (fun (v, w) ->
-        let d = dist.(v) in
-        if d < 0 || d > bound * w then begin
-          worst := max_int;
-          bad := (u, v) :: !bad
-        end
-        else begin
-          let r = ratio_ceil d w in
-          if r > !worst then worst := r
-        end)
-      targets;
-    cert.c_worst.(u) <- !worst;
-    cert.c_viol.(u) <- List.sort compare !bad
-  done
+(* the [f] of {!sweep} that caches each group's verdict in [cert]; never
+   stops the sweep *)
+let record cert =
+  let { c_worst; c_viol; _ } = cert in
+  fun u worst bad ->
+    c_worst.(u) <- worst;
+    c_viol.(u) <- List.sort compare bad;
+    1
 
 let cert_create ?snapshot g h ~bound =
   if Graph.n g <> Graph.n h then invalid_arg "Stretch.cert_create: node counts differ";
@@ -398,25 +263,10 @@ let cert_create ?snapshot g h ~bound =
   Trace.with_span ~name:"spanner.certify_incremental" (fun () ->
       let hc = snapshot_of h snapshot in
       let n = Graph.n g in
-      let cert =
-        { c_bound = bound; c_worst = Array.make n 1; c_viol = Array.make n []; c_groups = 0 }
-      in
-      if weighted g h then begin
-        let groups, _ = removed_by_source_w g h in
-        cert.c_groups <- Array.length groups;
-        sweep_into_w cert hc groups ~lo:0 ~len:(Array.length groups)
-      end
-      else begin
-        let groups, _ = removed_by_source g h in
-        let ng = Array.length groups in
-        cert.c_groups <- ng;
-        let lo = ref 0 in
-        while !lo < ng do
-          let len = min Bfs_batch.width (ng - !lo) in
-          sweep_into cert hc groups ~lo:!lo ~len;
-          lo := !lo + len
-        done
-      end;
+      let weighted, groups = removed_by_source g h in
+      let c_worst = Array.make n 1 and c_viol = Array.make n [] in
+      let cert = { c_bound = bound; c_worst; c_viol; c_groups = Array.length groups } in
+      ignore (sweep ~domains:1 hc groups ~weighted ~bound (record cert));
       cert)
 
 let cert_bound cert = cert.c_bound
@@ -470,35 +320,11 @@ let violations_incremental cert ?snapshot g h ~touched =
     invalid_arg "Stretch.violations_incremental: certificate built for a different node count";
   Trace.with_span ~name:"spanner.certify_incremental" (fun () ->
       let hc = snapshot_of h snapshot in
-      if weighted g h then begin
-        (* The hop-based dirty-marking argument below is calibrated to
-           unit-weight witness paths; for weighted graphs every group is
-           conservatively re-swept (sound over-approximation — the churn
-           workloads that lean on incrementality are unweighted). *)
-        let n = Graph.n g in
-        Array.iter
-          (fun s ->
-            if s < 0 || s >= n then
-              invalid_arg "Stretch.violations_incremental: touched node out of range")
-          touched;
-        Array.fill cert.c_worst 0 n 1;
-        Array.fill cert.c_viol 0 n [];
-        let groups, _ = removed_by_source_w g h in
-        let ng = Array.length groups in
-        cert.c_groups <- ng;
-        sweep_into_w cert hc groups ~lo:0 ~len:ng;
-        Metrics.add m_inc_swept ng;
-        let bad = ref [] in
-        for i = ng - 1 downto 0 do
-          bad := cert.c_viol.(fst groups.(i)) @ !bad
-        done;
-        { inc_violations = !bad; inc_swept = ng; inc_groups = ng; inc_dirty = n }
-      end
-      else begin
-      let groups, _ = removed_by_source g h in
+      let weighted, groups = removed_by_source g h in
       let ng = Array.length groups in
       cert.c_groups <- ng;
-      let dirty = within_bound hc touched ~bound:cert.c_bound in
+      let wmax = Array.fold_left (fun acc grp -> max acc (group_wmax grp)) 1 groups in
+      let dirty = within_bound hc touched ~bound:(scaled cert.c_bound wmax) in
       (* a dirty source whose group shrank or vanished must not keep stale
          entries; clean sources kept their groups (a group change touches
          its source), so their cache lines are current *)
@@ -511,33 +337,13 @@ let violations_incremental cert ?snapshot g h ~touched =
             cert.c_viol.(v) <- []
           end)
         dirty;
-      (* compact the dirty groups and sweep them in width-sized batches *)
-      let pending = Array.make (min ng (Array.length groups)) (0, [||]) in
-      let np = ref 0 in
-      Array.iter
-        (fun ((u, _) as grp) ->
-          if dirty.(u) then begin
-            pending.(!np) <- grp;
-            incr np
-          end)
-        groups;
-      let swept = !np in
-      let lo = ref 0 in
-      while !lo < swept do
-        let len = min Bfs_batch.width (swept - !lo) in
-        sweep_into cert hc pending ~lo:!lo ~len;
-        lo := !lo + len
-      done;
+      let keep ((u, _, _) as grp) acc = if dirty.(u) then grp :: acc else acc in
+      let pending = Array.of_list (Array.fold_right keep groups []) in
+      let swept = Array.length pending in
+      ignore (sweep ~domains:1 hc pending ~weighted ~bound:cert.c_bound (record cert));
       Metrics.add m_inc_swept swept;
       Metrics.add m_inc_reused (ng - swept);
-      let bad = ref [] in
-      for i = ng - 1 downto 0 do
-        bad := cert.c_viol.(fst groups.(i)) @ !bad
-      done;
-      {
-        inc_violations = !bad;
-        inc_swept = swept;
-        inc_groups = ng;
-        inc_dirty = !ndirty;
-      }
-      end)
+      (* only current sources hold violations: a vanished group's source was
+         touched, hence dirty and reset above *)
+      let inc_violations = cert_violations cert in
+      { inc_violations; inc_swept = swept; inc_groups = ng; inc_dirty = !ndirty })

@@ -6,21 +6,29 @@
     are themselves pairs at distance 1.  So the exact distance stretch equals
     [max_{(u,v) ∈ E(G)} d_H(u, v)], which is what {!exact} computes.
 
-    {b Kernel.}  Removed edges are grouped by their smaller endpoint and each
-    group is answered from one bounded sweep; up to {!Bfs_batch.width} of
-    those sweeps run bit-parallel in a single {!Bfs_batch} pass.  On the
-    paper's regular constructions this is a [Δ × word]-factor fewer
-    traversals than the per-edge path ({!exact_reference}), with
-    bit-identical certificates — enforced by the property tests.
+    {b One kernel.}  Every entry point except {!exact_reference} and
+    {!sampled_pairs} is a fold over a single grouped sweep.  Removed edges
+    are grouped by their smaller endpoint, and each group is answered from
+    one bounded sweep from its source.  On unit weights up to
+    {!Bfs_batch.width} of those sweeps run bit-parallel in a single
+    {!Bfs_batch} pass.  On the paper's regular constructions this is a
+    [Δ × word]-factor fewer traversals than the per-edge path
+    ({!exact_reference}), with bit-identical certificates — enforced by the
+    property tests.  A group's verdict is its worst stretch and its
+    violating edges; the exact measurements fold the worst, {!violations}
+    folds the violating edges, and the certificate below caches both per
+    source.
 
-    {b Weighted graphs.}  When [g] (or [h]) {!Graph.is_weighted}, every
-    entry point below dispatches to the weighted kernels instead: the
-    stretch of a removed edge [(u,v)] is the ceiling ratio
-    [⌈d_H(u,v) / w(u,v)⌉] (so [exact <= b] iff every removed edge satisfies
-    [d_H <= b·w]); unbounded measurements run one {!Dijkstra} per source
-    group, bounded measurements and certificates run the hop-capped
-    {!Dijkstra.bellman_ford_bounded} ([bound·wmax] rounds suffice because
-    weights are ≥ 1).  Unit-weight graphs never reach this path: they keep
+    {b Weighted graphs.}  When [g] (or [h]) {!Graph.is_weighted}, the sweep
+    from each source is weighted instead: the stretch of a removed edge
+    [(u,v)] is the ceiling ratio [⌈d_H(u,v) / w(u,v)⌉], so [exact <= b] iff
+    every removed edge satisfies [d_H <= b·w].  Each group runs the
+    hop-capped {!Dijkstra.bellman_ford_bounded} with [bound·w_max] rounds,
+    where [w_max] is the group's heaviest removed edge.  That suffices
+    because weights are ≥ 1: a path of weight at most [bound·w] has at most
+    [bound·w] edges.  Once [bound·w_max] saturates at [max_int] (always for
+    {!exact}) the group runs a full {!Dijkstra} instead, so no bound, however
+    large, overflows.  Unit-weight graphs never reach this path: they keep
     the MS-BFS kernel byte-for-byte. *)
 
 val exact : ?snapshot:Csr.t -> Graph.t -> Graph.t -> int
@@ -33,26 +41,23 @@ val exact : ?snapshot:Csr.t -> Graph.t -> Graph.t -> int
 val exact_parallel :
   ?domains:int -> ?bound:int -> ?snapshot:Csr.t -> Graph.t -> Graph.t -> int
 (** {!exact} fanned out over OCaml 5 domains — one batched sweep
-    ({!Bfs_batch.width} source groups) per work unit, read-only snapshots.
+    ({!Bfs_batch.width} source groups, or one weighted group) per work unit,
+    read-only snapshots.
     Identical result to the sequential version; used by the harness at full
     scale.  A disconnected removed edge saturates the running max, letting
     every domain stop early.  [bound] as in {!exact_bounded}. *)
 
 val exact_bounded : ?snapshot:Csr.t -> Graph.t -> Graph.t -> bound:int -> int
 (** Like {!exact} but sweeps stop at depth [bound]; any edge whose spanner
-    distance exceeds [bound] makes the result [max_int].  Much faster when
-    the expected stretch is a small constant (the stretch-3 certificate). *)
+    distance exceeds [bound] (weighted: [bound·w]) makes the result
+    [max_int].  Much faster when the expected stretch is a small constant
+    (the stretch-3 certificate). *)
 
 val exact_reference : ?bound:int -> Graph.t -> Graph.t -> int
 (** The pre-kernel implementation: one scalar bounded BFS per removed edge.
     Kept as the oracle for the property tests and as the baseline of the
     kernel-comparison bench ([bench kernels]).  Same contract as
     {!exact_bounded} (default [bound] = [max_int], i.e. {!exact}). *)
-
-val exact_grouped : ?bound:int -> Graph.t -> Graph.t -> int
-(** Half-way point between {!exact_reference} and the batched kernel: one
-    scalar sweep per removed-edge {e source group} (no bit-parallelism).
-    Isolates the grouping win from the batching win in [bench kernels]. *)
 
 val is_three_spanner : Graph.t -> Graph.t -> bool
 (** [is_three_spanner g h] checks the paper's headline guarantee:
@@ -66,22 +71,30 @@ val sampled_pairs :
     The random draws are identical with or without [snapshots]. *)
 
 val violations : Graph.t -> Graph.t -> bound:int -> (int * int) list
-(** Removed edges whose spanner distance exceeds [bound] — the counter-
-    examples reported when a stretch certificate fails.  Sorted ascending
-    (lexicographic on [(u, v)], [u < v]). *)
+(** Removed edges whose spanner distance exceeds [bound] (weighted:
+    [bound·w]) or that are disconnected — the counter-examples reported when
+    a stretch certificate fails.  Sorted ascending (lexicographic on
+    [(u, v)], [u < v]). *)
 
 (** {2 Incremental certification}
 
     The churn seam: {!cert_create} runs the full grouped sweep once and
     caches each source group's verdict; after a mutation batch,
     {!violations_incremental} re-sweeps only the groups whose verdict could
-    have changed.  Soundness of the dirty set: if a bounded spanner distance
-    [d_H(u, v) ≤ bound] changed, the old or the new witness path uses a
-    changed edge, and its prefix up to the {e first} changed edge survives
-    in the new spanner — so [u] lies within [bound] hops of a touched node
-    in the new spanner.  One multi-seed bounded BFS from the touched set
-    therefore over-approximates every stale group, and the incremental
-    result is byte-identical to a fresh {!violations} (qcheck-enforced). *)
+    have changed.  Soundness of the dirty set: if the verdict on a removed
+    edge [(u, v)] changed while its group did not, the smaller of the old
+    and new [d_H(u, v)] is at most [bound·w(u,v)], and a shortest path
+    realizing it uses a changed edge (otherwise that path exists on both
+    sides and the verdicts agree).  The path weighs at most [bound·w], so
+    with weights ≥ 1 it has at most [bound·w ≤ bound·w_max] edges, [w_max]
+    being the heaviest removed edge.  Its prefix up to the {e first}
+    changed edge survives in the new spanner, so [u] lies within
+    [bound·w_max] hops of a touched node in the new spanner; on unit
+    weights the radius is just [bound].  A changed group has a touched
+    source.  One multi-seed hop-bounded BFS from the touched set therefore
+    over-approximates every stale group, weighted or not, and the
+    incremental result is byte-identical to a fresh {!violations}
+    (qcheck-enforced). *)
 
 type cert
 (** Cached per-source certificate for one [(g, h, bound)] triple.  Mutable:
@@ -92,7 +105,7 @@ type inc_report = {
       (** same contract (content and order) as {!violations} *)
   inc_swept : int;  (** source groups re-swept this call *)
   inc_groups : int;  (** total source groups (removed-edge sources) *)
-  inc_dirty : int;  (** nodes within [bound] of the touched set *)
+  inc_dirty : int;  (** nodes within [bound·w_max] hops of the touched set *)
 }
 
 val cert_create : ?snapshot:Csr.t -> Graph.t -> Graph.t -> bound:int -> cert

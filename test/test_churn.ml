@@ -110,52 +110,91 @@ let test_cert_create_rejects () =
       let cert = Stretch.cert_create g g ~bound:3 in
       Stretch.violations_incremental cert g g ~touched:[| 7 |])
 
-let test_incremental_sweeps_strictly_fewer () =
-  (* large-diameter torus, localized single-edge churn: the dirty 3-ball
-     covers a corner of the graph, so the incremental certifier must skip
-     most source groups while agreeing with the full sweep *)
-  let g = Generators.torus 12 12 in
+(* h = g with every 5th edge removed: many scattered source groups *)
+let every_fifth_removed g =
   let h = Graph.copy g in
-  (* scatter removed edges so many source groups exist *)
   let i = ref 0 in
   Graph.iter_edges g (fun u v ->
       incr i;
       if !i mod 5 = 0 then ignore (Graph.remove_edge h u v));
+  h
+
+let test_incremental_sweeps_strictly_fewer () =
+  (* large-diameter tori, localized single-edge churn: the dirty ball of
+     radius bound·w_max covers a corner of the graph, so the incremental
+     certifier must skip most source groups while agreeing with the full
+     sweep — on unit weights and on weights in [1, 2] *)
+  List.iter
+    (fun (name, g) ->
+      let h = every_fifth_removed g in
+      let cert = Stretch.cert_create g h ~bound:3 in
+      let ap = Churn_gen.apply ~g ~h [ Churn_gen.Del_edge (0, 1) ] in
+      let r = Stretch.violations_incremental cert g h ~touched:ap.Churn_gen.ap_touched in
+      check Alcotest.bool (name ^ ": many groups") true (r.Stretch.inc_groups > 20);
+      check Alcotest.bool
+        (Printf.sprintf "%s: swept %d strictly fewer than %d groups" name r.Stretch.inc_swept
+           r.Stretch.inc_groups)
+        true
+        (r.Stretch.inc_swept < r.Stretch.inc_groups);
+      check Alcotest.bool (name ^ ": agrees with full sweep") true
+        (r.Stretch.inc_violations = Stretch.violations g h ~bound:3))
+    [
+      ("unit torus", Generators.torus 12 12);
+      ("weighted torus", Generators.weighted_torus (Prng.create 5) 16 16 ~w_max:2);
+    ]
+
+let test_weighted_dirty_radius () =
+  (* 8-cycle whose edge (0,7) weighs 7: its detour 0-1-...-7 in h is 7 hops
+     long, so cutting (4,5) — 4 hops from node 0 — turns it into a
+     violation.  A dirty radius of [bound] = 3 would miss source 0; the
+     radius bound·w_max = 21 must catch it. *)
+  let g = Graph.of_weighted_edges 8 ((0, 7, 7) :: List.init 7 (fun i -> (i, i + 1, 1))) in
+  let h = Graph.copy g in
+  ignore (Graph.remove_edge h 0 7);
   let cert = Stretch.cert_create g h ~bound:3 in
-  let ap = Churn_gen.apply ~g ~h [ Churn_gen.Del_edge (0, 1) ] in
-  let r = Stretch.violations_incremental cert g h ~touched:ap.Churn_gen.ap_touched in
-  check Alcotest.bool "many groups" true (r.Stretch.inc_groups > 20);
-  check Alcotest.bool
-    (Printf.sprintf "swept %d strictly fewer than %d groups" r.Stretch.inc_swept
-       r.Stretch.inc_groups)
-    true
-    (r.Stretch.inc_swept < r.Stretch.inc_groups);
-  check Alcotest.bool "agrees with full sweep" true
-    (r.Stretch.inc_violations = Stretch.violations g h ~bound:3)
+  check Alcotest.(list (pair int int)) "certified before the cut" [] (Stretch.cert_violations cert);
+  ignore (Graph.remove_edge h 4 5);
+  let r = Stretch.violations_incremental cert g h ~touched:[| 4; 5 |] in
+  let want = Stretch.violations g h ~bound:3 in
+  check Alcotest.(list (pair int int)) "full sweep" [ (0, 7); (4, 5) ] want;
+  check Alcotest.(list (pair int int)) "incremental = full" want r.Stretch.inc_violations;
+  check Alcotest.int "stretch bound" (Stretch.exact_bounded g h ~bound:3)
+    (Stretch.cert_stretch_bound cert)
 
 let prop_incremental_oracle =
   QCheck.Test.make ~name:"violations_incremental == full violations under churn" ~count:25
     QCheck.(pair small_int (int_range 1 5))
     (fun (seed, nbatches) ->
-      let g = Generators.random_regular (Prng.create 17) 48 6 in
-      let h = Classic.greedy g ~k:2 in
       let bound = 3 in
-      let cert = Stretch.cert_create g h ~bound in
+      (* one unit-weight and one weighted input per case; the unit-weight
+         one draws its events first, from the same stream as ever *)
+      let agrees (g, h) rng =
+        let cert = Stretch.cert_create g h ~bound in
+        let ok = ref (Stretch.cert_violations cert = Stretch.violations g h ~bound) in
+        for _ = 1 to nbatches do
+          let events =
+            Churn_gen.generate Churn_gen.Uniform rng ~g ~h ~loads:(no_loads g) ~count:6
+          in
+          let ap = Churn_gen.apply ~g ~h events in
+          let r = Stretch.violations_incremental cert g h ~touched:ap.Churn_gen.ap_touched in
+          ok :=
+            !ok
+            && r.Stretch.inc_violations = Stretch.violations g h ~bound
+            && r.Stretch.inc_swept <= r.Stretch.inc_groups
+            && Stretch.cert_stretch_bound cert = Stretch.exact_bounded g h ~bound
+        done;
+        !ok
+      in
+      let regular =
+        let g = Generators.random_regular (Prng.create 17) 48 6 in
+        (g, Classic.greedy g ~k:2)
+      in
+      let weighted =
+        let g = Generators.weighted_torus (Prng.create 17) 12 12 ~w_max:2 in
+        (g, every_fifth_removed g)
+      in
       let rng = Prng.create (100 + seed) in
-      let ok = ref (Stretch.cert_violations cert = Stretch.violations g h ~bound) in
-      for _ = 1 to nbatches do
-        let events =
-          Churn_gen.generate Churn_gen.Uniform rng ~g ~h ~loads:(no_loads g) ~count:6
-        in
-        let ap = Churn_gen.apply ~g ~h events in
-        let r = Stretch.violations_incremental cert g h ~touched:ap.Churn_gen.ap_touched in
-        ok :=
-          !ok
-          && r.Stretch.inc_violations = Stretch.violations g h ~bound
-          && r.Stretch.inc_swept <= r.Stretch.inc_groups
-          && Stretch.cert_stretch_bound cert = Stretch.exact_bounded g h ~bound
-      done;
-      !ok)
+      agrees regular rng && agrees weighted rng)
 
 (* ---- soak engine ---- *)
 
@@ -268,6 +307,7 @@ let () =
           Alcotest.test_case "rejects invalid" `Quick test_cert_create_rejects;
           Alcotest.test_case "sweeps strictly fewer" `Quick
             test_incremental_sweeps_strictly_fewer;
+          Alcotest.test_case "weighted dirty radius" `Quick test_weighted_dirty_radius;
         ] );
       ( "soak",
         [

@@ -98,7 +98,6 @@ let prop_exact_bounded_matches_reference =
       let h = random_subgraph (seed + 5) 0.6 g in
       let want = Stretch.exact_reference ~bound g h in
       Stretch.exact_bounded g h ~bound = want
-      && Stretch.exact_grouped ~bound g h = want
       && Stretch.exact_parallel ~domains:3 ~bound g h = want)
 
 let prop_violations_consistent =
@@ -118,12 +117,11 @@ let prop_violations_consistent =
       Stretch.violations g h ~bound = List.sort compare !want)
 
 let test_stretch_spanner_pair () =
-  (* a real construction: certificates identical across all three kernels *)
+  (* a real construction: certificates identical across the kernels *)
   let g = Generators.random_regular (Prng.create 5) 80 16 in
   let h = Classic.greedy g ~k:2 in
   let want = Stretch.exact_reference g h in
   check Alcotest.int "exact" want (Stretch.exact g h);
-  check Alcotest.int "grouped" want (Stretch.exact_grouped g h);
   check Alcotest.int "parallel" want (Stretch.exact_parallel ~domains:4 g h)
 
 let test_exact_disconnected_early_exit () =

@@ -109,6 +109,28 @@ let test_unit_weights_stay_unweighted () =
   check Alcotest.bool "all-1 graph is unweighted" false (Graph.is_weighted g);
   check Alcotest.bool "snapshot unweighted" false (Csr.is_weighted (Csr.snapshot g))
 
+let prop_is_weighted_is_exact =
+  QCheck.Test.make ~name:"is_weighted = some live edge weighs <> 1" ~count:60
+    QCheck.(pair small_int (int_range 2 12))
+    (fun (seed, n) ->
+      let rng = Prng.create seed in
+      let g = Graph.create n in
+      let live_nonunit () =
+        let k = ref false in
+        Graph.iter_edges_w g (fun _ _ w -> if w <> 1 then k := true);
+        !k
+      in
+      let ok = ref true in
+      for _ = 1 to 80 do
+        let u = Prng.int rng n and v = Prng.int rng n in
+        (match Prng.int rng 3 with
+        | 0 -> ignore (Graph.add_edge ~weight:(1 + Prng.int rng 2) g u v)
+        | 1 -> ignore (Graph.remove_edge g u v)
+        | _ -> ignore (Csr.snapshot g));
+        if Graph.is_weighted g <> live_nonunit () then ok := false
+      done;
+      !ok)
+
 let prop_copy_and_survivor_preserve_weights =
   QCheck.Test.make ~name:"copy/survivor/to_csr preserve weights" ~count:40
     QCheck.(pair small_int (int_range 2 30))
@@ -239,8 +261,7 @@ let prop_weighted_stretch_kernels_agree =
       let want = stretch_reference g h in
       Stretch.exact g h = want
       && Stretch.exact_parallel ~domains:2 g h = want
-      && Stretch.exact_reference g h = want
-      && Stretch.exact_grouped g h = want)
+      && Stretch.exact_reference g h = want)
 
 let prop_weighted_violations_and_cert =
   QCheck.Test.make ~name:"weighted violations / cert / incremental agree" ~count:30
@@ -274,6 +295,21 @@ let prop_weighted_violations_and_cert =
         r.Stretch.inc_violations = Stretch.violations g h ~bound
       in
       same_set want !fw_want && cert_ok && inc_ok)
+
+let test_huge_bounds_saturate () =
+  (* bound·w overflows for these bounds; the kernel must saturate it
+     instead of handing Bellman–Ford a negative hop cap *)
+  let g = Generators.weighted_expander (Prng.create 3) 64 16 ~w_max:4 in
+  let h = (Construction.build (Construction.find_exn "bsw") (Prng.create 4) g).Dc.spanner in
+  let want = Stretch.exact g h in
+  List.iter
+    (fun bound ->
+      let name what = Printf.sprintf "%s at bound %d" what bound in
+      check Alcotest.(list (pair int int)) (name "violations") [] (Stretch.violations g h ~bound);
+      check Alcotest.int (name "exact_bounded") want (Stretch.exact_bounded g h ~bound);
+      check Alcotest.int (name "cert_stretch_bound") want
+        (Stretch.cert_stretch_bound (Stretch.cert_create g h ~bound)))
+    [ max_int / 2; max_int - 1; max_int ]
 
 let prop_sampled_pairs_weighted_sound =
   QCheck.Test.make ~name:"sampled_pairs uses weighted distances" ~count:30
@@ -326,8 +362,8 @@ let test_graph_io_rejects_bad_weights () =
              with Io_error.Parse_error { line; _ } -> line = 2)))
     [ "n 3 1\n0 1 0\n"; "n 3 1\n0 1 -4\n"; "n 3 1\n0 1 x\n" ]
 
-let test_unweighted_write_has_no_third_field () =
-  let g = Generators.cycle 4 in
+(* the header and the edge lines [Graph_io.write] produces for [g] *)
+let written_lines g =
   let path = Filename.temp_file "dcs_unweighted_io" ".txt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -335,12 +371,31 @@ let test_unweighted_write_has_no_third_field () =
       Graph_io.write g path;
       let ic = open_in path in
       let header = input_line ic in
-      let first_edge = input_line ic in
+      let rec edges acc =
+        match input_line ic with l -> edges (l :: acc) | exception End_of_file -> List.rev acc
+      in
+      let lines = edges [] in
       close_in ic;
-      check Alcotest.string "header" "n 4 4" header;
-      check Alcotest.int "two fields"
-        2
-        (List.length (String.split_on_char ' ' first_edge)))
+      (header, lines))
+
+let fields line = List.length (String.split_on_char ' ' line)
+
+let test_unweighted_write_has_no_third_field () =
+  let header, lines = written_lines (Generators.cycle 4) in
+  check Alcotest.string "header" "n 4 4" header;
+  check Alcotest.int "two fields" 2 (fields (List.hd lines))
+
+let test_is_weighted_tracks_live_edges () =
+  (* removing the last non-unit edge makes the graph unweighted again, so
+     it is written back as two-column lines *)
+  let g = Generators.cycle 8 in
+  check Alcotest.bool "added" true (Graph.add_edge ~weight:2 g 0 4);
+  check Alcotest.bool "weighted" true (Graph.is_weighted g);
+  check Alcotest.bool "removed" true (Graph.remove_edge g 0 4);
+  check Alcotest.bool "unweighted again" false (Graph.is_weighted g);
+  let header, lines = written_lines g in
+  check Alcotest.string "header" "n 8 8" header;
+  List.iter (fun l -> check Alcotest.int (Printf.sprintf "two fields in %S" l) 2 (fields l)) lines
 
 (* ---- weighted generators ---- *)
 
@@ -395,6 +450,9 @@ let () =
           Alcotest.test_case "delta log round-trip + resurrect" `Quick test_graph_weight_roundtrip;
           Alcotest.test_case "all-1 weights stay unweighted" `Quick
             test_unit_weights_stay_unweighted;
+          Alcotest.test_case "is_weighted tracks live edges" `Quick
+            test_is_weighted_tracks_live_edges;
+          qt prop_is_weighted_is_exact;
           qt prop_copy_and_survivor_preserve_weights;
         ] );
       ( "kernels",
@@ -408,6 +466,7 @@ let () =
         [
           qt prop_weighted_stretch_kernels_agree;
           qt prop_weighted_violations_and_cert;
+          Alcotest.test_case "huge bounds saturate bound·w" `Quick test_huge_bounds_saturate;
           qt prop_sampled_pairs_weighted_sound;
         ] );
       ( "io",
