@@ -29,7 +29,7 @@ type result = {
 val run : ?thresholds:int * int -> seed:int -> Graph.t -> result
 (** Execute the protocol on the simulator.  [thresholds] is the support pair
     [(a, b)]; defaults to Algorithm 1's scaled defaults
-    ([a = max 2 ⌈ln n⌉], [b = ⌈Δ/4⌉]). *)
+    ([a = max 2 ⌈ln n⌉], [b = max 1 ⌊Δ/4⌋]). *)
 
 val reference : ?thresholds:int * int -> seed:int -> Graph.t -> Graph.t
 (** The centralized computation with the same per-edge coins — the spanner

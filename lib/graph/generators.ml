@@ -132,24 +132,10 @@ module Edge_pool = struct
   let sample t rng = t.edges.(Prng.int rng t.len)
 end
 
-(* Configuration model: pair up d stubs per node, then repair self-loops and
-   duplicate edges with degree-preserving edge switches.  For dense targets
-   (d > (n-1)/2) the switches starve, so we generate the (n-1-d)-regular
-   complement instead and invert it; n(n-1-d) is even whenever nd is. *)
-let rec random_regular rng n d =
-  if d < 0 || d >= n then invalid_arg "Generators.random_regular: need 0 <= d < n";
-  if n * d mod 2 <> 0 then invalid_arg "Generators.random_regular: n*d must be even";
-  if 2 * d > n - 1 then begin
-    let co = random_regular rng n (n - 1 - d) in
-    let g = Graph.create n in
-    for u = 0 to n - 1 do
-      for v = u + 1 to n - 1 do
-        if not (Graph.mem_edge co u v) then ignore (Graph.add_edge g u v)
-      done
-    done;
-    g
-  end
-  else begin
+(* One configuration-model draw: pair up d stubs per node, then repair
+   self-loops and duplicate edges with degree-preserving edge switches.
+   [None] when the switches run out of budget. *)
+let pairing rng n d =
   let g = Graph.create n in
   let pool = Edge_pool.create () in
   let stubs = Array.make (n * d) 0 in
@@ -173,10 +159,10 @@ let rec random_regular rng n d =
      restores the degree sequence without introducing conflicts. *)
   let attempts = ref 0 in
   let budget = 1000 * (List.length !bad + 1) * (1 + (n / 10)) in
+  let exception Stuck in
   let rec fix u v =
     incr attempts;
-    if !attempts > budget then
-      invalid_arg "Generators.random_regular: repair budget exhausted (graph too dense?)";
+    if !attempts > budget then raise Stuck;
     let x, y = Edge_pool.sample pool rng in
     if u = v then begin
       (* Self-loop: u needs two new incidences.  Replace (x,y) by (u,x),(u,y). *)
@@ -205,8 +191,39 @@ let rec random_regular rng n d =
     end
     else fix u v
   in
-  List.iter (fun (u, v) -> fix u v) !bad;
+  match List.iter (fun (u, v) -> fix u v) !bad with
+  | () -> Some g
+  | exception Stuck -> None
+
+(* For dense targets (d > (n-1)/2) the switches starve, so we generate the
+   (n-1-d)-regular complement instead and invert it; n(n-1-d) is even
+   whenever nd is.  A switch tries one orientation of the sampled edge, so
+   it can get stuck on a small graph (e.g. n = 5, d = 2 from some
+   pairings); a stuck draw is redrawn from the same generator, at most 32
+   times.  Redraws only follow a stuck draw, so a first draw that succeeds
+   consumes the generator as if no retry existed. *)
+let rec random_regular rng n d =
+  if d < 0 || d >= n then invalid_arg "Generators.random_regular: need 0 <= d < n";
+  if n * d mod 2 <> 0 then invalid_arg "Generators.random_regular: n*d must be even";
+  if 2 * d > n - 1 then begin
+    let co = random_regular rng n (n - 1 - d) in
+    let g = Graph.create n in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        if not (Graph.mem_edge co u v) then ignore (Graph.add_edge g u v)
+      done
+    done;
     g
+  end
+  else begin
+    let rec draw redraws =
+      match pairing rng n d with
+      | Some g -> g
+      | None when redraws > 0 -> draw (redraws - 1)
+      | None ->
+          invalid_arg "Generators.random_regular: repair budget exhausted (graph too dense?)"
+    in
+    draw 32
   end
 
 let margulis m =

@@ -39,13 +39,13 @@ let counter ?ts_us ~name values =
 (* One memory sample per call site: current heap plus RSS when procfs is
    there.  Emitted at every span end, this draws the memory timeline under
    the span flamegraph in the trace viewer. *)
-let memory_counter ?ts_us heap_words =
+let memory_counter heap_words =
   let values =
     ("heap_words", float_of_int heap_words)
     ::
     (match Obs.rss_kb () with Some kb -> [ ("rss_kb", float_of_int kb) ] | None -> [])
   in
-  counter ?ts_us ~name:"memory" values
+  counter ~name:"memory" values
 
 let with_span ?(args = []) ~name f =
   if not !Obs.tracing then f ()
@@ -55,6 +55,9 @@ let with_span ?(args = []) ~name f =
     Fun.protect
       ~finally:(fun () ->
         let gc1 = Gc.quick_stat () in
+        (* sampled before the end timestamp: the procfs read is this span's
+           cost, not its parent's self time *)
+        memory_counter gc1.Gc.heap_words;
         let te = Obs.now_us () in
         record
           {
@@ -66,8 +69,7 @@ let with_span ?(args = []) ~name f =
             major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
             major_collections = gc1.Gc.major_collections - gc0.Gc.major_collections;
             args;
-          };
-        memory_counter ~ts_us:te gc1.Gc.heap_words)
+          })
       f
   end
 

@@ -39,7 +39,8 @@ val with_span : ?args:(string * string) list -> name:string -> (unit -> 'a) -> '
     even if [f] raises; the exception is re-raised.  [args] adds extra
     key/value pairs to the event's [args] object.  Each span end also emits a
     ["memory"] counter sample (current [heap_words], plus [rss_kb] where
-    procfs exists), wall-synchronized to the span's end timestamp. *)
+    procfs exists), taken just before the span's end timestamp so that its
+    cost counts towards the span itself rather than its parent. *)
 
 val counter : ?ts_us:float -> name:string -> (string * float) list -> unit
 (** [counter ~name values] records one sample of the counter track [name]

@@ -10,37 +10,14 @@ let build ?(repair = true) rng g =
       let rho = 1.0 /. sqrt (float_of_int d) in
       if Prng.bool rng rho then ignore (Graph.add_edge sampled u v));
   (* Support-based reinsertion with per-edge thresholds. *)
-  let bm = Bitmat.of_graph g in
   let a = max 2 (int_of_float (ceil (log (float_of_int (max 2 n))))) in
   let spanner = Graph.copy sampled in
-  let reinserted = ref 0 in
-  Graph.iter_edges g (fun u v ->
-      if not (Graph.mem_edge spanner u v) then begin
-        let b = max 1 (local_degree u v / 4) in
-        if not (Support.is_ab_supported g bm u v ~a ~b) then begin
-          ignore (Graph.add_edge spanner u v);
-          incr reinserted
-        end
-      end);
+  let reinserted =
+    Support.reinsert_unsupported g spanner ~a ~b:(fun u v -> max 1 (local_degree u v / 4))
+  in
   (* Repair pass: identical to Regular_dc. *)
-  let repaired = ref 0 in
-  if repair then begin
-    let missing = ref [] in
-    Graph.iter_edges g (fun u v ->
-        if not (Graph.mem_edge spanner u v) then begin
-          let has_detour =
-            Support.two_detours spanner ~u ~v ~cap:1 <> []
-            || Support.three_detours spanner ~u ~v ~cap:1 <> []
-          in
-          if not has_detour then missing := (u, v) :: !missing
-        end);
-    List.iter
-      (fun (u, v) ->
-        ignore (Graph.add_edge spanner u v);
-        incr repaired)
-      !missing
-  end;
-  { spanner; sampled; reinserted = !reinserted; repaired = !repaired }
+  let repaired = if repair then Support.repair g spanner else 0 in
+  { spanner; sampled; reinserted; repaired }
 
 let to_dc ?(detour_cap = 64) t g =
   let h = t.spanner in

@@ -10,9 +10,11 @@
       Algorithm 1's [1/√Δ], and low-degree regions (which cannot afford to
       lose edges) sample at rate ≈ 1;
     - the support reinsertion rule uses per-edge thresholds
-      [(a, b) = (⌈ln n⌉, ⌈d_{uv}/4⌉)]: an edge must have
-      [Ω(d_{uv})] well-supported extensions to stay removable;
-    - the repair pass and the random 2-/3-detour router are unchanged.
+      [(a, b) = (max 2 ⌈ln n⌉, max 1 ⌊d_{uv}/4⌋)]: an edge must have
+      [Ω(d_{uv})] well-supported extensions to stay removable
+      ({!Support.reinsert_unsupported}, the pass Algorithm 1 runs);
+    - the repair pass (one {!Stretch.violations} sweep at bound 3,
+      {!Support.repair}) and the random 2-/3-detour router are unchanged.
 
     Exploratory like {!Khop_dc}: measured in the [ablations/irregular] bench
     block on Chung–Lu and preferential-attachment graphs, no analytical

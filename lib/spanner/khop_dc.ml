@@ -19,23 +19,18 @@ let build ?rho ~k rng g =
           sampled)
     in
     let spanner = Graph.copy sampled in
-    let bound = (2 * k) - 1 in
-    (* Distance-repair: reinsert removed edges with no (2k-1)-detour.  The
-       CSR snapshot is refreshed lazily — reinserted edges only shorten
-       distances, so checking against a stale snapshot is conservative
-       (it may reinsert a few extra edges, never too few). *)
-    let reinserted = ref 0 in
-    Trace.with_span ~name:"spanner.repair" (fun () ->
-        let csr = Csr.snapshot sampled in
-        Graph.iter_edges g (fun u v ->
-            if not (Graph.mem_edge spanner u v) then begin
-              let d = Bfs.distance_bounded csr u v ~bound in
-              if d < 0 then begin
-                ignore (Graph.add_edge spanner u v);
-                incr reinserted
-              end
-            end));
-    { spanner; sampled; k; rho; reinserted = !reinserted }
+    (* Distance-repair: reinsert removed edges with no (2k-1)-detour in the
+       sampled graph.  Reinserted edges only shorten distances, so checking
+       against the sampled graph rather than the growing spanner is
+       conservative (it may reinsert a few extra edges, never too few). *)
+    let reinserted =
+      Trace.with_span ~name:"spanner.repair" (fun () ->
+          let bad = Stretch.violations g sampled ~bound:((2 * k) - 1) in
+          let bad = Support.in_edge_order g bad in
+          List.iter (fun (u, v) -> ignore (Graph.add_edge spanner u v)) bad;
+          List.length bad)
+    in
+    { spanner; sampled; k; rho; reinserted }
   end
 
 let router t rng pairs =

@@ -9,7 +9,8 @@
       degree [Δ^{1/k}]);
     + reinsert every removed edge whose endpoints are farther than [2k−1]
       apart in the sampled graph (the repair rule, generalized from
-      3-detours to [(2k−1)]-detours);
+      3-detours to [(2k−1)]-detours) — one
+      {!Stretch.violations}[ g sampled ~bound:(2k−1)] sweep;
     + route a removed matching edge along a uniformly random shortest path
       ([≤ 2k−1] hops) of the spanner, spreading congestion across the
       detour DAG.

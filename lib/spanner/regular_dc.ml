@@ -46,46 +46,26 @@ let build ?(thresholds = Scaled) ?(repair = true) rng g =
   (* Line 8-9: reinsert edges that are not (a, b)-supported in any direction. *)
   let spanner, reinserted =
     Trace.with_span ~name:"spanner.sparsify" (fun () ->
-        let bm = Bitmat.of_graph g in
         let spanner = Graph.copy sampled in
-        let reinserted = ref 0 in
-        Graph.iter_edges g (fun u v ->
-            if
-              (not (Graph.mem_edge spanner u v))
-              && not (Support.is_ab_supported g bm u v ~a:support_a ~b:support_b)
-            then begin
-              ignore (Graph.add_edge spanner u v);
-              incr reinserted
-            end);
+        let reinserted =
+          Support.reinsert_unsupported g spanner ~a:support_a ~b:(fun _ _ -> support_b)
+        in
         (spanner, reinserted))
   in
-  Metrics.add m_reinserted !reinserted;
+  Metrics.add m_reinserted reinserted;
   (* Repair pass: a supported removed edge is safe only if one of its
      3-detours survived the sampling (Corollary 2 makes failures rare but
      possible); reinserting the stragglers makes stretch 3 unconditional. *)
-  let repaired = ref 0 in
-  if repair then
-    Trace.with_span ~name:"spanner.repair" (fun () ->
-        let missing = ref [] in
-        Graph.iter_edges g (fun u v ->
-            if not (Graph.mem_edge spanner u v) then begin
-              let has_detour =
-                Support.two_detours spanner ~u ~v ~cap:1 <> []
-                || Support.three_detours spanner ~u ~v ~cap:1 <> []
-              in
-              if not has_detour then missing := (u, v) :: !missing
-            end);
-        List.iter
-          (fun (u, v) ->
-            ignore (Graph.add_edge spanner u v);
-            incr repaired)
-          !missing);
-  Metrics.add m_repaired !repaired;
+  let repaired =
+    if repair then Trace.with_span ~name:"spanner.repair" (fun () -> Support.repair g spanner)
+    else 0
+  in
+  Metrics.add m_repaired repaired;
   {
     spanner;
     sampled;
-    reinserted = !reinserted;
-    repaired = !repaired;
+    reinserted;
+    repaired;
     support_a;
     support_b;
     delta;

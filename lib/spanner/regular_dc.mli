@@ -8,9 +8,11 @@
       direction ([E'' = E \ Ê], line 9) — Lemma 10 bounds [|E''|] by
       [O(λ n² Δ'/Δ) = Õ(n^{5/3})];
     + optionally {b repair}: reinsert any removed supported edge whose
-      3-detours all vanished from [G'] (the event Corollary 2 shows has
+      2- and 3-detours all vanished (the event Corollary 2 shows has
       probability [O(1/n)]); with repair the result is a 3-distance-spanner
-      {e deterministically}.
+      {e deterministically}.  Those edges are exactly the ones with
+      [d_H(u, v) > 3], so the pass is one {!Stretch.violations} sweep
+      ({!Support.repair}).
 
     A removed edge is routed over one of its surviving 3-detours chosen
     uniformly at random; Lemma 17 bounds the congestion of any matching
@@ -20,13 +22,14 @@
     {b Constants.}  The paper's [λ = 2⁷ ln² n / c₁] makes [λΔ' > Δ] at any
     laptop-scale [n] (then [Ê = ∅] and the spanner degenerates to [G]).  The
     support thresholds [(a, b)] are therefore parameters; the defaults
-    [a = ⌈ln n⌉, b = ⌈Δ/4⌉] keep the algorithm's structure (an edge stays
-    removable only if it has [Θ(Δ ln n)] 3-detours) at experiment scale.
+    [a = max 2 ⌈ln n⌉, b = max 1 ⌊Δ/4⌋] keep the algorithm's structure (an
+    edge stays removable only if it has [Θ(Δ ln n)] 3-detours) at
+    experiment scale.
     [`Paper] selects the paper's formula (with [c₁ = 1/2]) for asymptotic
     fidelity.  See DESIGN.md §3.5. *)
 
 type thresholds =
-  | Scaled  (** [a = max 2 ⌈ln n⌉], [b = ⌈Δ/4⌉] — experiment-scale defaults *)
+  | Scaled  (** [a = max 2 ⌈ln n⌉], [b = max 1 ⌊Δ/4⌋] — experiment-scale defaults *)
   | Paper  (** [a = ⌈λΔ'⌉] with [λ = 2⁷ ln² n / c₁], [b = ⌈c₁Δ⌉], [c₁ = 1/2] *)
   | Explicit of int * int  (** given [(a, b)] directly *)
 

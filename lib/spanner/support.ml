@@ -6,22 +6,83 @@ let supported_extensions g bm ~u ~v ~a =
       if z <> u && Bitmat.common_count_at_least bm u z (a + 1) then z :: acc else acc)
     []
 
-let count_supported_extensions g bm ~u ~v ~a ~limit =
+(* extensions (v, z) of (u, v) toward v whose base {u, z} passes [base_ok z],
+   counted up to [limit] *)
+let count_extensions g ~u ~v ~limit base_ok =
   let count = ref 0 in
   (try
      Graph.iter_neighbors g v (fun z ->
-         if z <> u && Bitmat.common_count_at_least bm u z (a + 1) then begin
+         if z <> u && base_ok z then begin
            incr count;
            if !count >= limit then raise Exit
          end)
    with Exit -> ());
   !count
 
+let count_supported_extensions g bm ~u ~v ~a ~limit =
+  count_extensions g ~u ~v ~limit (fun z -> Bitmat.common_count_at_least bm u z (a + 1))
+
 let is_ab_supported_toward g bm ~u ~v ~a ~b =
   count_supported_extensions g bm ~u ~v ~a ~limit:b >= b
 
 let is_ab_supported g bm u v ~a ~b =
   is_ab_supported_toward g bm ~u ~v ~a ~b || is_ab_supported_toward g bm ~u:v ~v:u ~a ~b
+
+let reinsert_unsupported g h ~a ~b =
+  let bm = Bitmat.of_graph g in
+  (* [Graph.iter_edges] yields each source u's edges together, and the test
+     toward v only asks about bases {u, z}: [stamp.(z) = u] means
+     [base.(z)] already holds the answer for {u, z} *)
+  let stamp = Array.make (Graph.n g) (-1) and base = Array.make (Graph.n g) false in
+  let base_ok u z =
+    if stamp.(z) <> u then begin
+      stamp.(z) <- u;
+      base.(z) <- Bitmat.common_count_at_least bm u z (a + 1)
+    end;
+    base.(z)
+  in
+  let reinserted = ref 0 in
+  Graph.iter_edges g (fun u v ->
+      if not (Graph.mem_edge h u v) then begin
+        let b = b u v in
+        if
+          not
+            (count_extensions g ~u ~v ~limit:b (base_ok u) >= b
+            || is_ab_supported_toward g bm ~u:v ~v:u ~a ~b)
+        then begin
+          ignore (Graph.add_edge h u v);
+          incr reinserted
+        end
+      end);
+  !reinserted
+
+let in_edge_order g es =
+  let mark = Array.make (Graph.n g) (-1) in
+  let rest = ref es and out = ref [] in
+  (* [es] is sorted and [Graph.iter_edges] visits sources ascending, so the
+     entries of source u are at the head of [rest] when u's edges start *)
+  let rec mark_source u =
+    match !rest with
+    | (x, y) :: tl when x = u ->
+        mark.(y) <- u;
+        rest := tl;
+        mark_source u
+    | _ -> ()
+  in
+  (match es with
+  | [] -> ()
+  | _ :: _ ->
+      Graph.iter_edges g (fun u v ->
+          mark_source u;
+          if mark.(v) = u then out := (u, v) :: !out));
+  List.rev !out
+
+let repair g h =
+  (* sweep a copy: the sweep's [Csr.snapshot] commits the delta it is given,
+     which would reorder [h]'s neighbour lists *)
+  let bad = Stretch.violations g (Graph.copy h) ~bound:3 in
+  List.iter (fun (u, v) -> ignore (Graph.add_edge h u v)) (List.rev (in_edge_order g bad));
+  List.length bad
 
 let three_detours h ~u ~v ~cap =
   let out = ref [] in

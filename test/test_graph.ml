@@ -294,6 +294,22 @@ let test_random_regular_degrees () =
       check Alcotest.int "edge count" (n * d / 2) (Graph.m g))
     [ (1, 20, 3); (2, 50, 8); (3, 100, 15); (4, 40, 20); (5, 30, 29); (6, 64, 4) ]
 
+let test_random_regular_redraws () =
+  (* the switch repair gets stuck on the first pairing of these inputs, all
+     of which have simple d-regular realizations; the generator must redraw
+     instead of giving up *)
+  List.iter
+    (fun (seed, n, d) ->
+      let g = Generators.random_regular (Prng.create seed) n d in
+      check Alcotest.bool
+        (Printf.sprintf "seed %d: exactly %d-regular (n=%d)" seed d n)
+        true
+        (Graph.is_regular g && Graph.max_degree g = d))
+    [
+      (7, 5, 2); (9, 5, 2); (18, 5, 2); (23, 5, 2); (26, 6, 2); (26, 6, 3); (64, 5, 2);
+      (78, 5, 2); (94, 5, 2);
+    ]
+
 let test_random_regular_rejects () =
   let rng = Prng.create 1 in
   Alcotest.check_raises "odd nd" (Invalid_argument "Generators.random_regular: n*d must be even")
@@ -536,6 +552,8 @@ let () =
           Alcotest.test_case "circulant" `Quick test_circulant;
           Alcotest.test_case "erdos-renyi extremes" `Quick test_erdos_renyi_extremes;
           Alcotest.test_case "random regular degrees" `Quick test_random_regular_degrees;
+          Alcotest.test_case "random regular redraws stuck pairings" `Quick
+            test_random_regular_redraws;
           Alcotest.test_case "random regular rejects" `Quick test_random_regular_rejects;
           Alcotest.test_case "random regular expander" `Quick test_random_regular_connected_expander;
           Alcotest.test_case "margulis" `Quick test_margulis;

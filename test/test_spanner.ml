@@ -409,6 +409,122 @@ let prop_alg1_always_subgraph_3spanner =
       Graph.is_subgraph t.Regular_dc.spanner ~of_:g
       && Stretch.is_three_spanner g t.Regular_dc.spanner)
 
+(* ---- the construction passes vs per-edge references ---- *)
+
+(* Per-edge references for the passes Algorithm 1, Irregular_dc and Khop_dc
+   run after sampling: the unmemoized support test, the 2-/3-detour scan and
+   the scalar bounded BFS, each adding edges as a single pass over [g]
+   finds them. *)
+let ref_reinsert g h ~a ~b =
+  let bm = Bitmat.of_graph g in
+  let count = ref 0 in
+  Graph.iter_edges g (fun u v ->
+      if not (Graph.mem_edge h u v) then begin
+        let b = b u v in
+        if not (Support.is_ab_supported g bm u v ~a ~b) then begin
+          ignore (Graph.add_edge h u v);
+          incr count
+        end
+      end);
+  !count
+
+let ref_detour_repair g h =
+  let missing = ref [] in
+  Graph.iter_edges g (fun u v ->
+      if
+        (not (Graph.mem_edge h u v))
+        && Support.two_detours h ~u ~v ~cap:1 = []
+        && Support.three_detours h ~u ~v ~cap:1 = []
+      then missing := (u, v) :: !missing);
+  List.iter (fun (u, v) -> ignore (Graph.add_edge h u v)) !missing;
+  List.length !missing
+
+let ref_bfs_repair g ~sampled h ~bound =
+  let csr = Csr.snapshot sampled in
+  let count = ref 0 in
+  Graph.iter_edges g (fun u v ->
+      if (not (Graph.mem_edge h u v)) && Bfs.distance_bounded csr u v ~bound < 0 then begin
+        ignore (Graph.add_edge h u v);
+        incr count
+      end);
+  !count
+
+let sorted_edges h = List.sort compare (Graph.edges h)
+
+(* same edge set and the same neighbour order at every node *)
+let same_layout g h =
+  let ok = ref (sorted_edges g = sorted_edges h) in
+  for v = 0 to Graph.n g - 1 do
+    if Graph.neighbors g v <> Graph.neighbors h v then ok := false
+  done;
+  !ok
+
+(* the inputs: random regular graphs (committed by a snapshot or straight
+   from the generator, whose delta is still pending) and circulants *)
+let regular_input seed ~n ~d ~commit =
+  let g = Generators.random_regular (Prng.create seed) n d in
+  if commit then ignore (Graph.snapshot g);
+  g
+
+let circulant_input ~n ~offsets = Generators.circulant n (List.init offsets (fun i -> i + 1))
+
+let prop_alg1_matches_per_edge =
+  QCheck.Test.make ~name:"algorithm1 passes = per-edge reference" ~count:24
+    QCheck.(triple small_int (int_range 0 2) bool)
+    (fun (seed, case, commit) ->
+      let g, thresholds =
+        match case with
+        | 0 -> (regular_input seed ~n:100 ~d:26 ~commit, Regular_dc.Scaled)
+        (* Scaled thresholds reinsert nothing at these sizes; these do *)
+        | 1 -> (regular_input seed ~n:120 ~d:40 ~commit, Regular_dc.Explicit (12, 22))
+        | _ -> (circulant_input ~n:(90 + seed) ~offsets:8, Regular_dc.Explicit (6, 10))
+      in
+      let t = Regular_dc.build ~thresholds (Prng.create (seed + 1)) g in
+      let h = Graph.copy t.Regular_dc.sampled in
+      let reinserted =
+        ref_reinsert g h ~a:t.Regular_dc.support_a ~b:(fun _ _ -> t.Regular_dc.support_b)
+      in
+      let repaired = ref_detour_repair g h in
+      reinserted = t.Regular_dc.reinserted
+      && repaired = t.Regular_dc.repaired
+      && same_layout h t.Regular_dc.spanner)
+
+let prop_irregular_matches_per_edge =
+  QCheck.Test.make ~name:"irregular passes = per-edge reference" ~count:16
+    QCheck.(triple small_int (int_range 0 2) bool)
+    (fun (seed, case, commit) ->
+      let g =
+        match case with
+        | 0 ->
+            let rng = Prng.create seed in
+            Generators.chung_lu rng
+              (Generators.power_law_weights rng ~n:120 ~exponent:2.5 ~w_min:8.0)
+        | 1 -> regular_input seed ~n:100 ~d:30 ~commit
+        | _ -> circulant_input ~n:(90 + seed) ~offsets:8
+      in
+      let t = Irregular_dc.build (Prng.create (seed + 1)) g in
+      let h = Graph.copy t.Irregular_dc.sampled in
+      let a = max 2 (int_of_float (ceil (log (float_of_int (max 2 (Graph.n g)))))) in
+      let b u v = max 1 (min (Graph.degree g u) (Graph.degree g v) / 4) in
+      let reinserted = ref_reinsert g h ~a ~b in
+      let repaired = ref_detour_repair g h in
+      reinserted = t.Irregular_dc.reinserted
+      && repaired = t.Irregular_dc.repaired
+      && same_layout h t.Irregular_dc.spanner)
+
+let prop_khop_matches_per_edge =
+  QCheck.Test.make ~name:"khop repair = per-edge reference" ~count:16
+    QCheck.(triple small_int (int_range 2 4) bool)
+    (fun (seed, k, commit) ->
+      let g =
+        if seed mod 3 = 0 then circulant_input ~n:(90 + seed) ~offsets:6
+        else regular_input seed ~n:125 ~d:24 ~commit
+      in
+      let t = Khop_dc.build ~k (Prng.create (seed + 1)) g in
+      let h = Graph.copy t.Khop_dc.sampled in
+      let reinserted = ref_bfs_repair g ~sampled:t.Khop_dc.sampled h ~bound:((2 * k) - 1) in
+      reinserted = t.Khop_dc.reinserted && sorted_edges h = sorted_edges t.Khop_dc.spanner)
+
 let prop_greedy_stretch_bound =
   QCheck.Test.make ~name:"greedy spanner respects 2k-1" ~count:25
     QCheck.(triple small_int (int_range 5 40) (int_range 1 3))
@@ -472,5 +588,13 @@ let () =
           Alcotest.test_case "bounded degree substitute" `Quick test_sparsify_bounded_degree;
           Alcotest.test_case "sp-router dc" `Quick test_dc_of_sp_router;
         ] );
-      ("properties", q [ prop_alg1_always_subgraph_3spanner; prop_greedy_stretch_bound ]);
+      ( "properties",
+        q
+          [
+            prop_alg1_always_subgraph_3spanner;
+            prop_greedy_stretch_bound;
+            prop_alg1_matches_per_edge;
+            prop_irregular_matches_per_edge;
+            prop_khop_matches_per_edge;
+          ] );
     ]
