@@ -7,6 +7,25 @@ let () =
     (Graph.m t.Regular_dc.spanner) (Graph.m t.Regular_dc.sampled) t.Regular_dc.reinserted t.Regular_dc.repaired;
   let e = Expander_dc.build (Prng.create 3) g in
   Printf.printf "thm2 m=%d p=%.6f\n" (Graph.m e.Expander_dc.spanner) e.Expander_dc.p;
+  let r = Dc.measure_matching (Expander_dc.to_dc e g) (Prng.create 4) ~trials:3 in
+  Printf.printf "thm2 match mean=%.6f max=%d len mean=%.6f max=%d\n" r.Dc.mean_congestion
+    r.Dc.max_congestion r.Dc.mean_path_len r.Dc.max_path_len;
+  (* the same three matchings routed again: Lemma 4 detours by hop count,
+     plus the sum of their intermediate nodes *)
+  let rng = Prng.create 4 in
+  let two = ref 0 and three = ref 0 and inner = ref 0 in
+  for _ = 1 to 3 do
+    let m = Matching.random_maximal rng g in
+    Array.iter
+      (fun p ->
+        let len = Routing.length p in
+        if len = 2 then incr two else if len = 3 then incr three;
+        for i = 1 to len - 1 do
+          inner := !inner + p.(i)
+        done)
+      (Expander_dc.router e g rng m)
+  done;
+  Printf.printf "thm2 routes two=%d three=%d inner=%d\n" !two !three !inner;
   let dc = Regular_dc.to_dc t g in
   let r = Dc.measure_matching dc (Prng.create 4) ~trials:3 in
   Printf.printf "match mean=%.6f max=%d\n" r.Dc.mean_congestion r.Dc.max_congestion;

@@ -13,15 +13,16 @@
     + {b Round 4} — the smaller endpoint of every non-sampled edge decides
       locally whether the edge is [(a, b)]-supported (keep removed) or must
       be reinserted, including the repair rule (reinsert when no 2-/3-detour
-      survived into [G']), and informs the other endpoint.
+      survived into [G']), and informs the other endpoint;
+    + {b Round 5} — every non-owner receives its owner's decision.
 
-    5 rounds total, independent of [n].  {!run} and {!reference} provably
+    6 rounds total, independent of [n].  {!run} and {!reference} provably
     compute the same spanner (asserted by the test suite): locality is
     sufficient for Algorithm 1's decisions. *)
 
 type result = {
   spanner : Graph.t;
-  rounds : int;  (** LOCAL rounds executed (constant: 5) *)
+  rounds : int;  (** LOCAL rounds executed (constant: 6) *)
   messages : int;  (** messages delivered by the simulator *)
   entries : int;  (** total edge-records carried by flood messages *)
 }

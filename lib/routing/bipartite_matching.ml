@@ -6,34 +6,54 @@ let m_phases = Metrics.counter "matching.phases"
 let m_augmentations = Metrics.counter "matching.augmentations"
 let m_path_len = Metrics.histo "matching.augment_path_len"
 
-let hopcroft_karp ~l ~r ~edges =
-  (* edges.(i) : list of right indices adjacent to left index i *)
-  ignore r;
+(* Flat bipartite adjacency: left index [i]'s right neighbours are
+   [adj.(off.(i)) .. adj.(off.(i + 1) - 1)], ascending.  Rows are appended
+   in left order; [adj] doubles when full. *)
+type rows = { off : int array; mutable adj : int array; mutable fill : int }
+
+let rows_create l = { off = Array.make (l + 1) 0; adj = Array.make (max 16 (4 * l)) 0; fill = 0 }
+
+let push rows j =
+  if rows.fill = Array.length rows.adj then begin
+    let bigger = Array.make (2 * rows.fill) 0 in
+    Array.blit rows.adj 0 bigger 0 rows.fill;
+    rows.adj <- bigger
+  end;
+  rows.adj.(rows.fill) <- j;
+  rows.fill <- rows.fill + 1
+
+let end_row rows i = rows.off.(i + 1) <- rows.fill
+
+let hopcroft_karp ~l ~r { off; adj; _ } =
   let match_l = Array.make l (-1) in
   let match_r = Array.make r (-1) in
   let dist = Array.make l infinity_dist in
-  let queue = Queue.create () in
+  (* each left index enters the queue at most once per phase *)
+  let queue = Array.make l 0 in
   let bfs () =
-    Queue.clear queue;
+    let tail = ref 0 in
     for i = 0 to l - 1 do
       if match_l.(i) < 0 then begin
         dist.(i) <- 0;
-        Queue.add i queue
+        queue.(!tail) <- i;
+        incr tail
       end
       else dist.(i) <- infinity_dist
     done;
     let reachable_free = ref false in
-    while not (Queue.is_empty queue) do
-      let i = Queue.pop queue in
-      List.iter
-        (fun j ->
-          let next = match_r.(j) in
-          if next < 0 then reachable_free := true
-          else if dist.(next) = infinity_dist then begin
-            dist.(next) <- dist.(i) + 1;
-            Queue.add next queue
-          end)
-        edges.(i)
+    let head = ref 0 in
+    while !head < !tail do
+      let i = queue.(!head) in
+      incr head;
+      for k = off.(i) to off.(i + 1) - 1 do
+        let next = match_r.(adj.(k)) in
+        if next < 0 then reachable_free := true
+        else if dist.(next) = infinity_dist then begin
+          dist.(next) <- dist.(i) + 1;
+          queue.(!tail) <- next;
+          incr tail
+        end
+      done
     done;
     !reachable_free
   in
@@ -41,28 +61,32 @@ let hopcroft_karp ~l ~r ~edges =
      path traversed; the path length in edges is [2 * leaf_depth + 1]. *)
   let leaf_depth = ref 0 in
   let rec dfs i depth =
-    let rec try_edges = function
-      | [] ->
-          dist.(i) <- infinity_dist;
-          false
-      | j :: rest ->
-          let next = match_r.(j) in
-          let ok =
-            if next < 0 then begin
-              leaf_depth := depth;
-              true
-            end
-            else if dist.(next) = dist.(i) + 1 then dfs next (depth + 1)
-            else false
-          in
-          if ok then begin
-            match_l.(i) <- j;
-            match_r.(j) <- i;
+    let stop = off.(i + 1) in
+    let rec try_edges k =
+      if k = stop then begin
+        dist.(i) <- infinity_dist;
+        false
+      end
+      else begin
+        let j = adj.(k) in
+        let next = match_r.(j) in
+        let ok =
+          if next < 0 then begin
+            leaf_depth := depth;
             true
           end
-          else try_edges rest
+          else if dist.(next) = dist.(i) + 1 then dfs next (depth + 1)
+          else false
+        in
+        if ok then begin
+          match_l.(i) <- j;
+          match_r.(j) <- i;
+          true
+        end
+        else try_edges (k + 1)
+      end
     in
-    try_edges edges.(i)
+    try_edges off.(i)
   in
   while bfs () do
     Metrics.incr m_phases;
@@ -75,20 +99,21 @@ let hopcroft_karp ~l ~r ~edges =
   done;
   match_l
 
-let maximum ~left ~right ~adj =
-  let l = Array.length left and r = Array.length right in
-  let edges =
-    Array.init l (fun i ->
-        let acc = ref [] in
-        for j = r - 1 downto 0 do
-          if adj left.(i) right.(j) then acc := j :: !acc
-        done;
-        !acc)
-  in
-  let match_l = hopcroft_karp ~l ~r ~edges in
+let matched_pairs ~left ~right match_l =
   let out = ref [] in
   Array.iteri (fun i j -> if j >= 0 then out := (left.(i), right.(j)) :: !out) match_l;
   Array.of_list (List.rev !out)
+
+let maximum ~left ~right ~adj =
+  let l = Array.length left and r = Array.length right in
+  let rows = rows_create l in
+  for i = 0 to l - 1 do
+    for j = 0 to r - 1 do
+      if adj left.(i) right.(j) then push rows j
+    done;
+    end_row rows i
+  done;
+  matched_pairs ~left ~right (hopcroft_karp ~l ~r rows)
 
 (* Sorted neighbor arrays make the result canonical: it depends only on the
    edge set, not on adjacency-hashtable iteration order.  The distributed
@@ -100,30 +125,65 @@ let sorted_neighbors g u =
   Graph.iter_neighbors g u (fun x ->
       a.(!i) <- x;
       incr i);
-  Array.sort compare a;
+  Array.sort Int.compare a;
   a
+
+(* Per-domain node arenas, zero between calls: [side] tags N(u) / N(v)
+   membership while the neighbourhoods are split, [right_index] holds
+   [j + 1] for right node [j] while the adjacency is built.  Each call
+   resets the entries it wrote, so reuse costs nothing in n. *)
+type arena = { mutable side : int array; mutable right_index : int array }
+
+let arena_key = Domain.DLS.new_key (fun () -> { side = [||]; right_index = [||] })
+
+let arena n =
+  let a = Domain.DLS.get arena_key in
+  if Array.length a.side < n then begin
+    a.side <- Array.make n 0;
+    a.right_index <- Array.make n 0
+  end;
+  a
+
+let in_u = 1
+let in_v = 2
 
 let neighborhood_matching g u v =
   let nu = sorted_neighbors g u in
   let nv = sorted_neighbors g v in
-  let in_nv = Hashtbl.create (Array.length nv) in
-  Array.iter (fun x -> Hashtbl.replace in_nv x ()) nv;
-  let in_nu = Hashtbl.create (Array.length nu) in
-  Array.iter (fun x -> Hashtbl.replace in_nu x ()) nu;
-  let commons =
-    List.filter (fun x -> Hashtbl.mem in_nv x && x <> v && x <> u) (Array.to_list nu)
-  in
-  let left =
-    Array.of_list
-      (List.filter
-         (fun x -> (not (Hashtbl.mem in_nv x)) && x <> v && x <> u)
-         (Array.to_list nu))
-  in
-  let right =
-    Array.of_list
-      (List.filter
-         (fun x -> (not (Hashtbl.mem in_nu x)) && x <> u && x <> v)
-         (Array.to_list nv))
-  in
-  let matched = maximum ~left ~right ~adj:(fun x y -> Graph.mem_edge g x y) in
-  (commons, matched)
+  let { side; right_index } = arena (Graph.n g) in
+  Array.iter (fun x -> side.(x) <- in_u) nu;
+  Array.iter (fun y -> side.(y) <- side.(y) lor in_v) nv;
+  (* right-to-left walks keep every list ascending *)
+  let commons = ref [] and left = ref [] and right = ref [] in
+  for k = Array.length nu - 1 downto 0 do
+    let x = nu.(k) in
+    if x <> u && x <> v then
+      if side.(x) land in_v <> 0 then commons := x :: !commons else left := x :: !left
+  done;
+  for k = Array.length nv - 1 downto 0 do
+    let y = nv.(k) in
+    if y <> u && y <> v && side.(y) land in_u = 0 then right := y :: !right
+  done;
+  Array.iter (fun x -> side.(x) <- 0) nu;
+  Array.iter (fun y -> side.(y) <- 0) nv;
+  let left = Array.of_list !left and right = Array.of_list !right in
+  let l = Array.length left and r = Array.length right in
+  Array.iteri (fun j y -> right_index.(y) <- j + 1) right;
+  (* Row i: the scan of left.(i)'s neighbours stamps every right index it
+     hits with [i + 1]; collecting the stamps for j = 0 .. r-1 lists them
+     ascending, the order Hopcroft–Karp tries them in, which fixes the
+     matching. *)
+  let rows = rows_create l in
+  let hit = Array.make r 0 in
+  for i = 0 to l - 1 do
+    let stamp = i + 1 in
+    Graph.iter_neighbors g left.(i) (fun y ->
+        let j = right_index.(y) - 1 in
+        if j >= 0 then hit.(j) <- stamp);
+    for j = 0 to r - 1 do
+      if hit.(j) = stamp then push rows j
+    done;
+    end_row rows i
+  done;
+  Array.iter (fun y -> right_index.(y) <- 0) right;
+  (!commons, matched_pairs ~left ~right (hopcroft_karp ~l ~r rows))

@@ -12,7 +12,8 @@ val maximum :
     whether the pair is connected.  Both arrays must contain distinct values
     (within themselves); entries shared between the two arrays are treated as
     distinct left/right copies with no implicit self-edge.  Returns pairs of
-    node {e values} [(l, r)].  Runs in [O(E √V)]. *)
+    node {e values} [(l, r)].  Building the graph makes [|left|·|right|]
+    calls to [adj]; the search then runs in [O(E √V)]. *)
 
 val neighborhood_matching : Graph.t -> int -> int -> int list * (int * int) array
 (** [neighborhood_matching g u v] realizes Lemma 4 / Figure 2 for the pair
@@ -21,4 +22,14 @@ val neighborhood_matching : Graph.t -> int -> int -> int list * (int * int) arra
     [matched] is a maximum matching, using [E(g)], between the exclusive
     neighborhoods [N(u) \ (N(v) ∪ {v})] and [N(v) \ (N(u) ∪ {u})] (each edge
     [(x, y)] yields the 3-hop path [u–x–y–v]).  The Lemma 4 bound applies to
-    [|commons| + |matched|]. *)
+    [|commons| + |matched|].
+
+    With [L] and [R] the two exclusive neighbourhoods, building the
+    bipartite graph costs [O(Σ_{x∈L} deg x + |L|·|R|)]: one scan of each
+    left node's neighbour row, with no edge-membership probes.  The search
+    then runs in [O(E √V)], the same Hopcroft–Karp as {!maximum}, and the
+    result equals [maximum] with [adj = Graph.mem_edge g] over the sorted
+    neighbourhoods.  Node tags live in a per-domain arena of two [n]-int
+    arrays ({!Domain.DLS}) that each call resets before returning, so
+    concurrent domains share nothing and, once the arena has grown to [n],
+    a call does no [Θ(n)] work. *)

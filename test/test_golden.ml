@@ -33,6 +33,34 @@ let test_theorem2_golden () =
   check Alcotest.int "m(H)" 467 (Graph.m e.Expander_dc.spanner);
   check (Alcotest.float 1e-6) "p" 0.766309 e.Expander_dc.p
 
+let test_theorem2_routes_golden () =
+  (* Each removed edge routes over a random surviving detour of its Lemma 4
+     matching, so the routes pin the matchings themselves. *)
+  let g = base_graph () in
+  let e = Expander_dc.build (Prng.create 3) g in
+  let r = Dc.measure_matching (Expander_dc.to_dc e g) (Prng.create 4) ~trials:3 in
+  check (Alcotest.float 1e-6) "mean congestion" 3.000000 r.Dc.mean_congestion;
+  check Alcotest.int "max congestion" 3 r.Dc.max_congestion;
+  check (Alcotest.float 1e-6) "mean path length" 1.420455 r.Dc.mean_path_len;
+  check Alcotest.int "max path length" 3 r.Dc.max_path_len;
+  (* the same three matchings again, route by route *)
+  let rng = Prng.create 4 in
+  let two = ref 0 and three = ref 0 and inner = ref 0 in
+  for _ = 1 to 3 do
+    let m = Matching.random_maximal rng g in
+    Array.iter
+      (fun p ->
+        let len = Routing.length p in
+        if len = 2 then incr two else if len = 3 then incr three;
+        for i = 1 to len - 1 do
+          inner := !inner + p.(i)
+        done)
+      (Expander_dc.router e g rng m)
+  done;
+  check Alcotest.int "two-hop routes" 5 !two;
+  check Alcotest.int "three-hop routes" 16 !three;
+  check Alcotest.int "sum of intermediate nodes" 1184 !inner
+
 let test_matching_congestion_golden () =
   let g = base_graph () in
   let t = Regular_dc.build (Prng.create 2) g in
@@ -73,6 +101,7 @@ let () =
           Alcotest.test_case "graph + lambda" `Quick test_graph_golden;
           Alcotest.test_case "algorithm 1" `Quick test_algorithm1_golden;
           Alcotest.test_case "theorem 2" `Quick test_theorem2_golden;
+          Alcotest.test_case "theorem 2 routes" `Quick test_theorem2_routes_golden;
           Alcotest.test_case "matching congestion" `Quick test_matching_congestion_golden;
           Alcotest.test_case "classic spanners" `Quick test_classic_golden;
           Alcotest.test_case "distributed" `Quick test_distributed_golden;

@@ -178,6 +178,110 @@ let test_neighborhood_matching_lemma4 () =
     end
   done
 
+(* The hashed [neighborhood_matching] the arena kernel replaced: two hash
+   sets split the sorted neighbourhoods, and [maximum] probes every
+   left–right pair with [Graph.mem_edge].  Routes, and so every pinned
+   congestion, depend on the exact matching, not just its size. *)
+let ref_neighborhood_matching g u v =
+  let sorted_neighbors x =
+    let a = Array.of_list (Graph.neighbors g x) in
+    Array.sort compare a;
+    a
+  in
+  let nu = sorted_neighbors u and nv = sorted_neighbors v in
+  let in_nv = Hashtbl.create (Array.length nv) in
+  Array.iter (fun x -> Hashtbl.replace in_nv x ()) nv;
+  let in_nu = Hashtbl.create (Array.length nu) in
+  Array.iter (fun x -> Hashtbl.replace in_nu x ()) nu;
+  let commons =
+    List.filter (fun x -> Hashtbl.mem in_nv x && x <> v && x <> u) (Array.to_list nu)
+  in
+  let left =
+    Array.of_list
+      (List.filter
+         (fun x -> (not (Hashtbl.mem in_nv x)) && x <> v && x <> u)
+         (Array.to_list nu))
+  in
+  let right =
+    Array.of_list
+      (List.filter
+         (fun x -> (not (Hashtbl.mem in_nu x)) && x <> u && x <> v)
+         (Array.to_list nv))
+  in
+  (commons, Bipartite_matching.maximum ~left ~right ~adj:(Graph.mem_edge g))
+
+(* Random regular graphs (committed by a snapshot or with the generator's
+   delta pending), circulants and Chung–Lu graphs, optionally with 20
+   random edge flips left uncommitted in the delta log. *)
+let matching_input seed case ~commit ~delta =
+  let rng = Prng.create seed in
+  let g =
+    match case with
+    | 0 -> Generators.random_regular rng (60 + (seed mod 40)) 24
+    | 1 -> Generators.circulant (90 + seed) (List.init 8 (fun i -> i + 1))
+    | _ ->
+        Generators.chung_lu rng
+          (Generators.power_law_weights rng ~n:120 ~exponent:2.5 ~w_min:8.0)
+  in
+  if commit then ignore (Graph.snapshot g);
+  let n = Graph.n g in
+  if delta then
+    for _ = 1 to 20 do
+      let u = Prng.int rng n and v = Prng.int rng n in
+      if u <> v then
+        if Graph.mem_edge g u v then ignore (Graph.remove_edge g u v)
+        else ignore (Graph.add_edge g u v)
+    done;
+  g
+
+(* Adjacent pairs, non-adjacent pairs and u = v, in random orientation. *)
+let matching_pairs rng g count =
+  let n = Graph.n g in
+  let edges = Graph.edge_array g in
+  Array.init count (fun k ->
+      let u, v =
+        match k mod 3 with
+        | 0 -> edges.(Prng.int rng (Array.length edges))
+        | 1 ->
+            let u = Prng.int rng n in
+            (u, u)
+        | _ ->
+            let u = Prng.int rng n in
+            if Graph.degree g u >= n - 1 then (u, u)
+            else begin
+              let v = ref (Prng.int rng n) in
+              while !v = u || Graph.mem_edge g u !v do
+                v := (!v + 1) mod n
+              done;
+              (u, !v)
+            end
+      in
+      if Prng.bool rng 0.5 then (v, u) else (u, v))
+
+let prop_neighborhood_matching_reference =
+  QCheck.Test.make ~name:"neighborhood matching = hashed reference" ~count:48
+    QCheck.(quad small_int (int_range 0 2) bool bool)
+    (fun (seed, case, commit, delta) ->
+      let g = matching_input seed case ~commit ~delta in
+      Array.for_all
+        (fun (u, v) ->
+          Bipartite_matching.neighborhood_matching g u v = ref_neighborhood_matching g u v)
+        (matching_pairs (Prng.create (seed + 7)) g 24))
+
+let test_neighborhood_matching_domains () =
+  (* each domain splits neighbourhoods in its own arena *)
+  let g = matching_input 5 0 ~commit:true ~delta:true in
+  let pairs = matching_pairs (Prng.create 11) g 90 in
+  let run domains =
+    Parallel.map_range ~domains (Array.length pairs) (fun i ->
+        let u, v = pairs.(i) in
+        Bipartite_matching.neighborhood_matching g u v)
+  in
+  let one = run 1 in
+  check Alcotest.bool "2 domains = 1 domain" true (run 2 = one);
+  check Alcotest.bool "1 domain = reference" true
+    (Array.for_all2 (fun (u, v) got -> got = ref_neighborhood_matching g u v) pairs one)
+
 (* ---- Edge coloring ---- *)
 
 let test_misra_gries_small () =
@@ -479,6 +583,8 @@ let () =
           Alcotest.test_case "perfect on complete" `Quick test_hopcroft_karp_perfect;
           Alcotest.test_case "empty" `Quick test_hopcroft_karp_empty;
           Alcotest.test_case "lemma 4 neighborhood matching" `Quick test_neighborhood_matching_lemma4;
+          Alcotest.test_case "neighborhood matching on 2 domains" `Quick
+            test_neighborhood_matching_domains;
         ] );
       ( "edge-coloring",
         [
@@ -510,5 +616,6 @@ let () =
             prop_decompose_preserves_endpoints;
             prop_coloring_proper;
             prop_matching_router_congestion_1;
+            prop_neighborhood_matching_reference;
           ] );
     ]
