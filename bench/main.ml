@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper
-   (see DESIGN.md §4 for the experiment index) and runs Bechamel timing
-   benches for the constructions.
+   (see DESIGN.md §4 for the experiment index) and times the
+   constructions.
 
    Usage:  dune exec bench/main.exe [-- block ... [flags]]
    Blocks: table1 figures lemmas distributed ablations extensions fault soak
@@ -1234,198 +1234,7 @@ let run_fault br =
   fault_vft_attack br
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timing benches                                             *)
-(* ------------------------------------------------------------------ *)
-
-let run_timing br =
-  Report.section "TIMING (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let n = pick ~quick:125 ~standard:216 ~full:343 in
-  let d = even_degree n (int_of_float (float_of_int n ** 0.7)) in
-  let g = regular_expander 991 n d in
-  let gc = Csr.snapshot g in
-  let small_routing =
-    let rng = Prng.create 992 in
-    let problem = Problems.random_pairs rng g ~k:(n / 2) in
-    Sp_routing.route_random gc rng problem
-  in
-  let tests =
-    Test.make_grouped ~name:"dc-spanner"
-      [
-        Test.make ~name:"algorithm1-build"
-          (Staged.stage (fun () ->
-               let rng = Prng.create 1 in
-               ignore (Regular_dc.build rng g)));
-        Test.make ~name:"theorem2-build"
-          (Staged.stage (fun () ->
-               let rng = Prng.create 2 in
-               ignore (Expander_dc.build rng g)));
-        Test.make ~name:"greedy-3-spanner" (Staged.stage (fun () -> ignore (Classic.greedy g ~k:2)));
-        Test.make ~name:"baswana-sen"
-          (Staged.stage (fun () ->
-               let rng = Prng.create 3 in
-               ignore (Classic.baswana_sen_3 rng g)));
-        Test.make ~name:"spectral-sparsify"
-          (Staged.stage (fun () ->
-               let rng = Prng.create 4 in
-               ignore (Sparsify.spectral rng g)));
-        Test.make ~name:"misra-gries-coloring"
-          (Staged.stage (fun () -> ignore (Edge_coloring.misra_gries g)));
-        Test.make ~name:"decompose-levels"
-          (Staged.stage (fun () -> ignore (Decompose.level_matchings ~n:(Graph.n g) small_routing)));
-        Test.make ~name:"spectral-lambda"
-          (Staged.stage (fun () -> ignore (Spectral.lambda ~iterations:100 gc)));
-        Test.make ~name:"bfs-sssp" (Staged.stage (fun () -> ignore (Bfs.distances gc 0)));
-        Test.make ~name:"stretch-exact-seq"
-          (Staged.stage
-             (let t = Regular_dc.build (Prng.create 5) g in
-              fun () -> ignore (Stretch.exact g t.Regular_dc.spanner)));
-        Test.make ~name:"stretch-exact-par"
-          (Staged.stage
-             (let t = Regular_dc.build (Prng.create 5) g in
-              fun () -> ignore (Stretch.exact_parallel g t.Regular_dc.spanner)));
-      ]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:false () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let table =
-    Report.create
-      ~title:(Printf.sprintf "construction timings (n=%d, Delta=%d, m=%d)" n d (Graph.m g))
-      ~columns:[ "benchmark"; "time/run" ]
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let time_ns =
-        match Analyze.OLS.estimates ols_result with Some (t :: _) -> t | _ -> nan
-      in
-      rows := (name, time_ns) :: !rows)
-    results;
-  List.iter
-    (fun (name, ns) ->
-      let human =
-        if Float.is_nan ns then "n/a"
-        else if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-        else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-        else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-        else Printf.sprintf "%.0f ns" ns
-      in
-      (* wall times are machine-dependent: exported for trend dashboards but
-         never baseline-eligible *)
-      let metric =
-        String.map (fun c -> match c with '/' | ' ' -> '_' | _ -> c) name
-      in
-      Bench_report.add br ~stable:false ~units:"ns" ("timing." ^ metric ^ "_ns") ns;
-      Report.add_row table [ name; human ])
-    (List.sort compare !rows);
-  Report.print table
-
-(* ------------------------------------------------------------------ *)
-(* Observability overhead (lib/obs)                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* A verbatim copy of [Bfs.distances]' hot loop with every observability
-   hook deleted — the baseline for the "disabled instrumentation costs
-   under 5%" claim.  Keep in sync with lib/graph/bfs.ml. *)
-let bfs_plain g s =
-  let n = Csr.n g in
-  let dist = Array.make n (-1) in
-  let queue = Array.make n 0 in
-  let head = ref 0 and tail = ref 0 in
-  dist.(s) <- 0;
-  queue.(0) <- s;
-  tail := 1;
-  let frontier_peak = ref 1 in
-  let finished = ref false in
-  while (not !finished) && !head < !tail do
-    let v = queue.(!head) in
-    incr head;
-    if dist.(v) < max_int then begin
-      try
-        Csr.iter_neighbors g v (fun u ->
-            if dist.(u) < 0 then begin
-              dist.(u) <- dist.(v) + 1;
-              if u = -1 then raise Exit;
-              queue.(!tail) <- u;
-              incr tail
-            end)
-      with Exit -> finished := true
-    end;
-    if !tail - !head > !frontier_peak then frontier_peak := !tail - !head
-  done;
-  dist
-
-let run_obs br =
-  Report.section "OBSERVABILITY OVERHEAD (lib/obs, instrumentation disabled)";
-  Printf.printf
-    "claim: with tracing and metrics off, every hook costs one flag check; the\n";
-  Printf.printf "instrumented BFS must stay within 5%% of an uninstrumented copy\n\n";
-  let open Bechamel in
-  let was_metrics = !Obs.metrics and was_tracing = !Obs.tracing in
-  Obs.set_metrics false;
-  Obs.set_tracing false;
-  let n = pick ~quick:216 ~standard:343 ~full:512 in
-  let d = even_degree n (int_of_float (float_of_int n ** 0.7)) in
-  let g = regular_expander 995 n d in
-  let gc = Csr.snapshot g in
-  let probe = Metrics.counter "bench.obs_probe" in
-  let probe_h = Metrics.histo "bench.obs_probe_h" in
-  let tests =
-    Test.make_grouped ~name:"obs"
-      [
-        Test.make ~name:"bfs-instrumented" (Staged.stage (fun () -> ignore (Bfs.distances gc 0)));
-        Test.make ~name:"bfs-plain" (Staged.stage (fun () -> ignore (bfs_plain gc 0)));
-        Test.make ~name:"counter-add-off" (Staged.stage (fun () -> Metrics.add probe 1));
-        Test.make ~name:"histo-observe-off" (Staged.stage (fun () -> Metrics.observe probe_h 7));
-        Test.make ~name:"with-span-off"
-          (Staged.stage (fun () -> Trace.with_span ~name:"bench.noop" (fun () -> ())));
-      ]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:false () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name r ->
-      let t = match Analyze.OLS.estimates r with Some (t :: _) -> t | _ -> nan in
-      rows := (name, t) :: !rows)
-    results;
-  let time_of suffix =
-    match List.find_opt (fun (name, _) -> String.ends_with ~suffix name) !rows with
-    | Some (_, t) -> t
-    | None -> nan
-  in
-  let human ns =
-    if Float.is_nan ns then "n/a"
-    else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-    else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-    else Printf.sprintf "%.1f ns" ns
-  in
-  let table =
-    Report.create
-      ~title:(Printf.sprintf "disabled-mode hook costs (BFS on n=%d, Delta=%d)" n d)
-      ~columns:[ "benchmark"; "time/run" ]
-  in
-  List.iter (fun (name, ns) -> Report.add_row table [ name; human ns ]) (List.sort compare !rows);
-  let instr = time_of "bfs-instrumented" and plain = time_of "bfs-plain" in
-  let overhead = 100.0 *. (instr -. plain) /. plain in
-  Bench_report.add br ~stable:false ~units:"pct" "obs.bfs_overhead_pct" overhead;
-  Report.add_note table
-    (Printf.sprintf "BFS disabled-instrumentation overhead: %.2f%% (claim: < 5%%)%s" overhead
-       (if Float.is_nan overhead || overhead < 5.0 then "" else "  ** OVER BUDGET **"));
-  Report.add_note table "counter-add/histo-observe/with-span are the per-call-site costs when";
-  Report.add_note table "observability is off: a flag load and a branch each.";
-  Report.print table;
-  Obs.set_metrics was_metrics;
-  Obs.set_tracing was_tracing
-
-(* ------------------------------------------------------------------ *)
-(* Kernel comparison: scalar / batched certification                   *)
+(* Construction timings                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* wall-clock ms for [f ()]: best of [reps] runs (first result returned) *)
@@ -1438,6 +1247,113 @@ let time_best ~reps f =
     best := min !best ((Obs.now_us () -. t) /. 1e3)
   done;
   (result, !best)
+
+let human_ns ns =
+  if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
+  else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
+  else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
+  else Printf.sprintf "%.1f ns" ns
+
+let run_timing br =
+  Report.section "TIMING (best of 5 wall-clock runs)";
+  let n = pick ~quick:125 ~standard:216 ~full:343 in
+  let d = even_degree n (int_of_float (float_of_int n ** 0.7)) in
+  let g = regular_expander 991 n d in
+  let gc = Csr.snapshot g in
+  let small_routing =
+    let rng = Prng.create 992 in
+    let problem = Problems.random_pairs rng g ~k:(n / 2) in
+    Sp_routing.route_random gc rng problem
+  in
+  let spanner = (Regular_dc.build (Prng.create 5) g).Regular_dc.spanner in
+  let tests =
+    [
+      ("algorithm1-build", fun () -> ignore (Regular_dc.build (Prng.create 1) g));
+      ("theorem2-build", fun () -> ignore (Expander_dc.build (Prng.create 2) g));
+      ("greedy-3-spanner", fun () -> ignore (Classic.greedy g ~k:2));
+      ("baswana-sen", fun () -> ignore (Classic.baswana_sen_3 (Prng.create 3) g));
+      ("spectral-sparsify", fun () -> ignore (Sparsify.spectral (Prng.create 4) g));
+      ("misra-gries-coloring", fun () -> ignore (Edge_coloring.misra_gries g));
+      ( "decompose-levels",
+        fun () -> ignore (Decompose.level_matchings ~n:(Graph.n g) small_routing) );
+      ("spectral-lambda", fun () -> ignore (Spectral.lambda ~iterations:100 gc));
+      ("bfs-sssp", fun () -> ignore (Bfs.distances gc 0));
+      ("stretch-exact-seq", fun () -> ignore (Stretch.exact g spanner));
+      ("stretch-exact-par", fun () -> ignore (Stretch.exact_parallel g spanner));
+    ]
+  in
+  let table =
+    Report.create
+      ~title:(Printf.sprintf "construction timings (n=%d, Delta=%d, m=%d)" n d (Graph.m g))
+      ~columns:[ "benchmark"; "time/run" ]
+  in
+  List.iter
+    (fun (name, f) ->
+      let ns = 1e6 *. snd (time_best ~reps:5 f) in
+      (* wall times are machine-dependent: exported for trend dashboards but
+         never baseline-eligible *)
+      Bench_report.add br ~stable:false ~units:"ns" ("timing.dc-spanner_" ^ name ^ "_ns") ns;
+      Report.add_row table [ "dc-spanner/" ^ name; human_ns ns ])
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) tests);
+  Report.print table
+
+(* ------------------------------------------------------------------ *)
+(* Observability overhead (lib/obs)                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* ns per call of [f]: the best of 5 timed loops of [calls] calls *)
+let ns_per_call ~calls f =
+  let _, ms = time_best ~reps:5 (fun () -> for _ = 1 to calls do f () done) in
+  ms *. 1e6 /. float_of_int calls
+
+let run_obs br =
+  Report.section "OBSERVABILITY OVERHEAD (lib/obs, instrumentation disabled)";
+  Printf.printf
+    "claim: with tracing and metrics off, every hook costs one flag check, and the\n";
+  Printf.printf "flag checks in one BFS cost under 5%% of it\n\n";
+  let was_metrics = !Obs.metrics and was_tracing = !Obs.tracing in
+  Obs.set_metrics false;
+  Obs.set_tracing false;
+  let n = pick ~quick:216 ~standard:343 ~full:512 in
+  let d = even_degree n (int_of_float (float_of_int n ** 0.7)) in
+  let g = regular_expander 995 n d in
+  let gc = Csr.snapshot g in
+  let probe = Metrics.counter "bench.obs_probe" in
+  let probe_h = Metrics.histo "bench.obs_probe_h" in
+  let hook = ns_per_call ~calls:1_000_000 in
+  let counter = hook (fun () -> Metrics.add probe 1) in
+  let histo = hook (fun () -> Metrics.observe probe_h 7) in
+  let span = hook (fun () -> Trace.with_span ~name:"bench.noop" (fun () -> ())) in
+  let bfs = ns_per_call ~calls:200 (fun () -> ignore (Bfs.distances gc 0)) in
+  (* With metrics off, Bfs.distances checks the flag twice per call: once in
+     Scratch.get's Metrics.incr and once at its [if !Obs.metrics] block. *)
+  let overhead = 100.0 *. 2.0 *. counter /. bfs in
+  Bench_report.add br ~stable:false ~units:"pct" "obs.bfs_overhead_pct" overhead;
+  let table =
+    Report.create
+      ~title:(Printf.sprintf "disabled-mode hook costs (BFS on n=%d, Delta=%d)" n d)
+      ~columns:[ "benchmark"; "time/call" ]
+  in
+  List.iter
+    (fun (name, ns) -> Report.add_row table [ name; human_ns ns ])
+    [
+      ("obs/bfs-distances", bfs);
+      ("obs/counter-add-off", counter);
+      ("obs/histo-observe-off", histo);
+      ("obs/with-span-off", span);
+    ];
+  Report.add_note table
+    (Printf.sprintf "BFS disabled-instrumentation overhead: %.2f%% (claim: < 5%%)%s" overhead
+       (if overhead < 5.0 then "" else "  ** OVER BUDGET **"));
+  Report.add_note table "= 2 flag checks x counter-add-off / bfs-distances; each hook is a";
+  Report.add_note table "flag load and a branch when observability is off.";
+  Report.print table;
+  Obs.set_metrics was_metrics;
+  Obs.set_tracing was_tracing
+
+(* ------------------------------------------------------------------ *)
+(* Kernel comparison: scalar / batched certification                   *)
+(* ------------------------------------------------------------------ *)
 
 let run_kernels br =
   Report.section "KERNEL COMPARISON (stretch certification)";
@@ -1769,12 +1685,12 @@ let run_weighted br =
 
 (* ------------------------------------------------------------------ *)
 
-(* dcs_lint wall-clock: how long the two-tier analyzer takes over the whole
-   tree.  Shells out to the built executable — linking dcs_lint here would
-   drag compiler-libs into the bench image, and its Matching/Trace module
-   names collide with lib/routing and lib/obs under (wrapped false).  All
-   rows are non-stable: wall time is machine-dependent and the exit code is
-   the repo's business (CI gates it), not the baseline's. *)
+(* dcs_lint wall-clock: how long the analyzer takes over the whole tree.
+   Shells out to the built executable — linking dcs_lint here would drag
+   compiler-libs into the bench image, and its Matching/Trace module names
+   collide with lib/routing and lib/obs under (wrapped false).  All rows
+   are non-stable: wall time is machine-dependent and the exit code is the
+   repo's business (CI gates it), not the baseline's. *)
 let run_lint br =
   let candidates = [ "bin/dcs_lint.exe"; "_build/default/bin/dcs_lint.exe" ] in
   match List.find_opt Sys.file_exists candidates with
@@ -1794,7 +1710,7 @@ let run_lint br =
       Bench_report.add br ~stable:false ~units:"ms" "lint.wall_ms" ms;
       Bench_report.add br ~stable:false ~units:"code" "lint.exit_code" (float_of_int code);
       let table =
-        Report.create ~title:"dcs_lint (two-tier static analysis)"
+        Report.create ~title:"dcs_lint (static analysis)"
           ~columns:[ "metric"; "value" ]
       in
       Report.add_row table [ "exit code (strict)"; string_of_int code ];

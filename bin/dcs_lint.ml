@@ -1,8 +1,7 @@
 (* dcs_lint — the repo's self-hosted static analyzer (see HACKING, "Static
-   analysis").  Two-tier: typedtree passes over dune's .cmt files where they
-   exist (alias/open/functor-proof), compiler-libs parsetree passes as the
-   fallback for files that fail to compile.  Exits 1 on errors, 3 on
-   warnings under --strict. *)
+   analysis").  Typedtree passes over dune's .cmt files (alias/open/functor-
+   proof); a scanned file without a readable .cmt is itself an error.  Exits
+   1 on errors, 3 on warnings under --strict. *)
 
 open Cmdliner
 
@@ -22,7 +21,7 @@ let allow_arg =
   Arg.(value & opt (some string) None & info [ "allow" ] ~docv:"FILE" ~doc)
 
 let list_passes_arg =
-  let doc = "List the registered passes (both tiers) and exit." in
+  let doc = "List the registered passes and exit." in
   Arg.(value & flag & info [ "list-passes" ] ~doc)
 
 let strict_arg =
@@ -32,27 +31,11 @@ let strict_arg =
   in
   Arg.(value & flag & info [ "strict" ] ~doc)
 
-let no_typed_arg =
-  let doc = "Skip the typed tier even when .cmt files are available (parse-only run)." in
-  Arg.(value & flag & info [ "no-typed" ] ~doc)
-
-(* One row per pass id; a rule enforced by both tiers prints once with both
-   tier tags.  The smoke test floors the number of distinct ids. *)
+(* One row per pass, sorted by id; CI checks the id set. *)
 let list_passes () =
-  let rows = ref [] in
-  let add id title doc tier =
-    match List.assoc_opt id !rows with
-    | Some (t, d, tiers) -> rows := (id, (t, d, tiers @ [ tier ])) :: List.remove_assoc id !rows
-    | None -> rows := (id, (title, doc, [ tier ])) :: !rows
-  in
-  List.iter (fun p -> add p.Lint_passes.id p.Lint_passes.title p.Lint_passes.doc "parse")
-    Lint_passes.all;
-  List.iter (fun p -> add p.Lint_typed.id p.Lint_typed.title p.Lint_typed.doc "typed")
-    Lint_typed.all;
   List.iter
-    (fun (id, (title, doc, tiers)) ->
-      Printf.printf "%-15s [%s] %s\n    %s\n" id (String.concat "+" tiers) title doc)
-    (List.sort compare (List.rev !rows));
+    (fun (p : Lint_typed.pass) -> Printf.printf "%-15s %s\n    %s\n" p.id p.title p.doc)
+    (List.sort (fun (a : Lint_typed.pass) b -> String.compare a.id b.id) Lint_typed.all);
   0
 
 let load_allow = function
@@ -67,7 +50,7 @@ let load_allow = function
         | Error msg -> Error ("lint.allow: " ^ msg)
       else Ok Lint_allow.empty
 
-let main paths json allow_path list_passes_flag strict no_typed =
+let main paths json allow_path list_passes_flag strict =
   if list_passes_flag then list_passes ()
   else
     match load_allow allow_path with
@@ -75,7 +58,7 @@ let main paths json allow_path list_passes_flag strict no_typed =
         prerr_endline ("dcs_lint: " ^ msg);
         2
     | Ok allow ->
-        let result = Lint_driver.run ~allow ~typed:(not no_typed) ~roots:paths () in
+        let result = Lint_driver.run ~allow ~roots:paths () in
         print_string (if json then Lint_driver.to_json result else Lint_driver.to_table result);
         Lint_driver.exit_code ~strict result
 
@@ -85,20 +68,20 @@ let cmd =
     [
       `S Manpage.s_description;
       `P
-        "Two-tier static analysis over the project's own OCaml sources.  The typed tier \
-         loads the .cmt files dune emits and checks resolved paths and inferred types, so \
-         banned APIs (failwith, stray printing, raw CSR builds), unsafe accesses, \
-         polymorphic compares on graph types, mutable state escaping into parallel code \
-         and discarded audit results are caught through module aliases, opens and \
-         functors.  Files without a .cmt fall back to the parsetree passes.  Exit status \
-         is 0 when clean, 1 when error findings remain after the allowlist, 3 when only \
+        "Static analysis over the project's own OCaml sources.  The passes load the \
+         .cmt files dune emits and check resolved paths and inferred types, so banned \
+         APIs (failwith, stray printing, raw CSR builds), unsafe accesses, polymorphic \
+         compares on graph types, mutable state escaping into parallel code and \
+         discarded audit results are caught through module aliases, opens and \
+         functors.  A file that parses but has no readable .cmt is reported as an error \
+         under the cmt pseudo-pass (build it first: dune build @check).  Exit status is \
+         0 when clean, 1 when error findings remain after the allowlist, 3 when only \
          warnings remain and $(b,--strict) was given.";
     ]
   in
   Cmd.v
     (Cmd.info "dcs_lint" ~version:"2.0.0" ~doc ~man)
     Term.(
-      const main $ paths_arg $ json_arg $ allow_arg $ list_passes_arg $ strict_arg
-      $ no_typed_arg)
+      const main $ paths_arg $ json_arg $ allow_arg $ list_passes_arg $ strict_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -1,8 +1,8 @@
-(* Typed-tier input: .cmt units produced by the compiler under -bin-annot
-   (dune emits them for every module it builds).  A unit bundles the
+(* The passes' input: .cmt units produced by the compiler under -bin-annot
+   (dune emits them for every module it types).  A unit bundles the
    typedtree with enough environment plumbing — load path, Envaux summary
    reconstruction — that passes can resolve Path.ts and expand types, which
-   is what makes the typed passes alias-, open- and functor-proof. *)
+   is what makes the passes alias-, open- and functor-proof. *)
 
 type t = {
   src : string;  (* cmt_sourcefile as recorded by the compiler *)

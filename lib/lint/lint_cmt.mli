@@ -1,4 +1,4 @@
-(** Typed-tier input: compiled [.cmt] units plus the environment plumbing
+(** The passes' input: compiled [.cmt] units plus the environment plumbing
     that makes [Path.t] resolution and type expansion work outside the
     compiler.
 
@@ -17,8 +17,7 @@ type t = {
   modname : string;  (** compilation unit name, e.g. ["Csr"] *)
   structure : Typedtree.structure;
   imports : string list;
-      (** compilation units this one depends on ([cmt_imports]) — the
-          typed replacement for the lexical module-reference scan *)
+      (** compilation units this one depends on ([cmt_imports]) *)
 }
 
 type index = {

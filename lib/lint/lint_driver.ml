@@ -29,39 +29,20 @@ let collect roots =
 let ml_files files =
   List.filter (fun p -> Filename.check_suffix p ".ml") files
 
-(* Parse-tier reachability for the par-hygiene fallback: start from modules
-   whose source mentions Parallel./Domain. and close over lexical module
-   references (Lint_source.referenced_modules), restricted to modules in
-   the scanned set.  Over-approximates: a module is audited if any
-   parallel-touching module could call into it.  Typed files use the
-   cmt_imports closure instead (Lint_typed.parallel_closure). *)
-let parallel_closure sources =
-  let by_name = Hashtbl.create 64 in
-  List.iter
-    (fun src -> Hashtbl.replace by_name (Lint_source.module_name src) src)
-    sources;
-  let refs src =
-    List.filter (Hashtbl.mem by_name) (Lint_source.referenced_modules src)
+(* Why a parsed file has no typed unit: the message names the unreadable
+   .cmt when discovery found one for this module ("csr.cmt", or dune's
+   "dune__exe__Dcs_cli.cmt" for an executable's). *)
+let no_cmt (index : Lint_cmt.index) path =
+  let stem = String.lowercase_ascii (Filename.remove_extension (Filename.basename path)) in
+  let same_unit (cmt, _) =
+    let base = String.lowercase_ascii (Filename.remove_extension (Filename.basename cmt)) in
+    base = stem || String.ends_with ~suffix:("__" ^ stem) base
   in
-  let reachable = Hashtbl.create 64 in
-  let rec visit name =
-    if not (Hashtbl.mem reachable name) then begin
-      Hashtbl.replace reachable name ();
-      match Hashtbl.find_opt by_name name with
-      | Some src -> List.iter visit (refs src)
-      | None -> ()
-    end
-  in
-  List.iter
-    (fun src ->
-      let mentions = Lint_source.referenced_modules src in
-      if List.mem "Parallel" mentions || List.mem "Domain" mentions then
-        visit (Lint_source.module_name src))
-    sources;
-  fun name -> Hashtbl.mem reachable name
+  match List.find_opt same_unit index.Lint_cmt.errors with
+  | Some (cmt, reason) -> Printf.sprintf "cannot read %s: %s" cmt reason
+  | None -> "no .cmt file, so no pass can check this file (build it: dune build @check)"
 
-let run ?(allow = Lint_allow.empty) ?(passes = Lint_passes.all)
-    ?(tpasses = Lint_typed.all) ?(typed = true) ~roots () =
+let run ?(allow = Lint_allow.empty) ~roots () =
   let missing =
     List.filter_map
       (fun root ->
@@ -89,46 +70,36 @@ let run ?(allow = Lint_allow.empty) ?(passes = Lint_passes.all)
             None)
       (ml_files files)
   in
-  let index =
-    if typed then Lint_cmt.load_index ~roots else { Lint_cmt.units = []; errors = [] }
-  in
-  let typed_reachable = Lint_typed.parallel_closure index.Lint_cmt.units in
-  let ctx =
-    {
-      Lint_passes.file_exists = Hashtbl.mem file_set;
-      parallel_reachable = parallel_closure sources;
-    }
-  in
+  let index = Lint_cmt.load_index ~roots in
+  let parallel_reachable = Lint_typed.parallel_closure index.Lint_cmt.units in
   let typed_count = ref 0 in
+  (* Each parsed file is either checked by every pass or becomes exactly one
+     "cmt" error: no .cmt, an unreadable one, or a pass that raised on it. *)
   let lint_source src =
-    let parse_tier ~typed_ran =
-      List.concat_map
-        (fun p ->
-          if typed_ran && not p.Lint_passes.runs_when_typed then []
-          else p.Lint_passes.check ctx src)
-        passes
+    let path = src.Lint_source.path in
+    let error pass ~line msg =
+      [ Lint_finding.make ~pass ~file:path ~line ~col:0 ~severity:Lint_finding.Error msg ]
     in
-    let typed_tier unit =
-      let tctx = { Lint_typed.source = src; parallel_reachable = typed_reachable } in
-      List.concat_map (fun (p : Lint_typed.pass) -> p.Lint_typed.check tctx unit) tpasses
-    in
-    match Lint_source.ast src with
-    | Error (msg, line) ->
-        [
-          Lint_finding.make ~pass:"parse" ~file:src.Lint_source.path ~line ~col:0
-            ~severity:Lint_finding.Error msg;
-        ]
-    | Ok _ -> (
-        match Lint_cmt.find index src.Lint_source.path with
-        | Some unit -> (
-            (* A typed crash (cmi skew, truncated cmt) degrades the file to
-               the parse tier rather than aborting the whole lint run. *)
-            match typed_tier unit with
-            | typed_findings ->
-                incr typed_count;
-                typed_findings @ parse_tier ~typed_ran:true
-            | exception _ -> parse_tier ~typed_ran:false)
-        | None -> parse_tier ~typed_ran:false)
+    match (Lint_source.ast src, Lint_cmt.find index path) with
+    | Error (msg, line), _ -> error "parse" ~line msg
+    | Ok _, None -> error "cmt" ~line:1 (no_cmt index path)
+    | Ok _, Some unit ->
+        let ctx =
+          { Lint_typed.source = src; file_exists = Hashtbl.mem file_set; parallel_reachable }
+        in
+        let rec check acc = function
+          | [] ->
+              incr typed_count;
+              List.concat (List.rev acc)
+          | (p : Lint_typed.pass) :: rest -> (
+              match p.Lint_typed.check ctx unit with
+              | findings -> check (findings :: acc) rest
+              | exception exn ->
+                  error "cmt" ~line:1
+                    (Printf.sprintf "pass %s raised %s" p.Lint_typed.id
+                       (Printexc.to_string exn)))
+        in
+        check [] Lint_typed.all
   in
   let findings =
     List.concat_map lint_source sources @ !parse_failures @ missing

@@ -1,39 +1,20 @@
 (** Orchestration: walk the requested roots, parse every [.ml], run the
-    two-tier pass catalogue, apply the allowlist, render.
+    {!Lint_typed} pass catalogue on its [.cmt], apply the allowlist, render.
 
-    Tier 1 (parse) needs only source text and runs on everything — including
-    files that fail to compile.  Tier 2 (typed) runs on files whose [.cmt]
-    the {!Lint_cmt} index found; for those files the parse-tier passes with
-    a typed upgrade ([runs_when_typed = false]) are skipped, so each rule is
-    enforced by exactly one tier per file.  A typed pass that crashes on a
-    unit (cmi skew, truncated cmt) silently degrades that file back to the
-    full parse tier.
-
-    Unreadable or unparsable files surface as findings under the ["parse"]
-    pseudo-pass rather than exceptions, so one bad file cannot hide the rest
-    of the report. *)
+    Every scanned [.ml] either gets every pass or exactly one error finding
+    that says why it could not: ["parse"] when it does not parse, ["cmt"]
+    when it parses but has no readable [.cmt] in the {!Lint_cmt} index, or
+    a pass raised on its typedtree.  A missing root is a ["parse"] finding
+    too, so one bad file cannot hide the rest of the report. *)
 
 type result = {
   findings : Lint_finding.t list;  (** non-suppressed, sorted *)
   files_scanned : int;
-  typed_files : int;  (** how many of those got the typed tier *)
+  typed_files : int;  (** how many of those every pass checked *)
   suppressed : int;
 }
 
-val collect : string list -> string list
-(** All files beneath the given roots (files are taken as-is), sorted,
-    skipping dot-entries and [_build]. *)
-
-val run :
-  ?allow:Lint_allow.t ->
-  ?passes:Lint_passes.pass list ->
-  ?tpasses:Lint_typed.pass list ->
-  ?typed:bool ->
-  roots:string list ->
-  unit ->
-  result
-(** [?typed:false] skips cmt discovery entirely (pure parse-tier run, the
-    pre-v2 behaviour — used by tests to compare the tiers). *)
+val run : ?allow:Lint_allow.t -> roots:string list -> unit -> result
 
 val to_json : result -> string
 

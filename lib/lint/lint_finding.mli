@@ -3,11 +3,11 @@
     A finding identifies the pass that produced it, the offending source
     location and a human-readable message.  [Error] findings are hard
     violations of a repo invariant; [Warning] marks heuristic passes (e.g.
-    the parallelism-hygiene auditors) whose findings signal "audit me"
+    the parallelism-hygiene auditor) whose findings signal "audit me"
     rather than "definitely wrong" — they fail the build only under
-    [--strict].  Typed-tier findings additionally carry the fully-resolved
-    identity ([resolved_path]) of the flagged value, so the JSON report
-    shows what an alias or open actually referred to. *)
+    [--strict].  Findings on a resolved identifier additionally carry it
+    ([resolved_path]), so the JSON report shows what an alias or open
+    actually referred to. *)
 
 type severity = Error | Warning
 

@@ -48,31 +48,3 @@ let has_marker_above ?(within = marker_window) t ~marker ~line:ln =
   let lo = max 1 (ln - within) in
   let rec go i = i <= ln && (contains ~needle:marker (line t i) || go (i + 1)) in
   go lo
-
-(* Capitalized-prefix references ("Foo." somewhere in the text), the lexical
-   module-dependency approximation used by the parallelism-hygiene pass.  It
-   over-approximates (comments and strings count) which errs on the side of
-   auditing more modules, never fewer. *)
-let referenced_modules t =
-  let out = ref [] in
-  let n = String.length t.text in
-  let is_ident c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_' || c = '\''
-  in
-  let i = ref 0 in
-  while !i < n do
-    let c = t.text.[!i] in
-    if c >= 'A' && c <= 'Z' && (!i = 0 || not (is_ident t.text.[!i - 1])) then begin
-      let j = ref (!i + 1) in
-      while !j < n && is_ident t.text.[!j] do
-        incr j
-      done;
-      if !j < n && t.text.[!j] = '.' then out := String.sub t.text !i (!j - !i) :: !out;
-      i := !j
-    end
-    else incr i
-  done;
-  List.sort_uniq compare !out
-
-let module_name t =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename t.path))

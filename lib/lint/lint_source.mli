@@ -1,6 +1,7 @@
 (** A source file under analysis: raw text, split lines and a lazily parsed
-    parsetree (via [compiler-libs]; no ppx, so what is linted is exactly what
-    is on disk). *)
+    parsetree (via [compiler-libs]; no ppx).  The passes read the typedtree
+    from the [.cmt]; the parsetree only decides whether the file gets a
+    ["parse"] finding, and the raw text carries the annotation comments. *)
 
 type t = {
   path : string;
@@ -8,9 +9,6 @@ type t = {
   lines : string array;
   ast : (Parsetree.structure, string * int) result Lazy.t;
 }
-
-val of_string : path:string -> string -> t
-(** Wrap in-memory source (used by the test fixtures). *)
 
 val load : string -> (t, string) result
 
@@ -26,10 +24,3 @@ val marker_window : int
 val has_marker_above : ?within:int -> t -> marker:string -> line:int -> bool
 (** True when some line in [[line - within, line]] contains [marker] —
     the mechanism behind [(* SAFETY: ... *)] and [(* DOMAIN-SAFE: ... *)]. *)
-
-val referenced_modules : t -> string list
-(** Capitalized identifiers followed by a dot, lexically ("Foo." -> "Foo").
-    Over-approximates module references (strings/comments included). *)
-
-val module_name : t -> string
-(** ["lib/graph/csr.ml"] -> ["Csr"]. *)

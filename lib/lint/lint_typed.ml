@@ -1,11 +1,10 @@
-(* The typed-tier pass catalogue: rules re-stated over the typedtree, where
+(* The pass catalogue: the repo's rules stated over the typedtree, where
    identifiers are resolved Path.ts and expressions carry inferred types.
    That is what makes them alias-, open- and functor-proof: [C.of_graph]
    under [module C = Csr], [of_graph] under [open Csr] and a shadowing-free
    [compare] all reduce to the same canonical identity here, while a local
    [let compare = ...] (a Pident, not a Pdot) correctly stops matching the
-   Stdlib rule.  Parse-tier passes (Lint_passes) remain as the fallback for
-   files the compiler produced no .cmt for. *)
+   Stdlib rule. *)
 
 open Typedtree
 
@@ -14,6 +13,8 @@ type ctx = {
       (* the matching source file: scope rules key on its path, and the
          SAFETY:/DOMAIN-SAFE: markers live in comments only the raw text
          retains *)
+  file_exists : string -> bool;
+      (* membership in the scanned file set (used for .mli coverage) *)
   parallel_reachable : string -> bool;
       (* by compilation-unit name, from the cmt_imports closure *)
 }
@@ -24,6 +25,58 @@ type pass = {
   doc : string;
   check : ctx -> Lint_cmt.t -> Lint_finding.t list;
 }
+
+(* ---- scope ---- *)
+
+let segments path =
+  String.split_on_char '/' path |> List.filter (fun s -> s <> "" && s <> ".")
+
+(* [dirs] as a contiguous run of the path's directory segments: ["lib"]
+   matches "lib/graph/csr.ml" and "../lib/graph/csr.ml" but not "bin/x.ml". *)
+let under ~dirs path =
+  let rec is_prefix p s =
+    match (p, s) with
+    | [], _ -> true
+    | _, [] -> false
+    | x :: p', y :: s' -> String.equal x y && is_prefix p' s'
+  in
+  let rec anywhere s =
+    match s with [] -> false | _ :: tl -> is_prefix dirs s || anywhere tl
+  in
+  match List.rev (segments path) with
+  | [] -> false
+  | _basename :: rev_dirs -> anywhere (List.rev rev_dirs)
+
+let in_lib path = under ~dirs:[ "lib" ] path
+
+let is_file pattern path = Lint_allow.path_matches ~pattern path
+
+let raise_exempt path = is_file "lib/util/io_error.ml" path
+
+let print_exempt path = is_file "lib/util/report.ml" path || under ~dirs:[ "lib"; "obs" ] path
+
+let csr_exempt path = under ~dirs:[ "lib"; "graph" ] path
+
+(* The only files allowed to contain unsafe_* accesses. *)
+let kernel_allowlist =
+  [
+    "lib/graph/bfs_batch.ml";
+    "lib/graph/bitmat.ml";
+    "lib/graph/csr_store.ml";
+    "lib/graph/dijkstra.ml";
+  ]
+
+(* "Graph: node out of range" / "Bfs_batch.run: source out of range" both
+   carry a capitalized context token containing '.' or ':' before the first
+   space — the convention banned-api enforces on messages. *)
+let has_context_prefix s =
+  String.length s > 0
+  && s.[0] >= 'A'
+  && s.[0] <= 'Z'
+  &&
+  let stop = match String.index_opt s ' ' with Some i -> i | None -> String.length s in
+  let rec go i = i < stop && (s.[i] = '.' || s.[i] = ':' || go (i + 1)) in
+  go 0
 
 (* ---- shared helpers ---- *)
 
@@ -55,16 +108,12 @@ let resolved_ident e =
       Some (Lint_cmt.canonical (Lint_cmt.expr_env e) p)
   | _ -> None
 
-let starts_with ~prefix s =
-  let lp = String.length prefix in
-  String.length s >= lp && String.sub s 0 lp = prefix
-
 let string_literal e =
   match e.exp_desc with
   | Texp_constant (Asttypes.Const_string (s, _, _)) -> Some s
   | _ -> None
 
-(* ---- banned-api (typed) ---- *)
+(* ---- banned-api ---- *)
 
 let banned_prints =
   [
@@ -78,7 +127,7 @@ let is_exn env ty = Lint_cmt.type_head env ty = Some "exn"
 
 let check_banned_api ctx unit =
   let path = ctx.source.Lint_source.path in
-  if not (Lint_passes.in_lib path) then []
+  if not (in_lib path) then []
   else
     on_exprs unit (fun e ->
         let err ?resolved_path msg =
@@ -87,7 +136,7 @@ let check_banned_api ctx unit =
         in
         let check_message_arg name arg =
           match string_literal arg with
-          | Some s when not (Lint_passes.has_context_prefix s) ->
+          | Some s when not (has_context_prefix s) ->
               err
                 (Printf.sprintf
                    "%s message %S lacks a Module.fn/Module: context prefix" name s)
@@ -96,26 +145,26 @@ let check_banned_api ctx unit =
         match e.exp_desc with
         | Texp_ident _ -> (
             match resolved_ident e with
-            | Some "failwith" when not (Lint_passes.raise_exempt path) ->
+            | Some "failwith" when not (raise_exempt path) ->
                 err ~resolved_path:"Stdlib.failwith"
                   "failwith in lib/ (raise a typed error: Io_error.raise_error or \
                    invalid_arg with a Module.fn prefix)"
             | Some name when List.mem name banned_prints
-                             && not (Lint_passes.print_exempt path) ->
+                             && not (print_exempt path) ->
                 err ~resolved_path:name
                   (Printf.sprintf "%s in lib/ (route output through Report or Dcs_obs)" name)
-            | Some ("Csr.of_graph" as name) when not (Lint_passes.csr_exempt path) ->
+            | Some ("Csr.of_graph" as name) when not (csr_exempt path) ->
                 err ~resolved_path:name
                   "Csr.of_graph outside lib/graph (use the version-cached Csr.snapshot)"
-            | Some ("Graph.to_csr" as name) when not (Lint_passes.csr_exempt path) ->
+            | Some ("Graph.to_csr" as name) when not (csr_exempt path) ->
                 err ~resolved_path:name
                   "Graph.to_csr outside lib/graph (use the version-cached Graph.snapshot)"
             | _ -> [])
-        | Texp_apply (fn, (_, Some arg) :: _) when not (Lint_passes.raise_exempt path) -> (
+        | Texp_apply (fn, (_, Some arg) :: _) when not (raise_exempt path) -> (
             match resolved_ident fn with
             | Some "invalid_arg" -> check_message_arg "invalid_arg" arg
             | _ -> [])
-        | Texp_construct (_, cd, [ arg ]) when not (Lint_passes.raise_exempt path) -> (
+        | Texp_construct (_, cd, [ arg ]) when not (raise_exempt path) -> (
             match cd.Types.cstr_name with
             | "Failure" when is_exn (Lint_cmt.expr_env e) e.exp_type ->
                 err "Failure constructor in lib/ (raise a typed error instead)"
@@ -124,7 +173,7 @@ let check_banned_api ctx unit =
             | _ -> [])
         | _ -> [])
 
-(* ---- unsafe-audit (typed) ---- *)
+(* ---- unsafe-audit ---- *)
 
 let unsafe_resolved name =
   match String.rindex_opt name '.' with
@@ -132,14 +181,12 @@ let unsafe_resolved name =
   | Some i ->
       let m = String.sub name 0 i in
       let f = String.sub name (i + 1) (String.length name - i - 1) in
-      starts_with ~prefix:"unsafe_" f
-      && (List.mem m [ "Array"; "Bytes"; "String" ] || starts_with ~prefix:"Bigarray" m)
+      String.starts_with ~prefix:"unsafe_" f
+      && (List.mem m [ "Array"; "Bytes"; "String" ] || String.starts_with ~prefix:"Bigarray" m)
 
 let check_unsafe_audit ctx unit =
   let path = ctx.source.Lint_source.path in
-  let allowed =
-    List.exists (fun k -> Lint_allow.path_matches ~pattern:k path) Lint_passes.kernel_allowlist
-  in
+  let allowed = List.exists (fun k -> is_file k path) kernel_allowlist in
   on_exprs unit (fun e ->
       match resolved_ident e with
       | Some name when unsafe_resolved name ->
@@ -150,7 +197,7 @@ let check_unsafe_audit ctx unit =
                 ~severity:Lint_finding.Error ctx.source e.exp_loc
                 (Printf.sprintf "%s outside the allowlisted kernel set (%s)" name
                    (String.concat ", "
-                      (List.map Filename.basename Lint_passes.kernel_allowlist)));
+                      (List.map Filename.basename kernel_allowlist)));
             ]
           else if
             not (Lint_source.has_marker_above ctx.source ~marker:"SAFETY:" ~line)
@@ -165,7 +212,7 @@ let check_unsafe_audit ctx unit =
           else []
       | _ -> [])
 
-(* ---- poly-compare (typed) ---- *)
+(* ---- poly-compare ---- *)
 
 let poly_compare_ops = [ "="; "<>"; "compare"; "min"; "max" ]
 
@@ -214,7 +261,7 @@ let check_poly_compare ctx (unit : Lint_cmt.t) =
           | _ -> [])
       | _ -> [])
 
-(* ---- mutable-escape (typed) ---- *)
+(* ---- mutable-escape ---- *)
 
 let mutable_types =
   [
@@ -252,15 +299,31 @@ and toplevel_bindings_of_module me acc =
   | Tmod_constraint (me, _, _, _) -> toplevel_bindings_of_module me acc
   | _ -> acc
 
+(* A record with a mutable field is state the way a ref is: look the
+   expanded head type up in the binding's environment.  An arrow-typed
+   binding (let mk () = { x = 0 }) expands to no record and stays clean. *)
+let mutable_record env ty =
+  match Types.get_desc (Ctype.expand_head env ty) with
+  | Types.Tconstr (p, _, _) -> (
+      match (Env.find_type p env).Types.type_kind with
+      | Types.Type_record (labels, _)
+        when List.exists (fun l -> l.Types.ld_mutable = Asttypes.Mutable) labels ->
+          Some (Lint_cmt.canonical env p)
+      | _ -> None
+      | exception Not_found -> None)
+  | _ -> None
+  | exception _ -> None
+
 let check_mutable_escape ctx (unit : Lint_cmt.t) =
   let path = ctx.source.Lint_source.path in
-  if not (Lint_passes.in_lib path) then []
+  if not (in_lib path) then []
   else if not (ctx.parallel_reachable unit.Lint_cmt.modname) then []
   else
     let bindings = List.rev (toplevel_bindings_of_items unit.Lint_cmt.structure.str_items []) in
     List.concat_map
       (fun vb ->
         let env = Lint_cmt.expr_env vb.vb_expr in
+        let ty = vb.vb_pat.pat_type in
         let hit = ref None in
         let matches name =
           List.mem name mutable_types
@@ -269,33 +332,41 @@ let check_mutable_escape ctx (unit : Lint_cmt.t) =
                true
              end
         in
-        if not (Lint_cmt.type_mentions env ~matches vb.vb_pat.pat_type) then []
-        else
-          let line, _ = loc_line_col vb.vb_loc in
-          if Lint_source.has_marker_above ctx.source ~marker:"DOMAIN-SAFE:" ~line then []
+        let state =
+          if Lint_cmt.type_mentions env ~matches ty then
+            Option.map (fun t -> (t, "inferred type involves " ^ t)) !hit
           else
-            let name = Option.value ~default:"_" (pattern_var vb.vb_pat) in
-            let tyname = Option.value ~default:"mutable" !hit in
-            [
-              finding ~resolved_path:tyname ~pass:"mutable-escape"
-                ~severity:Lint_finding.Warning ctx.source vb.vb_loc
-                (Printf.sprintf
-                   "top-level mutable state: %s's inferred type involves %s in a module \
-                    reachable from Parallel/Domain call graphs; annotate (* DOMAIN-SAFE: \
-                    why *) or refactor"
-                   name tyname);
-            ])
+            Option.map
+              (fun t -> (t, Printf.sprintf "inferred type %s has a mutable field" t))
+              (mutable_record env ty)
+        in
+        match state with
+        | None -> []
+        | Some (tyname, why) ->
+            let line, _ = loc_line_col vb.vb_loc in
+            if Lint_source.has_marker_above ctx.source ~marker:"DOMAIN-SAFE:" ~line then []
+            else
+              let name = Option.value ~default:"_" (pattern_var vb.vb_pat) in
+              [
+                finding ~resolved_path:tyname ~pass:"mutable-escape"
+                  ~severity:Lint_finding.Warning ctx.source vb.vb_loc
+                  (Printf.sprintf
+                     "top-level mutable state: %s's %s in a module reachable from \
+                      Parallel/Domain call graphs; annotate (* DOMAIN-SAFE: why *) or \
+                      refactor"
+                     name why);
+              ])
       bindings
 
-(* ---- ignored-result (typed) ---- *)
+(* ---- ignored-result ---- *)
 
 (* Functions whose result encodes a verdict the caller must act on:
    discarding it via ignore/let _ silently drops a certification or
    comparison outcome. *)
 let must_use name =
   name = "Stretch.violations"
-  || starts_with ~prefix:"Repair." name
-  || starts_with ~prefix:"Bench_report.compare_" name
+  || String.starts_with ~prefix:"Repair." name
+  || String.starts_with ~prefix:"Bench_report.compare_" name
 
 let flagged_application e =
   match e.exp_desc with
@@ -345,45 +416,60 @@ let check_ignored_result ctx (unit : Lint_cmt.t) =
   it.structure it unit.Lint_cmt.structure;
   List.rev !out
 
+(* ---- iface-coverage ---- *)
+
+let check_iface_coverage ctx (_ : Lint_cmt.t) =
+  let path = ctx.source.Lint_source.path in
+  if (not (in_lib path)) || ctx.file_exists (path ^ "i") then []
+  else
+    [
+      Lint_finding.make ~pass:"iface-coverage" ~file:path ~line:1 ~col:0
+        ~severity:Lint_finding.Error
+        (Printf.sprintf "missing interface %si (every lib/ module ships a signature)"
+           (Filename.basename path));
+    ]
+
 (* ---- registry ---- *)
 
 let all =
   [
     {
       id = "banned-api";
-      title = "banned API calls (typed)";
+      title = "banned API calls";
       doc =
-        "same rules as the parse tier, but on resolved paths: any value resolving to \
-         Stdlib.failwith, a banned printer, Csr.of_graph or Graph.to_csr fires however \
-         it is spelled (module aliases, opens, functor arguments)";
+        "failwith/Failure and unprefixed invalid_arg messages in lib/ (except \
+         lib/util/io_error.ml); Printf.printf/print_*/prerr_* in lib/ (except Report and \
+         Dcs_obs); Csr.of_graph / Graph.to_csr outside lib/graph.  Matched on resolved \
+         paths, so module aliases, opens and functor arguments cannot hide a call";
       check = check_banned_api;
     };
     {
       id = "unsafe-audit";
-      title = "unsafe accesses confined and justified (typed)";
+      title = "unsafe accesses confined and justified";
       doc =
-        "unsafe_* calls matched by resolved module — module A = Array cannot hide one, \
-         and a local safe wrapper named unsafe_* no longer false-positives; kernel \
-         allowlist and (* SAFETY: *) discipline unchanged";
+        "Array/Bytes/String/Bigarray unsafe_* only in bfs_batch.ml, bitmat.ml, \
+         csr_store.ml, dijkstra.ml, and every site preceded by a (* SAFETY: ... *) \
+         comment; matched by resolved module, so module A = Array cannot hide one and a \
+         local safe wrapper named unsafe_* does not match";
       check = check_unsafe_audit;
     };
     {
       id = "poly-compare";
-      title = "no polymorphic compare on graphs (typed)";
+      title = "no polymorphic compare on graphs";
       doc =
         "=, <>, compare, min, max whose operand's inferred type involves \
          Graph.t/Csr.t/Csr_store.t, through type aliases and inside containers \
-         (Graph.t list, tuples); locally shadowed operators no longer match";
+         (Graph.t list, tuples); locally shadowed operators do not match";
       check = check_poly_compare;
     };
     {
       id = "mutable-escape";
-      title = "typed parallelism hygiene";
+      title = "parallelism hygiene";
       doc =
         "top-level bindings whose inferred type involves ref/array/bytes/Hashtbl.t/\
-         Buffer.t/Queue.t/Stack.t/Bigarray.Array1.t in modules reachable (by \
-         cmt_imports closure) from Parallel/Domain users, unless (* DOMAIN-SAFE: *) \
-         annotated; replaces par-hygiene's lexical heuristic on compiled files";
+         Buffer.t/Queue.t/Stack.t/Bigarray.Array1.t, or is a record with a mutable \
+         field, in modules reachable (by cmt_imports closure) from Parallel/Domain \
+         users, unless (* DOMAIN-SAFE: *) annotated";
       check = check_mutable_escape;
     };
     {
@@ -394,15 +480,18 @@ let all =
          discarded via ignore or let _ — dropping a certification verdict on the floor";
       check = check_ignored_result;
     };
+    {
+      id = "iface-coverage";
+      title = "interface coverage";
+      doc = "every lib/**/*.ml has a matching .mli";
+      check = check_iface_coverage;
+    };
   ]
 
-let find id = List.find_opt (fun p -> p.id = id) all
-
-(* Typed replacement for the lexical Parallel/Domain reachability scan: a
-   unit is audited when it transitively appears in the cmt_imports of a
+(* A unit is audited when it transitively appears in the cmt_imports of a
    unit that imports Parallel (the repo's domain pool) or Stdlib's Domain
    directly.  Imports over-approximate calls (types count), which errs on
-   the side of auditing more modules — same bias as the lexical version. *)
+   the side of auditing more modules. *)
 let parallel_closure (units : Lint_cmt.t list) =
   let unit_names = Hashtbl.create 64 in
   List.iter (fun (u : Lint_cmt.t) -> Hashtbl.replace unit_names u.Lint_cmt.modname u) units;

@@ -1,6 +1,6 @@
-(** The typed-tier pass catalogue: the repo's semantic rules re-stated over
-    the typedtree ({!Lint_cmt}), where identifiers are resolved [Path.t]s
-    and expressions carry inferred types.
+(** The pass catalogue: the repo's rules stated over the typedtree
+    ({!Lint_cmt}), where identifiers are resolved [Path.t]s and expressions
+    carry inferred types.
 
     This is what makes the rules alias-, open- and functor-proof:
     [C.of_graph] under [module C = Csr], [of_graph] under [open Csr] and
@@ -9,18 +9,19 @@
     not a [Pdot]) correctly stops matching the Stdlib rule.  Findings carry
     the resolved identity in {!Lint_finding.t.resolved_path}.
 
-    Five passes: typed [banned-api] / [unsafe-audit] / [poly-compare]
-    (upgrades of the parse-tier passes of the same id — the allowlist
-    format is unchanged), plus the typed-only [mutable-escape] (inferred
-    mutable types in [Parallel]/[Domain]-reachable modules, by
-    [cmt_imports] closure) and [ignored-result] (non-unit verdicts of
-    flagged functions discarded via [ignore]/[let _]). *)
+    Six passes: [banned-api], [unsafe-audit], [poly-compare],
+    [mutable-escape] (inferred mutable types in [Parallel]/[Domain]-reachable
+    modules, by [cmt_imports] closure), [ignored-result] (non-unit verdicts
+    of flagged functions discarded via [ignore]/[let _]) and
+    [iface-coverage] (every [lib/] module has an [.mli]). *)
 
 type ctx = {
   source : Lint_source.t;
       (** the matching source file: scope rules key on its path, and the
           [SAFETY:]/[DOMAIN-SAFE:] markers live in comments only the raw
           text retains *)
+  file_exists : string -> bool;
+      (** membership in the scanned file set (used for [.mli] coverage) *)
   parallel_reachable : string -> bool;
       (** by compilation-unit name, from the [cmt_imports] closure *)
 }
@@ -33,15 +34,9 @@ type pass = {
 }
 
 val all : pass list
-(** banned-api, unsafe-audit, poly-compare, mutable-escape,
-    ignored-result. *)
-
-val find : string -> pass option
-
-val must_use : string -> bool
-(** Is this resolved path on the ignored-result watchlist? *)
+(** banned-api, unsafe-audit, poly-compare, mutable-escape, ignored-result,
+    iface-coverage. *)
 
 val parallel_closure : Lint_cmt.t list -> string -> bool
-(** Typed replacement for the lexical reachability scan: a unit is audited
-    when it transitively appears in the [cmt_imports] of a unit importing
-    [Parallel] or [Domain]. *)
+(** A unit is audited when it transitively appears in the [cmt_imports] of
+    a unit importing [Parallel] or [Domain]. *)

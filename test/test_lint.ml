@@ -1,9 +1,9 @@
 (* Dcs_lint tests: every pass must fire on a minimal bad fixture and stay
-   quiet on the matching clean one; the typed tier must catch the module-
-   alias and open evasions the parse tier provably misses (asserted on the
-   same fixture, both tiers); the repo itself must be lint-clean under the
-   checked-in lint.allow; the JSON report and the allowlist format must
-   round-trip. *)
+   quiet on the matching clean one; the passes must see through module
+   aliases and opens; a file the passes cannot see (no .cmt, an unreadable
+   one, a syntax error) must be one error finding, never a silent skip; the
+   repo itself must be lint-clean under the checked-in lint.allow with every
+   file typed; the JSON report and the allowlist format must round-trip. *)
 
 let check = Alcotest.check
 
@@ -11,19 +11,6 @@ let contains needle hay =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
-
-(* ---- fixture harness (parse tier) ---- *)
-
-let ctx ?(files = []) ?(par = []) () =
-  {
-    Lint_passes.file_exists = (fun f -> List.mem f files);
-    parallel_reachable = (fun m -> List.mem m par);
-  }
-
-let run_pass id ?files ?par ~path src =
-  match Lint_passes.find id with
-  | None -> Alcotest.failf "unknown pass %s" id
-  | Some p -> p.Lint_passes.check (ctx ?files ?par ()) (Lint_source.of_string ~path src)
 
 let fires name findings = check Alcotest.bool (name ^ " fires") true (findings <> [])
 
@@ -33,69 +20,98 @@ let clean name findings =
        (String.concat "; " (List.map (fun f -> f.Lint_finding.msg) findings)))
     true (findings = [])
 
-(* ---- fixture harness (typed tier) ----
+(* ---- fixture harness ----
 
-   The typed tier needs real .cmt files, so fixtures are compiled with
-   ocamlc -bin-annot into a throwaway directory: stub dependencies (Graph,
-   Csr, Stretch, Repair) at the root, the fixture modules under lib/ so the
-   lib-scoped rules apply.  Lint_driver.run is then pointed at <dir>/lib —
-   its cmt discovery and load-path remapping find the fixture's artifacts
-   the same way they find dune's. *)
+   The passes read real .cmt files, so fixtures are compiled with ocamlc
+   -bin-annot into a throwaway directory: stub dependencies (Graph, Csr,
+   Generators, Stretch, Repair) at the root, the fixture modules under lib/
+   so the lib-scoped rules apply.  A fixture path may name a subdirectory
+   ("util/io_error.ml" is <dir>/lib/util/io_error.ml, so the scope
+   exemptions are exercised) or a sibling of lib/ ("../bin/x.ml").
+   Lint_driver.run is then pointed at <dir>/lib and <dir>/bin — its cmt
+   discovery and load-path remapping find the fixture's artifacts the same
+   way they find dune's. *)
 
-let stub_graph = "type t = { n : int }\nlet make n = { n }\nlet n t = t.n\n"
+let stub_graph =
+  "type t = { n : int }\nlet make n = { n }\nlet n t = t.n\n\
+   let snapshot (t : t) = t\nlet to_csr (t : t) = t\n"
 
 let stub_csr =
   "type t = { deg : int array }\nlet of_graph (_ : Graph.t) = { deg = [||] }\n\
    let snapshot = of_graph\n"
 
+let stub_generators = "let cycle n = Graph.make n\n"
 let stub_stretch = "let violations (_ : Graph.t) : (int * int) list = []\n"
 let stub_repair = "let run (_ : Graph.t) = 3\n"
 
 let write_file path contents =
   Out_channel.with_open_text path (fun oc -> output_string oc contents)
 
+let rec mkdir_p d =
+  if not (Sys.file_exists d) then begin
+    mkdir_p (Filename.dirname d);
+    Sys.mkdir d 0o755
+  end
+
 let sh cmd = if Sys.command cmd <> 0 then Alcotest.failf "command failed: %s" cmd
 
-let with_typed_project lib_files f =
-  let dir = Filename.temp_file "dcs_lint_typed" "" in
+let with_tmp f =
+  let dir = Filename.temp_file "dcs_lint" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  Sys.mkdir (Filename.concat dir "lib") 0o755;
-  let stubs =
-    [
-      ("graph.ml", stub_graph);
-      ("csr.ml", stub_csr);
-      ("stretch.ml", stub_stretch);
-      ("repair.ml", stub_repair);
-    ]
-  in
-  List.iter (fun (n, c) -> write_file (Filename.concat dir n) c) stubs;
-  List.iter
-    (fun (n, c) -> write_file (Filename.concat (Filename.concat dir "lib") n) c)
-    lib_files;
   Fun.protect
     ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
-    (fun () ->
-      sh
-        (Printf.sprintf "cd %s && ocamlc -bin-annot -c %s" (Filename.quote dir)
-           (String.concat " " (List.map fst stubs)));
-      sh
-        (Printf.sprintf "cd %s && ocamlc -bin-annot -I %s -c %s"
-           (Filename.quote (Filename.concat dir "lib"))
-           (Filename.quote dir)
-           (String.concat " " (List.map fst lib_files)));
+    (fun () -> f dir)
+
+(* "util/io_error.ml" -> "lib/util/io_error.ml"; "../bin/x.ml" -> "bin/x.ml" *)
+let project_path rel =
+  if String.starts_with ~prefix:"../" rel then String.sub rel 3 (String.length rel - 3)
+  else Filename.concat "lib" rel
+
+let with_typed_project files f =
+  with_tmp (fun dir ->
+      let stubs =
+        [
+          ("graph.ml", stub_graph);
+          ("csr.ml", stub_csr);
+          ("generators.ml", stub_generators);
+          ("stretch.ml", stub_stretch);
+          ("repair.ml", stub_repair);
+        ]
+      in
+      List.iter (fun (n, c) -> write_file (Filename.concat dir n) c) stubs;
+      let paths = List.map (fun (n, _) -> project_path n) files in
+      List.iter2
+        (fun path (_, c) ->
+          let path = Filename.concat dir path in
+          mkdir_p (Filename.dirname path);
+          write_file path c)
+        paths files;
+      let in_dir cmd = sh (Printf.sprintf "cd %s && %s" (Filename.quote dir) cmd) in
+      in_dir ("ocamlc -bin-annot -c " ^ String.concat " " (List.map fst stubs));
+      (* absolute include dirs, so the recorded load path finds the stubs *)
+      let includes = List.sort_uniq compare (List.map Filename.dirname paths) in
+      in_dir
+        (Printf.sprintf "ocamlc -bin-annot %s -c %s"
+           (String.concat " "
+              (List.map (fun d -> "-I " ^ Filename.quote (Filename.concat dir d)) ("" :: includes)))
+           (String.concat " " paths));
       f dir)
 
-let lint ?(typed = true) dir =
-  Lint_driver.run ~typed ~roots:[ Filename.concat dir "lib" ] ()
+let lint ?allow dir =
+  let roots = List.map (Filename.concat dir) [ "lib"; "bin" ] in
+  Lint_driver.run ?allow ~roots:(List.filter Sys.file_exists roots) ()
 
 let by_pass id (r : Lint_driver.result) =
   List.filter (fun f -> f.Lint_finding.pass = id) r.Lint_driver.findings
 
+(* One fixture, compiled alone; the findings of pass [id] on it. *)
+let run_pass id ~path src = with_typed_project [ (path, src) ] (fun dir -> by_pass id (lint dir))
+
 (* ---- banned-api ---- *)
 
 let test_banned_api () =
-  let p = "lib/routing/x.ml" in
+  let p = "routing/x.ml" in
   fires "failwith" (run_pass "banned-api" ~path:p {|let f () = failwith "boom"|});
   fires "Failure" (run_pass "banned-api" ~path:p {|let f () = raise (Failure "boom")|});
   fires "print" (run_pass "banned-api" ~path:p {|let f () = print_endline "hi"|});
@@ -119,27 +135,28 @@ let test_banned_api () =
     (run_pass "banned-api" ~path:p {|let f () = "failwith Printf.printf"|});
   (* scoping exemptions *)
   clean "io_error.ml may raise"
-    (run_pass "banned-api" ~path:"lib/util/io_error.ml" {|let f () = failwith "x"|});
+    (run_pass "banned-api" ~path:"util/io_error.ml" {|let f () = failwith "x"|});
   clean "report.ml may print"
-    (run_pass "banned-api" ~path:"lib/util/report.ml" {|let f () = Printf.printf "t"|});
+    (run_pass "banned-api" ~path:"util/report.ml" {|let f () = Printf.printf "t"|});
   clean "obs may warn"
-    (run_pass "banned-api" ~path:"lib/obs/trace.ml" {|let f () = Printf.eprintf "w"|});
+    (run_pass "banned-api" ~path:"obs/trace.ml" {|let f () = Printf.eprintf "w"|});
+  (* a unit cannot name itself, so the lib/graph fixture is a neighbour of Csr *)
   clean "lib/graph may build CSRs"
-    (run_pass "banned-api" ~path:"lib/graph/csr.ml" {|let f g = Csr.of_graph g|});
+    (run_pass "banned-api" ~path:"graph/bfs.ml" {|let f g = Csr.of_graph g|});
   clean "bin/ is out of scope"
-    (run_pass "banned-api" ~path:"bin/dcs_cli.ml" {|let f () = Printf.printf "t"|})
+    (run_pass "banned-api" ~path:"../bin/dcs_cli.ml" {|let f () = Printf.printf "t"|})
 
 (* ---- unsafe-audit ---- *)
 
 let test_unsafe_audit () =
-  let kernel = "lib/graph/bitmat.ml" in
+  let kernel = "graph/bitmat.ml" in
   fires "unsafe without SAFETY"
     (run_pass "unsafe-audit" ~path:kernel {|let f a = Array.unsafe_get a 0|});
   fires "unsafe outside kernels, even with SAFETY"
-    (run_pass "unsafe-audit" ~path:"lib/spanner/dc.ml"
+    (run_pass "unsafe-audit" ~path:"spanner/dc.ml"
        "(* SAFETY: nope *)\nlet f a = Array.unsafe_get a 0");
   fires "bytes unsafe counted"
-    (run_pass "unsafe-audit" ~path:"lib/routing/x.ml" {|let f b = Bytes.unsafe_get b 0|});
+    (run_pass "unsafe-audit" ~path:"routing/x.ml" {|let f b = Bytes.unsafe_get b 0|});
   clean "SAFETY within window"
     (run_pass "unsafe-audit" ~path:kernel
        "(* SAFETY: i is bounded by construction *)\nlet f a = Array.unsafe_get a 0");
@@ -151,53 +168,60 @@ let test_unsafe_audit () =
   in
   fires "SAFETY out of window" (run_pass "unsafe-audit" ~path:kernel far)
 
-(* ---- par-hygiene ---- *)
+(* ---- par-hygiene: its fixtures, now judged by mutable-escape ---- *)
+
+(* Importing Domain makes Worker a parallel user; aliasing State puts State
+   in Worker's cmt_imports, so State is reachable whatever it defines. *)
+let par_worker = "let tick () = Domain.cpu_relax ()\nmodule S = State\n"
 
 let test_par_hygiene () =
-  let p = "lib/foo/state.ml" in
-  let par = [ "State" ] in
-  fires "toplevel ref" (run_pass "par-hygiene" ~path:p ~par {|let total = ref 0|});
-  fires "toplevel Hashtbl"
-    (run_pass "par-hygiene" ~path:p ~par {|let cache = Hashtbl.create 16|});
-  fires "toplevel array" (run_pass "par-hygiene" ~path:p ~par {|let buf = Array.make 4 0|});
+  let escape ?(reachable = true) src =
+    let worker = if reachable then [ ("foo/worker.ml", par_worker) ] else [] in
+    with_typed_project
+      (("foo/state.ml", src) :: worker)
+      (fun dir -> by_pass "mutable-escape" (lint dir))
+  in
+  fires "toplevel ref" (escape {|let total = ref 0|});
+  fires "toplevel Hashtbl" (escape {|let cache : (int, int) Hashtbl.t = Hashtbl.create 16|});
+  fires "toplevel array" (escape {|let buf = Array.make 4 0|});
   fires "mutated record global"
-    (run_pass "par-hygiene" ~path:p ~par
-       "type r = { mutable x : int }\nlet st = { x = 0 }\nlet bump () = st.x <- st.x + 1");
-  clean "annotated DOMAIN-SAFE"
-    (run_pass "par-hygiene" ~path:p ~par
-       "(* DOMAIN-SAFE: guarded by mutex m *)\nlet total = ref 0");
-  clean "not reachable from parallel code"
-    (run_pass "par-hygiene" ~path:p ~par:[] {|let total = ref 0|});
-  clean "local mutable state is fine"
-    (run_pass "par-hygiene" ~path:p ~par {|let f () = let acc = ref 0 in !acc|});
-  clean "immutable toplevel" (run_pass "par-hygiene" ~path:p ~par {|let limit = 42|});
-  clean "unmutated record is fine"
-    (run_pass "par-hygiene" ~path:p ~par
-       "type r = { mutable x : int }\nlet mk () = { x = 0 }")
+    (escape "type r = { mutable x : int }\nlet st = { x = 0 }\nlet bump () = st.x <- st.x + 1");
+  clean "annotated DOMAIN-SAFE" (escape "(* DOMAIN-SAFE: guarded by mutex m *)\nlet total = ref 0");
+  clean "not reachable from parallel code" (escape ~reachable:false {|let total = ref 0|});
+  clean "local mutable state is fine" (escape {|let f () = let acc = ref 0 in !acc|});
+  clean "immutable toplevel" (escape {|let limit = 42|});
+  clean "unmutated record is fine" (escape "type r = { mutable x : int }\nlet mk () = { x = 0 }")
 
 (* ---- iface-coverage ---- *)
 
 let test_iface_coverage () =
-  let p = "lib/foo/bar.ml" in
-  fires "missing mli" (run_pass "iface-coverage" ~path:p ~files:[ p ] "let x = 1");
-  clean "mli present" (run_pass "iface-coverage" ~path:p ~files:[ p; p ^ "i" ] "let x = 1");
-  clean "bin/ exempt" (run_pass "iface-coverage" ~path:"bin/main.ml" ~files:[] "let x = 1")
+  let p = "foo/bar.ml" in
+  fires "missing mli" (run_pass "iface-coverage" ~path:p "let x = 1");
+  clean "mli present"
+    (with_typed_project
+       [ (p ^ "i", "val x : int\n"); (p, "let x = 1") ]
+       (fun dir -> by_pass "iface-coverage" (lint dir)));
+  clean "bin/ exempt" (run_pass "iface-coverage" ~path:"../bin/main.ml" "let x = 1")
 
 (* ---- poly-compare ---- *)
 
 let test_poly_compare () =
-  let p = "lib/spanner/x.ml" in
-  fires "= on graph ident" (run_pass "poly-compare" ~path:p {|let f graph h = graph = h|});
+  let p = "spanner/x.ml" in
+  fires "= on graph-typed ident"
+    (run_pass "poly-compare" ~path:p {|let f (graph : Graph.t) h = graph = h|});
   fires "= on snapshot"
     (run_pass "poly-compare" ~path:p {|let f a b = Graph.snapshot a = Graph.snapshot b|});
   fires "compare on csr" (run_pass "poly-compare" ~path:p {|let f (csr : Csr.t) x = compare csr x|});
   fires "<> on generator result"
     (run_pass "poly-compare" ~path:p {|let f rng h = Generators.cycle 5 <> h|});
+  (* a graph-looking name is not a graph type: the operands are polymorphic *)
+  clean "= on a polymorphic ident named graph"
+    (run_pass "poly-compare" ~path:p {|let f graph h = graph = h|});
   clean "ints are fine" (run_pass "poly-compare" ~path:p {|let f a b = a = b|});
   clean "counts are fine" (run_pass "poly-compare" ~path:p {|let f g h = Graph.n g = Graph.n h|});
   clean "physical identity is fine" (run_pass "poly-compare" ~path:p {|let f graph h = graph == h|})
 
-(* ---- typed tier: alias/open evasion (the reason the tier exists) ---- *)
+(* ---- alias/open evasion ---- *)
 
 let evade_src =
   "module C = Csr\n\
@@ -209,13 +233,6 @@ let evade_src =
 
 let test_typed_catches_alias_evasion () =
   with_typed_project [ ("evade.ml", evade_src) ] (fun dir ->
-      (* the parse tier provably misses every spelling in this fixture: the
-         banned name never appears under its own module *)
-      let parse = lint ~typed:false dir in
-      check Alcotest.int "parse tier misses the aliased/opened Csr.of_graph" 0
-        (List.length (by_pass "banned-api" parse));
-      check Alcotest.int "parse tier misses the aliased unsafe_get" 0
-        (List.length (by_pass "unsafe-audit" parse));
       let r = lint dir in
       check Alcotest.int "typed tier ran on the fixture" 1 r.Lint_driver.typed_files;
       let banned = by_pass "banned-api" r in
@@ -238,7 +255,7 @@ let test_typed_catches_alias_evasion () =
             f.Lint_finding.resolved_path
       | fs -> Alcotest.failf "expected one unsafe-audit finding, got %d" (List.length fs))
 
-(* ---- typed tier: poly-compare through aliases and containers ---- *)
+(* ---- poly-compare through aliases and containers ---- *)
 
 let pcmp_src =
   "type g_alias = Graph.t\n\
@@ -249,11 +266,7 @@ let pcmp_src =
 
 let test_typed_poly_compare () =
   with_typed_project [ ("pcmp.ml", pcmp_src) ] (fun dir ->
-      let parse = lint ~typed:false dir in
-      check Alcotest.int "parse tier sees no graph-looking operand" 0
-        (List.length (by_pass "poly-compare" parse));
-      let r = lint dir in
-      let found = by_pass "poly-compare" r in
+      let found = by_pass "poly-compare" (lint dir) in
       check
         Alcotest.(list int)
         "alias and container flagged; int compare and shadowed compare not" [ 2; 3 ]
@@ -265,7 +278,7 @@ let test_typed_poly_compare () =
             "offending type recorded" (Some "Graph.t") f.Lint_finding.resolved_path)
         found)
 
-(* ---- typed tier: mutable-escape ---- *)
+(* ---- mutable-escape ---- *)
 
 let state_bad =
   "let cache : (int, int) Hashtbl.t = Hashtbl.create 16\n\
@@ -277,16 +290,15 @@ let state_safe =
    let get k = Hashtbl.find_opt cache k\n"
 
 (* Worker pulls in Domain (→ Stdlib__Domain in cmt_imports) and State, so
-   the typed reachability closure marks State without any lexical hint in
-   state.ml itself — exactly what the parse-tier heuristic cannot see. *)
+   the reachability closure marks State without any lexical hint in
+   state.ml itself. *)
 let worker_src = "let tick () = Domain.cpu_relax ()\nlet peek k = State.get k\n"
 
 let test_mutable_escape () =
   with_typed_project
     [ ("state.ml", state_bad); ("worker.ml", worker_src) ]
     (fun dir ->
-      let r = lint dir in
-      (match by_pass "mutable-escape" r with
+      match by_pass "mutable-escape" (lint dir) with
       | [ f ] ->
           check Alcotest.bool "warning severity" true
             (f.Lint_finding.severity = Lint_finding.Warning);
@@ -296,9 +308,6 @@ let test_mutable_escape () =
           check Alcotest.bool "points at state.ml" true
             (contains "state.ml" f.Lint_finding.file)
       | fs -> Alcotest.failf "expected one mutable-escape finding, got %d" (List.length fs));
-      (* the lexical par-hygiene pass must NOT double-report on typed files *)
-      check Alcotest.int "par-hygiene skipped on typed files" 0
-        (List.length (by_pass "par-hygiene" r)));
   with_typed_project
     [ ("state.ml", state_safe); ("worker.ml", worker_src) ]
     (fun dir -> clean "DOMAIN-SAFE annotation" (by_pass "mutable-escape" (lint dir)));
@@ -306,7 +315,7 @@ let test_mutable_escape () =
     [ ("state.ml", state_bad) ]
     (fun dir -> clean "not reachable from Domain users" (by_pass "mutable-escape" (lint dir)))
 
-(* ---- typed tier: ignored-result ---- *)
+(* ---- ignored-result ---- *)
 
 let audit_src =
   "let check g = ignore (Stretch.violations g)\n\
@@ -359,24 +368,45 @@ let test_strict_exit () =
       check Alcotest.int "exe exit 3 with --strict" 3
         (Sys.command (Printf.sprintf "%s --strict %s > /dev/null" exe root)))
 
-(* ---- parse pseudo-pass ---- *)
+(* ---- files the passes cannot see ---- *)
 
 let test_parse_failure_is_a_finding () =
-  let dir = Filename.temp_file "dcs_lint" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let bad = Filename.concat dir "broken.ml" in
-  Out_channel.with_open_text bad (fun oc -> output_string oc "let let let");
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove bad;
-      Sys.rmdir dir)
-    (fun () ->
+  with_tmp (fun dir ->
+      write_file (Filename.concat dir "broken.ml") "let let let";
       let r = Lint_driver.run ~roots:[ dir ] () in
       check Alcotest.int "one finding" 1 (List.length r.Lint_driver.findings);
       match r.Lint_driver.findings with
       | [ f ] -> check Alcotest.string "parse pass" "parse" f.Lint_finding.pass
       | _ -> Alcotest.fail "expected exactly one parse finding")
+
+let only_cmt_error (r : Lint_driver.result) =
+  match r.Lint_driver.findings with
+  | [ f ] ->
+      check Alcotest.string "cmt pseudo-pass" "cmt" f.Lint_finding.pass;
+      check Alcotest.bool "error severity" true (f.Lint_finding.severity = Lint_finding.Error);
+      check Alcotest.int "not typed" 0 r.Lint_driver.typed_files;
+      check Alcotest.int "exit 1" 1 (Lint_driver.exit_code r);
+      f
+  | fs -> Alcotest.failf "expected one cmt finding, got %d" (List.length fs)
+
+(* An uncompiled file is an error, however innocent its text looks. *)
+let test_no_cmt () =
+  with_tmp (fun dir ->
+      let lib = Filename.concat dir "lib" in
+      Sys.mkdir lib 0o755;
+      write_file (Filename.concat lib "peek.ml")
+        "module A = Array\nlet peek (a : int array) = A.unsafe_get a 0\n";
+      let f = only_cmt_error (Lint_driver.run ~roots:[ lib ] ()) in
+      check Alcotest.bool "says there is no .cmt" true (contains "no .cmt" f.Lint_finding.msg))
+
+let test_truncated_cmt () =
+  with_typed_project [ ("evade.ml", evade_src) ] (fun dir ->
+      let cmt = Filename.concat dir "lib/evade.cmt" in
+      let head = In_channel.with_open_bin cmt (fun ic -> really_input_string ic 200) in
+      Out_channel.with_open_bin cmt (fun oc -> output_string oc head);
+      let f = only_cmt_error (lint dir) in
+      check Alcotest.bool "names the unreadable file" true
+        (contains "cannot read" f.Lint_finding.msg && contains "evade.cmt" f.Lint_finding.msg))
 
 (* ---- end-to-end: the repo is lint-clean ---- *)
 
@@ -390,7 +420,8 @@ let test_repo_is_lint_clean () =
   in
   let r = Lint_driver.run ~allow ~roots:repo_roots () in
   check Alcotest.bool "scanned a realistic number of sources" true (r.Lint_driver.files_scanned > 50);
-  check Alcotest.bool "typed tier covers the libraries" true (r.Lint_driver.typed_files > 50);
+  check Alcotest.int "every scanned file typed" r.Lint_driver.files_scanned
+    r.Lint_driver.typed_files;
   check
     Alcotest.(list string)
     "repo lint-clean" []
@@ -472,7 +503,7 @@ let test_allowlist_round_trip () =
     (Lint_allow.normalize_ws " a\t\tb \r c ");
   (* matching: pass, path suffix (whole segments), message substring *)
   let f =
-    Lint_finding.make ~pass:"par-hygiene" ~file:"../lib/obs/trace.ml" ~line:15 ~col:0
+    Lint_finding.make ~pass:"mutable-escape" ~file:"../lib/obs/trace.ml" ~line:15 ~col:0
       ~severity:Lint_finding.Warning "top-level mutable state: spans is a ref cell"
   in
   check Alcotest.bool "wildcard + suffix + substring" true (Lint_allow.matches entries f);
@@ -492,19 +523,8 @@ let test_allowlist_round_trip () =
 
 let test_allowlist_suppresses () =
   (* suppress a synthetic violation end-to-end through the driver *)
-  let dir = Filename.temp_file "dcs_lint_allow" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Sys.mkdir (Filename.concat dir "lib") 0o755;
-  let bad = Filename.concat (Filename.concat dir "lib") "naughty.ml" in
-  Out_channel.with_open_text bad (fun oc -> output_string oc "let f () = failwith \"x\"\n");
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove bad;
-      Sys.rmdir (Filename.concat dir "lib");
-      Sys.rmdir dir)
-    (fun () ->
-      let without = Lint_driver.run ~roots:[ dir ] () in
+  with_typed_project [ ("naughty.ml", "let f () = failwith \"x\"\n") ] (fun dir ->
+      let without = lint dir in
       (* naughty.ml also misses its mli: expect both passes to fire *)
       check Alcotest.bool "fires without allowlist" true
         (List.length without.Lint_driver.findings >= 2);
@@ -514,7 +534,7 @@ let test_allowlist_suppresses () =
           { Lint_allow.pass = "iface-coverage"; path = "lib/naughty.ml"; substring = "" };
         ]
       in
-      let r = Lint_driver.run ~allow ~roots:[ dir ] () in
+      let r = lint ~allow dir in
       check Alcotest.int "all suppressed" 0 (List.length r.Lint_driver.findings);
       check Alcotest.bool "suppression counted" true (r.Lint_driver.suppressed >= 2);
       check Alcotest.int "exit 0 when suppressed" 0 (Lint_driver.exit_code r);
@@ -564,6 +584,8 @@ let () =
           Alcotest.test_case "mutable-escape" `Quick test_mutable_escape;
           Alcotest.test_case "ignored-result" `Quick test_ignored_result;
           Alcotest.test_case "strict exit" `Quick test_strict_exit;
+          Alcotest.test_case "no cmt" `Quick test_no_cmt;
+          Alcotest.test_case "truncated cmt" `Quick test_truncated_cmt;
         ] );
       ( "repo",
         [
