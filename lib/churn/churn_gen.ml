@@ -26,12 +26,6 @@ let kind_of_string s =
   | "targeted" -> Some Targeted
   | _ -> None
 
-(* Graph.edge_array order is unspecified: sort before any seeded draw *)
-let sorted_edges g =
-  let es = Graph.edge_array g in
-  Array.sort compare es;
-  es
-
 let norm u v = if u < v then (u, v) else (v, u)
 
 (* rejection-sample a non-edge of [scratch]; None when the graph is (nearly)
@@ -49,9 +43,28 @@ let draw_add scratch rng =
     !found
   end
 
+(* A uniform edge of [scratch] by rank: the [k]-th in ascending [(u, v)]
+   order for one draw [k] ([Graph.iter_edges] order is unspecified, so a
+   seeded draw must not follow it).  Sources are walked in ascending order
+   counting their neighbours [v > u]; only the row holding the [k]-th edge
+   is sorted. *)
 let draw_del scratch rng =
-  let es = sorted_edges scratch in
-  if Array.length es = 0 then None else Some (Prng.pick rng es)
+  let m = Graph.m scratch in
+  if m = 0 then None
+  else begin
+    let count u = Graph.fold_neighbors scratch u (fun c v -> if v > u then c + 1 else c) 0 in
+    let k = ref (Prng.int rng m) and u = ref 0 in
+    let c = ref (count 0) in
+    while !k >= !c do
+      k := !k - !c;
+      incr u;
+      c := count !u
+    done;
+    let u = !u in
+    let row = Array.of_list (List.filter (fun v -> v > u) (Graph.neighbors scratch u)) in
+    Array.sort Int.compare row;
+    Some (u, row.(!k))
+  end
 
 let draw_isolate scratch rng =
   let n = Graph.n scratch in

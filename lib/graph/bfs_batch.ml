@@ -9,112 +9,229 @@ let m_sweep_us = Metrics.histo "bfs_batch.sweep_us" (* wall time per batched swe
    so dashboards see total BFS work regardless of which kernel ran it *)
 let m_visited = Metrics.counter "bfs.nodes_visited"
 
-(* Per-domain word arenas: [seen]/[frontier]/[next] hold one source-bitmask
-   per node.  Domains spawned by [Parallel] each get their own arena, so
-   concurrent sweeps never share state. *)
+(* Per-domain arena.  The mask arrays hold one source-bitmask per node and
+   are all zero between sweeps: a sweep writes them only at the nodes it
+   reaches and clears exactly those entries before returning.  The list
+   arrays name those nodes, so no step of a sweep ever scans all n.
+   Domains spawned by [Parallel] each get their own arena, so concurrent
+   sweeps never share state. *)
 type scratch = {
-  mutable seen : int array;
-  mutable frontier : int array;
-  mutable next : int array;
+  mutable seen : int array;  (* sources that reached the node *)
+  mutable front : int array;  (* sources that settled the node this level *)
+  mutable next : int array;  (* sources the scatter brought to the node *)
+  mutable tmask : int array;  (* sources the node is a target of *)
+  mutable base : int array;  (* first hit slot of a target node *)
+  mutable cur : int array;  (* node list: the frontier *)
+  mutable hits : int array;  (* node list: the nodes the scatter wrote *)
+  mutable reached : int array;  (* node list: the nodes with seen <> 0 *)
+  mutable tnodes : int array;  (* node list: the nodes with tmask <> 0 *)
 }
 
 let scratch_key =
-  Domain.DLS.new_key (fun () -> { seen = [||]; frontier = [||]; next = [||] })
+  Domain.DLS.new_key (fun () ->
+      {
+        seen = [||];
+        front = [||];
+        next = [||];
+        tmask = [||];
+        base = [||];
+        cur = [||];
+        hits = [||];
+        reached = [||];
+        tnodes = [||];
+      })
 
 let scratch n =
   let s = Domain.DLS.get scratch_key in
   if Array.length s.seen < n then begin
     s.seen <- Array.make n 0;
-    s.frontier <- Array.make n 0;
-    s.next <- Array.make n 0
+    s.front <- Array.make n 0;
+    s.next <- Array.make n 0;
+    s.tmask <- Array.make n 0;
+    s.base <- Array.make n 0;
+    s.cur <- Array.make n 0;
+    s.hits <- Array.make n 0;
+    s.reached <- Array.make n 0;
+    s.tnodes <- Array.make n 0
   end
-  else begin
-    Metrics.incr m_reuses;
-    Array.fill s.seen 0 n 0;
-    Array.fill s.frontier 0 n 0;
-    Array.fill s.next 0 n 0
-  end;
+  else Metrics.incr m_reuses;
   s
 
-(* Index of the single set bit of [b] (bits 0..62; [b] may be the sign bit,
-   so only logical shifts below). *)
-let bit_index b =
-  let i = ref 0 and b = ref b in
-  if !b land 0xFFFFFFFF = 0 then begin i := !i + 32; b := !b lsr 32 end;
-  if !b land 0xFFFF = 0 then begin i := !i + 16; b := !b lsr 16 end;
-  if !b land 0xFF = 0 then begin i := !i + 8; b := !b lsr 8 end;
-  if !b land 0xF = 0 then begin i := !i + 4; b := !b lsr 4 end;
-  if !b land 0x3 = 0 then begin i := !i + 2; b := !b lsr 2 end;
-  if !b land 0x1 = 0 then incr i;
-  !i
+(* Number of set bits among the 63 of [x] (SWAR; the literals wrap to the
+   63-bit patterns, the final shift is logical). *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x5555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f0f0f0f0f in
+  (x * 0x0101010101010101) lsr 56
 
-let run ?(bound = max_int) (g : Csr.t) sources =
+let to_targets ?(bound = max_int) (g : Csr.t) sources targets =
   let k = Array.length sources in
+  let n = g.Csr.n in
+  if k > width then
+    invalid_arg
+      (Printf.sprintf "Bfs_batch.to_targets: %d sources exceed the word width %d" k width);
+  if Array.length targets <> k then
+    invalid_arg "Bfs_batch.to_targets: one target array per source";
+  let in_range v = v >= 0 && v < n in
+  if not (Array.for_all in_range sources) then
+    invalid_arg "Bfs_batch.to_targets: source out of range";
+  if not (Array.for_all (Array.for_all in_range) targets) then
+    invalid_arg "Bfs_batch.to_targets: target out of range";
   if k = 0 then [||]
   else begin
-    if k > width then
-      invalid_arg
-        (Printf.sprintf "Bfs_batch.run: %d sources exceed the word width %d" k width);
-    let n = g.Csr.n in
     let t_start = if !Obs.metrics then Obs.now_us () else 0.0 in
+    (* everything the call allocates is allocated before it writes to the
+       arena, so no failed allocation can leave the arena dirty *)
+    let dist = Array.map (fun ts -> Array.make (Array.length ts) (-1)) targets in
+    let slot = Array.make (Array.fold_left (fun t ts -> t + Array.length ts) 0 targets) (-1) in
+    let remaining = Array.make k 0 in
     let s = scratch n in
-    let seen = s.seen and frontier = s.frontier and next = s.next in
+    let seen = s.seen and front = s.front and next = s.next in
+    let tmask = s.tmask and base = s.base in
+    let cur = s.cur and hits = s.hits and reached = s.reached and tnodes = s.tnodes in
     let xadj = g.Csr.xadj and adjncy = g.Csr.adjncy in
-    let dist = Array.init k (fun _ -> Array.make n (-1)) in
+    (* Index the targets.  [tmask.(v)] collects the sources aiming at [v];
+       their hits at [v] take the slots from [base.(v)] on, source [j]'s at
+       rank [popcount (tmask.(v) land (bit j - 1))].  [remaining.(j)] counts
+       the distinct targets source [j] has not met yet. *)
+    let ntn = ref 0 in
+    for j = 0 to k - 1 do
+      let bit = 1 lsl j in
+      Array.iter
+        (fun v ->
+          let t = tmask.(v) in
+          if t land bit = 0 then begin
+            if t = 0 then begin
+              tnodes.(!ntn) <- v;
+              incr ntn
+            end;
+            tmask.(v) <- t lor bit;
+            remaining.(j) <- remaining.(j) + 1
+          end)
+        targets.(j)
+    done;
+    let nslots = ref 0 in
+    for i = 0 to !ntn - 1 do
+      let v = tnodes.(i) in
+      base.(v) <- !nslots;
+      nslots := !nslots + popcount tmask.(v)
+    done;
+    (* a source stays live, and keeps expanding, while it has targets left *)
+    let live = ref 0 in
+    for j = 0 to k - 1 do
+      if remaining.(j) > 0 then live := !live lor (1 lsl j)
+    done;
+    (* level 0: the sources enter the scatter list, as if scattered into *)
+    let nhits = ref 0 in
     for j = 0 to k - 1 do
       let src = sources.(j) in
-      if src < 0 || src >= n then invalid_arg "Bfs_batch.run: source out of range";
-      seen.(src) <- seen.(src) lor (1 lsl j);
-      frontier.(src) <- frontier.(src) lor (1 lsl j);
-      dist.(j).(src) <- 0
+      let nu = next.(src) in
+      if nu = 0 then begin
+        hits.(!nhits) <- src;
+        incr nhits
+      end;
+      next.(src) <- nu lor (1 lsl j)
     done;
-    let words = ref 0 in
-    let visited = ref k in
+    let ncur = ref 0 and nreached = ref 0 in
+    let words = ref 0 and visited = ref 0 in
     let level = ref 0 in
-    let active = ref true in
-    while !active && !level < bound do
-      incr level;
-      (* scatter: OR each frontier node's source mask into its neighbors *)
-      for v = 0 to n - 1 do
-        (* SAFETY: v < n <= length of the arena arrays ([scratch n] grows
-           them); xadj has n+1 entries so v+1 is in bounds; CSR construction
-           bounds every xadj value by dim adjncy and every adjncy entry
-           by n (Graph.snapshot builds both from validated edges). *)
-        let fv = Array.unsafe_get frontier v in
-        if fv <> 0 then begin
-          let start = Bigarray.Array1.unsafe_get xadj v in
-          let stop = Bigarray.Array1.unsafe_get xadj (v + 1) in
-          for i = start to stop - 1 do
-            let u = Bigarray.Array1.unsafe_get adjncy i in
-            Array.unsafe_set next u (Array.unsafe_get next u lor fv)
-          done;
-          words := !words + (stop - start)
-        end
-      done;
-      (* gather: freshly-reached bits settle at this level and form the next
-         frontier *)
-      active := false;
-      for u = 0 to n - 1 do
-        (* SAFETY: u < n <= length of seen/frontier/next (arena arrays). *)
-        let fresh = Array.unsafe_get next u land lnot (Array.unsafe_get seen u) in
+    let sweeping = ref true in
+    while !sweeping do
+      (* gather: the bits of [next] not yet seen settle at this level and
+         form the next frontier; a settled bit at one of its source's
+         targets records the level in that target's slot *)
+      ncur := 0;
+      for i = 0 to !nhits - 1 do
+        (* SAFETY: i < !nhits <= n <= length of every arena array ([scratch
+           n] grows them), and every listed node is < n: sources and
+           targets are range-checked above, every other entry is an adjncy
+           value (bounded by n: Graph.snapshot builds the CSR from
+           validated edges). *)
+        let u = Array.unsafe_get hits i in
+        let su = Array.unsafe_get seen u in
+        let fresh = Array.unsafe_get next u land lnot su in
         Array.unsafe_set next u 0;
-        Array.unsafe_set frontier u fresh;
         if fresh <> 0 then begin
-          active := true;
-          Array.unsafe_set seen u (Array.unsafe_get seen u lor fresh);
-          let b = ref fresh in
-          (* SAFETY: masks only ever hold bits 0..k-1 (seeded that way and
-             OR/AND preserve it), so bit_index low < k = length dist, and
-             every dist row was allocated with n entries (u < n). *)
+          (* SAFETY: u < n as above; a node settles at most once per level
+             and enters [reached] once (when seen leaves 0), so !ncur and
+             !nreached stay below n. *)
+          if su = 0 then begin
+            Array.unsafe_set reached !nreached u;
+            incr nreached
+          end;
+          Array.unsafe_set seen u (su lor fresh);
+          Array.unsafe_set front u fresh;
+          Array.unsafe_set cur !ncur u;
+          incr ncur;
+          visited := !visited + popcount fresh;
+          (* SAFETY: u < n as above. *)
+          let t = Array.unsafe_get tmask u in
+          let b = ref (fresh land t) in
           while !b <> 0 do
             let low = !b land - !b in
-            Array.unsafe_set (Array.unsafe_get dist (bit_index low)) u !level;
-            incr visited;
+            (* SAFETY: [low] is a bit of [t] = tmask.(u), so u is a target
+               node and its slots base.(u) .. base.(u) + popcount t - 1 lie
+               below the distinct (source, target) count <= length slot;
+               masks only hold bits 0..k-1, so j < k = length remaining. *)
+            Array.unsafe_set slot (Array.unsafe_get base u + popcount (t land (low - 1))) !level;
+            let j = popcount (low - 1) in
+            let r = Array.unsafe_get remaining j - 1 in
+            Array.unsafe_set remaining j r;
+            if r = 0 then live := !live land lnot low;
             b := !b lxor low
           done
         end
       done;
-      words := !words + (2 * n)
+      words := !words + !nhits;
+      if !live = 0 || !ncur = 0 || !level >= bound then sweeping := false
+      else begin
+        incr level;
+        (* scatter: OR each frontier node's live source mask into its
+           neighbours, listing every neighbour the first time it is hit *)
+        nhits := 0;
+        let lv = !live in
+        for i = 0 to !ncur - 1 do
+          (* SAFETY: as in the gather, i < !ncur <= n and every listed node
+             is < n; xadj has n+1 entries so v+1 is in bounds; CSR
+             construction bounds every xadj value by dim adjncy and every
+             adjncy entry by n. *)
+          let v = Array.unsafe_get cur i in
+          let fv = Array.unsafe_get front v land lv in
+          Array.unsafe_set front v 0;
+          if fv <> 0 then begin
+            let start = Bigarray.Array1.unsafe_get xadj v in
+            let stop = Bigarray.Array1.unsafe_get xadj (v + 1) in
+            for e = start to stop - 1 do
+              (* SAFETY: start <= e < stop <= dim adjncy; u < n; a node
+                 enters [hits] only when next.(u) leaves 0, once a level. *)
+              let u = Bigarray.Array1.unsafe_get adjncy e in
+              let nu = Array.unsafe_get next u in
+              if nu = 0 then begin
+                Array.unsafe_set hits !nhits u;
+                incr nhits
+              end;
+              Array.unsafe_set next u (nu lor fv)
+            done;
+            words := !words + (stop - start)
+          end
+        done
+      end
+    done;
+    (* clean reset: clear exactly the entries this sweep wrote *)
+    for i = 0 to !ncur - 1 do
+      front.(cur.(i)) <- 0
+    done;
+    for i = 0 to !nreached - 1 do
+      seen.(reached.(i)) <- 0
+    done;
+    Array.iteri
+      (fun j ts ->
+        let below = (1 lsl j) - 1 and row = dist.(j) in
+        Array.iteri (fun i v -> row.(i) <- slot.(base.(v) + popcount (tmask.(v) land below))) ts)
+      targets;
+    for i = 0 to !ntn - 1 do
+      tmask.(tnodes.(i)) <- 0
     done;
     if !Obs.metrics then begin
       Metrics.incr m_sweeps;
@@ -124,6 +241,10 @@ let run ?(bound = max_int) (g : Csr.t) sources =
     end;
     dist
   end
+
+let run ?bound (g : Csr.t) sources =
+  let every = Array.init g.Csr.n Fun.id in
+  to_targets ?bound g sources (Array.make (Array.length sources) every)
 
 let batches n =
   if n <= 0 then [||]

@@ -19,77 +19,124 @@ let ratio_ceil d w = (d + w - 1) / w
 (* [bound·w] saturating at [max_int] (both factors are >= 1) *)
 let scaled bound w = if bound > max_int / w then max_int else bound * w
 
+(* Per-domain stamp arena for the grouping and the dirty-ball search.  Each
+   use takes a fresh stamp, so nothing is ever cleared: [x] belongs to the
+   set stamped [s] iff [mark.(x) = s].  [hops]/[queue] serve the BFS of
+   {!within_bound}. *)
+type arena = {
+  mutable stamp : int;
+  mutable mark : int array;
+  mutable hops : int array;
+  mutable queue : int array;
+}
+
+let arena_key =
+  Domain.DLS.new_key (fun () -> { stamp = 0; mark = [||]; hops = [||]; queue = [||] })
+
+let arena n =
+  let a = Domain.DLS.get arena_key in
+  if Array.length a.mark < n then begin
+    a.mark <- Array.make n 0;
+    a.hops <- Array.make n 0;
+    a.queue <- Array.make n 0
+  end;
+  a
+
+let fresh_stamp a =
+  a.stamp <- a.stamp + 1;
+  a.stamp
+
+(* Source [u]'s removed edges: its G-neighbours [v > u] that H lacks, as
+   [(targets, weights)] with [weights = [||]] on a unit-weight pair.  G is
+   read through {!Graph.iter_neighbors_w}, never snapshotted (a snapshot
+   would commit g's delta and reorder [Graph.iter_edges g], which
+   [Support.in_edge_order] and [Churn_gen.hottest_edge] depend on); H's
+   membership is one stamp of its snapshot row, not a hashed probe per
+   G edge. *)
+let group_of a g hc ~weighted u =
+  let s = fresh_stamp a in
+  let mark = a.mark in
+  Csr.iter_neighbors hc u (fun x -> mark.(x) <- s);
+  let vs = ref [] and ws = ref [] in
+  Graph.iter_neighbors_w g u (fun v w ->
+      if v > u && mark.(v) <> s then begin
+        vs := v :: !vs;
+        if weighted then ws := w :: !ws
+      end);
+  (Array.of_list !vs, Array.of_list !ws)
+
 (* Removed edges grouped by their smaller endpoint, sources ascending.  Each
    group is [(u, targets, weights)] where [weights.(i)] is the weight of
    [(u, targets.(i))] on a weighted pair and [weights = [||]] on a
-   unit-weight one; the pair's weightedness comes first. *)
-let removed_by_source g h =
+   unit-weight one; the pair's weightedness comes first.  [hc] must be
+   [Csr.snapshot h]. *)
+let removed_by_source g h hc =
   let weighted = weighted g h and n = Graph.n g in
-  let vs = Array.make n [] and ws = if weighted then Array.make n [] else [||] in
-  Graph.iter_edges_w g (fun u v w ->
-      if not (Graph.mem_edge h u v) then begin
-        vs.(u) <- v :: vs.(u);
-        if weighted then ws.(u) <- w :: ws.(u)
-      end);
+  let a = arena n in
   let groups = ref [] in
   for u = n - 1 downto 0 do
-    match vs.(u) with
-    | [] -> ()
-    | targets ->
-        let weights = if weighted then Array.of_list ws.(u) else [||] in
-        groups := (u, Array.of_list targets, weights) :: !groups
+    let targets, weights = group_of a g hc ~weighted u in
+    if Array.length targets > 0 then groups := (u, targets, weights) :: !groups
   done;
   (weighted, Array.of_list !groups)
 
 let group_wmax (_, _, ws) = Array.fold_left max 1 ws
 
-(* The one place a traversal is picked: distance rows for the [len] groups
-   from [lo].  Unit weights run one bit-parallel MS-BFS over their sources,
-   stopped at depth [bound].  A weighted group runs Bellman–Ford capped at
+(* The one place a traversal is picked: target distances for the [len]
+   groups from [lo], entry [i] of a group's row being the distance to its
+   target [i].  Unit weights run one bit-parallel MS-BFS over their
+   sources, each source stopping at depth [bound] or once it has met all
+   of its targets.  A weighted group runs Bellman–Ford capped at
    [bound·w_max] hops — weights are >= 1, so a target within its bound
    [bound·w] has a witness path of at most [bound·w_max] edges and gets its
    exact distance, while a violating target can only look worse (see
    {!Dijkstra.bellman_ford_bounded}) — or a full Dijkstra once that cap
    saturates. *)
 let rows hc groups ~weighted ~bound ~lo ~len =
+  let group i = groups.(lo + i) in
   if weighted then
     Array.init len (fun i ->
-        let ((u, _, _) as grp) = groups.(lo + i) in
+        let ((u, targets, _) as grp) = group i in
         let hops = scaled bound (group_wmax grp) in
-        if hops = max_int then Dijkstra.distances hc u
-        else Dijkstra.bellman_ford_bounded hc u ~hops)
+        let row =
+          if hops = max_int then Dijkstra.distances hc u
+          else Dijkstra.bellman_ford_bounded hc u ~hops
+        in
+        Array.map (fun v -> row.(v)) targets)
   else
-    Bfs_batch.run ~bound hc
+    Bfs_batch.to_targets ~bound hc
       (Array.init len (fun i ->
-           let u, _, _ = groups.(lo + i) in
+           let u, _, _ = group i in
            u))
+      (Array.init len (fun i ->
+           let _, targets, _ = group i in
+           targets))
 
 (* The one per-group verdict, handed to [f u worst bad]: the worst [⌈d/w⌉]
-   over the group's targets and its violating pairs — unreachable, or
-   [d > bound·w], which for integers is [⌈d/w⌉ > bound] and so never forms
-   the product.  The worst is [max_int] once some target violates.  Unit vs
-   weighted is decided once per group, so the unit-weight target loop
-   divides and allocates nothing on the clean path. *)
-let verdict ~bound row (u, targets, ws) f =
+   over the group's targets ([dist.(i)] is the distance to target [i]) and
+   its violating pairs — unreachable, or [d > bound·w], which for integers
+   is [⌈d/w⌉ > bound] and so never forms the product.  The worst is
+   [max_int] once some target violates.  Unit vs weighted is decided once
+   per group, so the unit-weight target loop divides and allocates nothing
+   on the clean path. *)
+let verdict ~bound dist (u, targets, ws) f =
   let worst = ref 1 and bad = ref [] in
   if Array.length ws = 0 then
     for i = 0 to Array.length targets - 1 do
-      let v = targets.(i) in
-      let d = row.(v) in
+      let d = dist.(i) in
       if d < 0 || d > bound then begin
         worst := max_int;
-        bad := (u, v) :: !bad
+        bad := (u, targets.(i)) :: !bad
       end
       else if d > !worst then worst := d
     done
   else
     for i = 0 to Array.length targets - 1 do
-      let v = targets.(i) in
-      let d = row.(v) in
+      let d = dist.(i) in
       let r = ratio_ceil d ws.(i) in
       if d < 0 || r > bound then begin
         worst := max_int;
-        bad := (u, v) :: !bad
+        bad := (u, targets.(i)) :: !bad
       end
       else if r > !worst then worst := r
     done;
@@ -127,7 +174,7 @@ let snapshot_of h = function Some c -> c | None -> Csr.snapshot h
 let certify ?domains ?snapshot g h ~bound =
   Trace.with_span ~name:"spanner.certify" (fun () ->
       let hc = snapshot_of h snapshot in
-      let weighted, groups = removed_by_source g h in
+      let weighted, groups = removed_by_source g h hc in
       sweep ?domains hc groups ~weighted ~bound (fun _ worst _ -> worst))
 
 let exact ?snapshot g h = certify ~domains:1 ?snapshot g h ~bound:max_int
@@ -203,11 +250,12 @@ let sampled_pairs ?snapshots rng g h ~samples =
   end
 
 let violations g h ~bound =
-  let weighted, groups = removed_by_source g h in
+  let hc = Csr.snapshot h in
+  let weighted, groups = removed_by_source g h hc in
   let bad = ref [] in
   (* [f] returns 1, never [max_int], so every group is swept *)
   ignore
-    (sweep ~domains:1 (Csr.snapshot h) groups ~weighted ~bound (fun _ _ b ->
+    (sweep ~domains:1 hc groups ~weighted ~bound (fun _ _ b ->
          bad := List.rev_append b !bad;
          1));
   (* canonical order: callers (Repair, reports) must not depend on hashtable
@@ -235,7 +283,10 @@ type cert = {
       (* worst bounded stretch per source group; 1 when the source has no
          group, [max_int] when some target violates the bound *)
   c_viol : (int * int) list array;  (* violating pairs per source, ascending *)
-  mutable c_groups : int;  (* group count at the last refresh *)
+  c_wmax : int array;
+      (* per source: 0 when it has no group, else the group's heaviest
+         removed edge (1 on unit weights) *)
+  mutable c_groups : int;  (* sources with a group, as of the last refresh *)
 }
 
 type inc_report = {
@@ -257,15 +308,31 @@ let record cert =
     c_viol.(u) <- List.sort compare bad;
     1
 
+(* caches the presence and heaviest edge of source [u]'s group *)
+let note_group cert u (targets, weights) =
+  let had = cert.c_wmax.(u) > 0 and has = Array.length targets > 0 in
+  cert.c_wmax.(u) <- (if has then Array.fold_left max 1 weights else 0);
+  if has && not had then cert.c_groups <- cert.c_groups + 1
+  else if had && not has then cert.c_groups <- cert.c_groups - 1
+
 let cert_create ?snapshot g h ~bound =
   if Graph.n g <> Graph.n h then invalid_arg "Stretch.cert_create: node counts differ";
   if bound < 1 then invalid_arg "Stretch.cert_create: bound < 1";
   Trace.with_span ~name:"spanner.certify_incremental" (fun () ->
       let hc = snapshot_of h snapshot in
       let n = Graph.n g in
-      let weighted, groups = removed_by_source g h in
-      let c_worst = Array.make n 1 and c_viol = Array.make n [] in
-      let cert = { c_bound = bound; c_worst; c_viol; c_groups = Array.length groups } in
+      let weighted, groups = removed_by_source g h hc in
+      let c_wmax = Array.make n 0 in
+      Array.iter (fun ((u, _, _) as grp) -> c_wmax.(u) <- group_wmax grp) groups;
+      let cert =
+        {
+          c_bound = bound;
+          c_worst = Array.make n 1;
+          c_viol = Array.make n [];
+          c_wmax;
+          c_groups = Array.length groups;
+        }
+      in
       ignore (sweep ~domains:1 hc groups ~weighted ~bound (record cert));
       cert)
 
@@ -282,20 +349,19 @@ let cert_violations cert =
 
 let cert_stretch_bound cert = Array.fold_left max 1 cert.c_worst
 
-(* nodes within [bound] hops of any seed in [hc] (multi-seed bounded BFS);
-   seeds themselves are always marked, even when isolated *)
-let within_bound hc seeds ~bound =
-  let n = Csr.n hc in
-  let dist = Array.make n (-1) in
-  let queue = Array.make n 0 in
+(* the nodes within [bound] hops of any seed in [hc] (multi-seed bounded
+   BFS on the arena), in discovery order; the seeds themselves are always
+   included, even when isolated *)
+let within_bound a hc seeds ~bound =
+  let s = fresh_stamp a in
+  let mark = a.mark and hops = a.hops and queue = a.queue in
   let tail = ref 0 in
   Array.iter
-    (fun s ->
-      if s < 0 || s >= n then
-        invalid_arg "Stretch.violations_incremental: touched node out of range";
-      if dist.(s) < 0 then begin
-        dist.(s) <- 0;
-        queue.(!tail) <- s;
+    (fun v ->
+      if mark.(v) <> s then begin
+        mark.(v) <- s;
+        hops.(v) <- 0;
+        queue.(!tail) <- v;
         incr tail
       end)
     seeds;
@@ -303,47 +369,55 @@ let within_bound hc seeds ~bound =
   while !head < !tail do
     let v = queue.(!head) in
     incr head;
-    if dist.(v) < bound then
+    if hops.(v) < bound then
       Csr.iter_neighbors hc v (fun u ->
-          if dist.(u) < 0 then begin
-            dist.(u) <- dist.(v) + 1;
+          if mark.(u) <> s then begin
+            mark.(u) <- s;
+            hops.(u) <- hops.(v) + 1;
             queue.(!tail) <- u;
             incr tail
           end)
   done;
-  Array.map (fun d -> d >= 0) dist
+  Array.sub queue 0 !tail
 
 let violations_incremental cert ?snapshot g h ~touched =
-  if Graph.n g <> Graph.n h then
-    invalid_arg "Stretch.violations_incremental: node counts differ";
-  if Graph.n g <> Array.length cert.c_worst then
+  let n = Graph.n g in
+  if Graph.n h <> n then invalid_arg "Stretch.violations_incremental: node counts differ";
+  if n <> Array.length cert.c_worst then
     invalid_arg "Stretch.violations_incremental: certificate built for a different node count";
+  if Array.exists (fun v -> v < 0 || v >= n) touched then
+    invalid_arg "Stretch.violations_incremental: touched node out of range";
   Trace.with_span ~name:"spanner.certify_incremental" (fun () ->
       let hc = snapshot_of h snapshot in
-      let weighted, groups = removed_by_source g h in
-      let ng = Array.length groups in
-      cert.c_groups <- ng;
-      let wmax = Array.fold_left (fun acc grp -> max acc (group_wmax grp)) 1 groups in
-      let dirty = within_bound hc touched ~bound:(scaled cert.c_bound wmax) in
+      let weighted = weighted g h in
+      let a = arena n in
+      (* a group changes only with an edge at its source, and that source is
+         touched: regrouping the touched sources brings every cached
+         presence and weight up to date *)
+      Array.iter (fun u -> note_group cert u (group_of a g hc ~weighted u)) touched;
+      let wmax = if weighted then Array.fold_left max 1 cert.c_wmax else 1 in
+      let dirty = within_bound a hc touched ~bound:(scaled cert.c_bound wmax) in
       (* a dirty source whose group shrank or vanished must not keep stale
-         entries; clean sources kept their groups (a group change touches
-         its source), so their cache lines are current *)
-      let ndirty = ref 0 in
-      Array.iteri
-        (fun v d ->
-          if d then begin
-            incr ndirty;
-            cert.c_worst.(v) <- 1;
-            cert.c_viol.(v) <- []
-          end)
+         entries; clean sources kept their groups, so their cache lines are
+         current *)
+      Array.iter
+        (fun v ->
+          cert.c_worst.(v) <- 1;
+          cert.c_viol.(v) <- [])
         dirty;
-      let keep ((u, _, _) as grp) acc = if dirty.(u) then grp :: acc else acc in
-      let pending = Array.of_list (Array.fold_right keep groups []) in
+      Array.sort Int.compare dirty;
+      let regroup u acc =
+        if cert.c_wmax.(u) = 0 then acc
+        else
+          let targets, weights = group_of a g hc ~weighted u in
+          (u, targets, weights) :: acc
+      in
+      let pending = Array.of_list (Array.fold_right regroup dirty []) in
       let swept = Array.length pending in
       ignore (sweep ~domains:1 hc pending ~weighted ~bound:cert.c_bound (record cert));
       Metrics.add m_inc_swept swept;
-      Metrics.add m_inc_reused (ng - swept);
+      Metrics.add m_inc_reused (cert.c_groups - swept);
       (* only current sources hold violations: a vanished group's source was
          touched, hence dirty and reset above *)
       let inc_violations = cert_violations cert in
-      { inc_violations; inc_swept = swept; inc_groups = ng; inc_dirty = !ndirty })
+      { inc_violations; inc_swept = swept; inc_groups = cert.c_groups; inc_dirty = Array.length dirty })

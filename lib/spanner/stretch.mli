@@ -8,16 +8,19 @@
 
     {b One kernel.}  Every entry point except {!exact_reference} and
     {!sampled_pairs} is a fold over a single grouped sweep.  Removed edges
-    are grouped by their smaller endpoint, and each group is answered from
-    one bounded sweep from its source.  On unit weights up to
-    {!Bfs_batch.width} of those sweeps run bit-parallel in a single
-    {!Bfs_batch} pass.  On the paper's regular constructions this is a
-    [Δ × word]-factor fewer traversals than the per-edge path
-    ({!exact_reference}), with bit-identical certificates — enforced by the
-    property tests.  A group's verdict is its worst stretch and its
-    violating edges; the exact measurements fold the worst, {!violations}
-    folds the violating edges, and the certificate below caches both per
-    source.
+    are grouped by their smaller endpoint — [G]'s edges [u < v], with
+    [H]-membership read off one stamp of [H]'s snapshot row per source —
+    and each group is answered from one bounded sweep from its source.  On
+    unit weights up to {!Bfs_batch.width} of those sweeps run bit-parallel
+    in a single {!Bfs_batch.to_targets} pass, which records only the
+    distances to the group's own targets and drops each source once it has
+    met all of them, so a sweep costs the balls it explores, not [n] per
+    level.  On the paper's regular constructions this is a [Δ × word]-factor
+    fewer traversals than the per-edge path ({!exact_reference}), with
+    bit-identical certificates — enforced by the property tests.  A
+    group's verdict is its worst stretch and its violating edges; the exact
+    measurements fold the worst, {!violations} folds the violating edges,
+    and the certificate below caches both per source.
 
     {b Weighted graphs.}  When [g] (or [h]) {!Graph.is_weighted}, the sweep
     from each source is weighted instead: the stretch of a removed edge
@@ -94,7 +97,13 @@ val violations : Graph.t -> Graph.t -> bound:int -> (int * int) list
     source.  One multi-seed hop-bounded BFS from the touched set therefore
     over-approximates every stale group, weighted or not, and the
     incremental result is byte-identical to a fresh {!violations}
-    (qcheck-enforced). *)
+    (qcheck-enforced).
+
+    The certificate also caches each source's group presence and heaviest
+    removed edge.  Since only a touched source's group can change, a
+    refresh regroups the touched sources, takes [w_max] from that cache,
+    and regroups only the dirty sources it sweeps: its cost follows the
+    touched set and the dirty ball, not the size of [G]. *)
 
 type cert
 (** Cached per-source certificate for one [(g, h, bound)] triple.  Mutable:

@@ -47,6 +47,39 @@ let test_gen_kind_names () =
     [ Churn_gen.Uniform; Churn_gen.Adversarial; Churn_gen.Targeted ];
   check Alcotest.bool "unknown rejected" true (Churn_gen.kind_of_string "cosmic" = None)
 
+(* events rendered canonically, so a digest pins the exact draw sequence *)
+let event_string = function
+  | Churn_gen.Add_edge (u, v) -> Printf.sprintf "+%d-%d" u v
+  | Churn_gen.Del_edge (u, v) -> Printf.sprintf "x%d-%d" u v
+  | Churn_gen.Isolate v -> Printf.sprintf "i%d" v
+
+let test_gen_pinned_digest () =
+  (* g carries uncommitted deletions, so Graph.iter_edges order is not the
+     sorted edge order; the digest of every kind's events at seeds 1-3 was
+     recorded with the draws made from a sorted copy of the edge array *)
+  let g0 = Generators.random_regular (Prng.create 21) 80 10 in
+  let g = Graph.of_csr (Csr.snapshot g0) in
+  let h = Classic.greedy g0 ~k:2 in
+  let i = ref 0 in
+  Graph.iter_edges g0 (fun u v ->
+      incr i;
+      if !i mod 13 = 0 then begin
+        ignore (Graph.remove_edge g u v);
+        ignore (Graph.remove_edge h u v)
+      end);
+  let loads = Array.init (Graph.n g) (fun v -> (v * 7) mod 13) in
+  let events =
+    List.concat_map
+      (fun kind ->
+        List.concat_map
+          (fun seed -> Churn_gen.generate kind (Prng.create seed) ~g ~h ~loads ~count:30)
+          [ 1; 2; 3 ])
+      [ Churn_gen.Uniform; Churn_gen.Adversarial; Churn_gen.Targeted ]
+  in
+  check Alcotest.int "events" 270 (List.length events);
+  check Alcotest.string "event digest" "28b02c5e21d7d1ffadbb0567033fad70"
+    (Digest.to_hex (Digest.string (String.concat " " (List.map event_string events))))
+
 let test_apply_touched_includes_isolate_neighbors () =
   let g = Generators.cycle 6 in
   let h = Graph.copy g in
@@ -196,6 +229,78 @@ let prop_incremental_oracle =
       let rng = Prng.create (100 + seed) in
       agrees regular rng && agrees weighted rng)
 
+(* The bookkeeping of a certifier that regroups all of G on every call:
+   the group count, the dirty ball of radius bound·w_max around the
+   touched nodes in h (w_max over every removed edge) and the group
+   sources inside it.  The incremental certificate caches the groups, so
+   its report must still equal this. *)
+let full_regroup_bookkeeping g h ~bound ~touched =
+  let n = Graph.n g in
+  let source = Array.make n false and wmax = ref 1 in
+  Graph.iter_edges g (fun u v ->
+      if not (Graph.mem_edge h u v) then begin
+        source.(u) <- true;
+        wmax := max !wmax (Graph.edge_weight g u v)
+      end);
+  let hops = Array.make n (-1) and queue = Queue.create () in
+  Array.iter
+    (fun v ->
+      if hops.(v) < 0 then begin
+        hops.(v) <- 0;
+        Queue.add v queue
+      end)
+    touched;
+  while not (Queue.is_empty queue) do
+    let v = Queue.pop queue in
+    if hops.(v) < bound * !wmax then
+      Graph.iter_neighbors h v (fun u ->
+          if hops.(u) < 0 then begin
+            hops.(u) <- hops.(v) + 1;
+            Queue.add u queue
+          end)
+  done;
+  let count p = Array.fold_left (fun c b -> if b then c + 1 else c) 0 (Array.init n p) in
+  ( count (fun v -> source.(v)),
+    count (fun v -> source.(v) && hops.(v) >= 0),
+    count (fun v -> hops.(v) >= 0) )
+
+let prop_incremental_bookkeeping =
+  QCheck.Test.make ~name:"incremental groups/swept/dirty == full-regroup bookkeeping"
+    ~count:25
+    QCheck.(pair small_int (int_range 1 5))
+    (fun (seed, nbatches) ->
+      let bound = 3 in
+      let agrees (g, h) rng =
+        let cert = Stretch.cert_create g h ~bound in
+        let ok = ref true in
+        for _ = 1 to nbatches do
+          let events =
+            Churn_gen.generate Churn_gen.Uniform rng ~g ~h ~loads:(no_loads g) ~count:6
+          in
+          let touched = (Churn_gen.apply ~g ~h events).Churn_gen.ap_touched in
+          let r = Stretch.violations_incremental cert g h ~touched in
+          let groups, swept, dirty = full_regroup_bookkeeping g h ~bound ~touched in
+          ok :=
+            !ok
+            && r.Stretch.inc_groups = groups
+            && Stretch.cert_groups cert = groups
+            && r.Stretch.inc_swept = swept
+            && r.Stretch.inc_dirty = dirty
+            && r.Stretch.inc_violations = Stretch.violations g h ~bound
+        done;
+        !ok
+      in
+      let regular =
+        let g = Generators.random_regular (Prng.create (17 + seed)) 48 6 in
+        (g, Classic.greedy g ~k:2)
+      in
+      let weighted =
+        let g = Generators.weighted_torus (Prng.create (17 + seed)) 10 10 ~w_max:3 in
+        (g, every_fifth_removed g)
+      in
+      let rng = Prng.create (200 + seed) in
+      agrees regular rng && agrees weighted rng)
+
 (* ---- soak engine ---- *)
 
 let soak_inputs seed =
@@ -296,6 +401,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_gen_deterministic;
           Alcotest.test_case "events applicable" `Quick test_gen_events_applicable;
           Alcotest.test_case "kind names" `Quick test_gen_kind_names;
+          Alcotest.test_case "pinned draws" `Quick test_gen_pinned_digest;
           Alcotest.test_case "touched includes neighbours" `Quick
             test_apply_touched_includes_isolate_neighbors;
           Alcotest.test_case "rejects bad events" `Quick test_apply_rejects_bad_events;
@@ -318,5 +424,6 @@ let () =
           Alcotest.test_case "rejects invalid" `Quick test_soak_rejects;
           Alcotest.test_case "json shape" `Quick test_soak_json_shape;
         ] );
-      ("qcheck", q [ prop_incremental_oracle; prop_soak_deterministic ]);
+      ( "qcheck",
+        q [ prop_incremental_oracle; prop_incremental_bookkeeping; prop_soak_deterministic ] );
     ]

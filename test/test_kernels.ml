@@ -27,7 +27,15 @@ let test_batch_empty_and_invalid () =
   in
   expects_invalid "width overflow" (fun () -> Bfs_batch.run g too_many);
   expects_invalid "source range" (fun () -> Bfs_batch.run g [| 5 |]);
-  expects_invalid "negative source" (fun () -> Bfs_batch.run g [| -1 |])
+  expects_invalid "negative source" (fun () -> Bfs_batch.run g [| -1 |]);
+  expects_invalid "one target array per source" (fun () ->
+      Bfs_batch.to_targets g [| 0; 1 |] [| [||] |]);
+  expects_invalid "target range" (fun () -> Bfs_batch.to_targets g [| 0 |] [| [| 5 |] |]);
+  expects_invalid "negative target" (fun () -> Bfs_batch.to_targets g [| 0 |] [| [| -1 |] |]);
+  check
+    Alcotest.(array (array int))
+    "empty target sets" [| [||]; [||] |]
+    (Bfs_batch.to_targets g [| 0; 3 |] [| [||]; [||] |])
 
 let test_batch_duplicates () =
   let g = Csr.snapshot (Generators.torus 4 4) in
@@ -75,6 +83,123 @@ let prop_all_distances_matches_scalar =
       let g = Csr.snapshot (random_graph seed n 0.1) in
       let want = Array.init n (Bfs.distances g) in
       Bfs.all_distances g = want && Bfs.all_distances_parallel ~domains:3 g = want)
+
+(* ---- Bfs_batch.to_targets: distances at the targets only ---- *)
+
+(* a random graph, optionally left with an uncommitted delta (removed and
+   added edges) read through a cache-bypassing CSR *)
+let kernel_input seed n ~delta =
+  let g = random_graph seed n 0.12 in
+  if not delta then Csr.snapshot g
+  else begin
+    let rng = Prng.create (seed + 31) in
+    Graph.iter_edges (Graph.copy g) (fun u v ->
+        if Prng.bool rng 0.2 then ignore (Graph.remove_edge g u v));
+    for _ = 1 to n / 4 do
+      ignore (Graph.add_edge g (Prng.int rng n) (Prng.int rng n))
+    done;
+    Csr.of_graph g
+  end
+
+let prop_targets_match_scalar =
+  QCheck.Test.make ~name:"target distances = scalar bounded distances at each target"
+    ~count:80
+    QCheck.(quad small_int (int_range 1 60) (int_range 0 3) bool)
+    (fun (seed, n, b, delta) ->
+      let bound = [| 0; 1; 3; max_int |].(b) in
+      let c = kernel_input seed n ~delta in
+      let rng = Prng.create (seed + 7) in
+      let k = 1 + Prng.int rng (min Bfs_batch.width (2 * n)) in
+      (* duplicate sources are likely (k may exceed n); each source gets 0
+         to 8 targets, duplicates allowed, itself sometimes among them *)
+      let sources = Array.init k (fun _ -> Prng.int rng n) in
+      let targets =
+        Array.map
+          (fun src ->
+            Array.init (Prng.int rng 9) (fun _ ->
+                if Prng.bool rng 0.2 then src else Prng.int rng n))
+          sources
+      in
+      let got = Bfs_batch.to_targets ~bound c sources targets in
+      Array.length got = k
+      && Array.for_all2
+           (fun src (ts, ds) ->
+             let want = Bfs.distances_bounded c src ~bound in
+             ds = Array.map (fun v -> want.(v)) ts)
+           sources
+           (Array.map2 (fun ts ds -> (ts, ds)) targets got))
+
+let with_metrics f =
+  Metrics.reset ();
+  Obs.set_metrics true;
+  Fun.protect ~finally:(fun () -> Obs.set_metrics false) f
+
+let test_targets_early_exit () =
+  (* on a path, the source aiming one hop away stops at level 1 while its
+     twin aiming at the far end runs on: 2 + 16 discoveries, not the 2 x 20
+     of two full sweeps *)
+  let c = Csr.snapshot (Generators.path 20) in
+  with_metrics (fun () ->
+      let d = Bfs_batch.to_targets c [| 0; 0 |] [| [| 1 |]; [| 15 |] |] in
+      check Alcotest.(array (array int)) "near and far" [| [| 1 |]; [| 15 |] |] d;
+      check Alcotest.int "discoveries" 18
+        (Metrics.counter_value (Metrics.counter "bfs.nodes_visited")));
+  (* a source with nothing left to find never expands *)
+  with_metrics (fun () ->
+      let d = Bfs_batch.to_targets c [| 4; 9 |] [| [| 4; 4 |]; [||] |] in
+      check Alcotest.(array (array int)) "self targets" [| [| 0; 0 |]; [||] |] d;
+      check Alcotest.int "sources only" 2
+        (Metrics.counter_value (Metrics.counter "bfs.nodes_visited")))
+
+let test_arena_hygiene () =
+  (* back-to-back sweeps on graphs of different n, each stopped by its
+     bound, its targets or an exhausted frontier, must leave the arena
+     clean: every result equals a fresh scalar run — sequentially and on
+     two domains *)
+  let cases =
+    List.concat_map
+      (fun (seed, n) ->
+        let c = Csr.snapshot (random_graph seed n 0.1) in
+        let rng = Prng.create seed in
+        let sources = Array.init (min n Bfs_batch.width) (fun _ -> Prng.int rng n) in
+        let targets = Array.map (fun _ -> Array.init 3 (fun _ -> Prng.int rng n)) sources in
+        [ (c, sources, targets, 1); (c, sources, targets, max_int) ])
+      [ (1, 90); (2, 7); (3, 150); (4, 30); (5, 120) ]
+  in
+  let run (c, sources, targets, bound) = Bfs_batch.to_targets ~bound c sources targets in
+  let fresh (c, sources, targets, bound) =
+    Array.map2
+      (fun src ts ->
+        let d = Bfs.distances_bounded c src ~bound in
+        Array.map (fun v -> d.(v)) ts)
+      sources targets
+  in
+  let want = List.map fresh cases in
+  check Alcotest.bool "sequential" true (List.map run cases = want);
+  check Alcotest.bool "sequential, again" true (List.map run cases = want);
+  let arr = Array.of_list cases in
+  let par = Parallel.map_range ~domains:2 (Array.length arr) (fun i -> run arr.(i)) in
+  check Alcotest.bool "two domains" true (Array.to_list par = want)
+
+(* the batch kernel's words on the stretch-3 certificate of Algorithm 1 on
+   a circulant with offsets 1..12 *)
+let certificate_words n =
+  let g = Generators.circulant n (List.init 12 (fun i -> i + 1)) in
+  let h = (Regular_dc.build (Prng.create 5) g).Regular_dc.spanner in
+  with_metrics (fun () ->
+      let s = Stretch.exact_bounded g h ~bound:3 in
+      check Alcotest.bool "certified" true (s <= 3);
+      Metrics.counter_value (Metrics.counter "bfs_batch.words"))
+
+let test_words_output_sensitive () =
+  (* doubling n doubles the removed edges, so an output-sensitive
+     certificate does about twice the work; a sweep that scans all n nodes
+     per level grows quadratically *)
+  let w4 = certificate_words 4096 and w8 = certificate_words 8192 in
+  let ratio = float_of_int w8 /. float_of_int w4 in
+  check Alcotest.bool
+    (Printf.sprintf "words grow %.2fx (%d -> %d), at most 2.2x" ratio w4 w8)
+    true (ratio <= 2.2)
 
 (* ---- Stretch certification vs the per-edge reference ---- *)
 
@@ -298,6 +423,11 @@ let () =
                prop_batch_bounded_matches_scalar;
                prop_all_distances_matches_scalar;
              ] );
+      ( "bfs-targets",
+        Alcotest.test_case "early exit" `Quick test_targets_early_exit
+        :: Alcotest.test_case "arena hygiene" `Quick test_arena_hygiene
+        :: Alcotest.test_case "words output-sensitive" `Quick test_words_output_sensitive
+        :: q [ prop_targets_match_scalar ] );
       ( "stretch",
         Alcotest.test_case "spanner pair" `Quick test_stretch_spanner_pair
         :: Alcotest.test_case "disconnected" `Quick test_exact_disconnected_early_exit
