@@ -1602,15 +1602,15 @@ let run_engine br =
 
 (* ------------------------------------------------------------------ *)
 (* Weighted: integer edge weights end to end — weighted generators,    *)
-(* the weight-aware Baswana–Sen entry, Dijkstra certification          *)
-(* (ROADMAP weighted-graphs item)                                      *)
+(* the weight-aware Baswana–Sen entry, weighted certification on the   *)
+(* batched kernel's ring of pending levels                             *)
 (* ------------------------------------------------------------------ *)
 
 let run_weighted br =
-  Report.section "WEIGHTED (integer edge weights: generators, Baswana-Sen, Dijkstra certification)";
+  Report.section "WEIGHTED (integer edge weights: generators, Baswana-Sen, weighted certification)";
   Printf.printf
     "weighted families -> baswana-sen-weighted (k = 2) -> exact weighted stretch via\n";
-  Printf.printf "Dijkstra sweeps; certificate bound is (2k-1) = 3 per edge weight\n\n";
+  Printf.printf "batched ring sweeps; certificate bound is (2k-1) = 3 per edge weight\n\n";
   let w_max = 8 in
   let table =
     Report.create ~title:(Printf.sprintf "weighted spanner pipeline (w_max = %d)" w_max)
@@ -1680,7 +1680,7 @@ let run_weighted br =
        (min n 64)
        (if !identical then "identical" else "** MISMATCH **"));
   Report.add_note table "stretch counts weight: d_H(u,v) <= 3*w(u,v) for every removed edge;";
-  Report.add_note table "unit-weight graphs never enter this path (they keep the MS-BFS kernel).";
+  Report.add_note table "unit-weight graphs run the same kernel on one ring slot: the plain MS-BFS.";
   Report.print table
 
 (* ------------------------------------------------------------------ *)

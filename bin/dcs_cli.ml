@@ -105,18 +105,25 @@ let catch_parse f =
   try Ok (f ())
   with Io_error.Parse_error { file; line; msg } -> Error (Io_error.message ~file ~line msg)
 
-(* Unknown names return [Error] (surfaced through [Term.term_result'] as a
-   proper error message + usage), never an uncaught exception. *)
+(* A generator's precondition (say, a degree of at least n) is a bad input
+   like any other: its [Invalid_argument] becomes an [Error] (exit 123), not
+   an uncaught exception (exit 125). *)
+let generated f = try f () with Invalid_argument msg -> Error msg
+
+(* Unknown names and sizes a family cannot take return [Error] (surfaced
+   through [Term.term_result'] as a proper error message + usage), never an
+   uncaught exception. *)
 let make_graph ?input ?(w_max = 0) ~family ~n ~degree ~p ~seed () =
   if w_max < 0 then Error "w-max must be >= 0"
   else
     match input with
     | Some path -> catch_parse (fun () -> Graph_io.read path)
-    | None -> (
+    | None ->
         let rng = Prng.create seed in
         (* w_max > 0 turns any family weighted: torus and expander have native
            weighted generators, everything else redraws weights on its edge set *)
         let reweight g = if w_max > 0 then Generators.randomize_weights rng g ~w_max else g in
+        generated @@ fun () ->
         match family with
         | "regular" ->
             let d = if n * degree mod 2 = 1 then degree + 1 else degree in
@@ -146,7 +153,7 @@ let make_graph ?input ?(w_max = 0) ~family ~n ~degree ~p ~seed () =
               (Printf.sprintf
                  "unknown graph family %S (expected regular | margulis | torus | hypercube | \
                   erdos | expander | complete | two-cliques | ring)"
-                 other))
+                 other)
 
 let family_arg =
   let doc =
@@ -200,11 +207,8 @@ let graph_cmd =
     Printf.printf "family:      %s\n" family;
     Printf.printf "nodes:       %d\n" (Graph.n g);
     Printf.printf "edges:       %d\n" (Graph.m g);
-    if Graph.is_weighted g then begin
-      let wmax = ref 1 in
-      Graph.iter_edges_w g (fun _ _ w -> if w > !wmax then wmax := w);
-      Printf.printf "weights:     positive integers, max %d\n" !wmax
-    end;
+    if Graph.is_weighted g then
+      Printf.printf "weights:     positive integers, max %d\n" (Csr.max_weight c);
     Printf.printf "degree:      min %d, max %d%s\n" (Graph.min_degree g) (Graph.max_degree g)
       (if Graph.is_regular g then " (regular)" else "");
     Printf.printf "connected:   %b (%d components)\n" (Connectivity.is_connected g)
@@ -800,7 +804,7 @@ let soak_cmd =
 let distributed_cmd =
   let run () n degree seed =
     let d = if n * degree mod 2 = 1 then degree + 1 else degree in
-    let g = Generators.random_regular (Prng.create seed) n d in
+    let* g = generated (fun () -> Ok (Generators.random_regular (Prng.create seed) n d)) in
     let r = Dist_spanner.run ~seed g in
     let ref_h = Dist_spanner.reference ~seed g in
     let equal =
@@ -814,9 +818,12 @@ let distributed_cmd =
     Printf.printf "spanner:   m=%d, distance stretch %d\n"
       (Graph.m r.Dist_spanner.spanner)
       (Stretch.exact g r.Dist_spanner.spanner);
-    Printf.printf "matches centralized reference: %b\n" equal
+    Printf.printf "matches centralized reference: %b\n" equal;
+    Ok ()
   in
-  let term = Term.(const run $ obs_term $ n_arg $ degree_arg $ seed_arg) in
+  let term =
+    Term.term_result' ~usage:true Term.(const run $ obs_term $ n_arg $ degree_arg $ seed_arg)
+  in
   Cmd.v (Cmd.info "distributed" ~doc:"Run the Corollary 3 LOCAL protocol.") term
 
 let () =

@@ -3,6 +3,7 @@ type t = Graph.csr = private {
   xadj : Csr_store.ba;
   adjncy : Csr_store.ba;
   weights : Csr_store.ba option;
+  max_weight : int;
 }
 
 let of_graph = Graph.to_csr
@@ -30,6 +31,8 @@ let mem_edge = Csr_store.mem
 let iter_edges = Csr_store.iter_edges
 
 let is_weighted = Csr_store.is_weighted
+
+let max_weight = Csr_store.max_weight
 
 let edge_weight = Csr_store.weight
 

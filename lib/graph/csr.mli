@@ -12,6 +12,7 @@ type t = Graph.csr = private {
   adjncy : Csr_store.ba;  (** concatenated neighbor lists, sorted ascending per node *)
   weights : Csr_store.ba option;
       (** per-arc positive weights aligned with [adjncy]; [None] = all 1 *)
+  max_weight : int;  (** the heaviest arc weight; [1] when unweighted *)
 }
 
 val of_graph : Graph.t -> t
@@ -64,6 +65,11 @@ val iter_edges : t -> (int -> int -> unit) -> unit
 
 val is_weighted : t -> bool
 (** Whether the snapshot carries an explicit weight array. *)
+
+val max_weight : t -> int
+(** The heaviest arc weight, in O(1) ({!Csr_store.max_weight}): [1] on
+    unweighted snapshots.  {!Bfs_batch.to_targets} sizes its ring of
+    pending levels by it. *)
 
 val edge_weight : t -> int -> int -> int
 (** Weight of an edge (1 on unweighted snapshots); raises [Invalid_argument]

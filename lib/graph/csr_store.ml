@@ -5,7 +5,7 @@
 
 type ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type t = { n : int; xadj : ba; adjncy : ba; weights : ba option }
+type t = { n : int; xadj : ba; adjncy : ba; weights : ba option; max_weight : int }
 
 let make_ba len : ba = Bigarray.Array1.create Bigarray.Int Bigarray.c_layout len
 
@@ -13,9 +13,11 @@ let empty size =
   if size < 0 then invalid_arg "Csr_store.empty: negative size";
   let xadj = make_ba (size + 1) in
   Bigarray.Array1.fill xadj 0;
-  { n = size; xadj; adjncy = make_ba 0; weights = None }
+  { n = size; xadj; adjncy = make_ba 0; weights = None; max_weight = 1 }
 
 let is_weighted t = t.weights <> None
+
+let max_weight t = t.max_weight
 
 let n t = t.n
 
@@ -179,7 +181,7 @@ let of_stream ?m_hint ~n:size emit_edges =
       end
     done
   done;
-  if !dropped = 0 then { n = size; xadj; adjncy; weights = None }
+  if !dropped = 0 then { n = size; xadj; adjncy; weights = None; max_weight = 1 }
   else begin
     (* Some rows shrank: compact them left and rebuild the offsets. *)
     let xadj2 = make_ba (size + 1) in
@@ -193,7 +195,7 @@ let of_stream ?m_hint ~n:size emit_edges =
       done;
       xadj2.{v + 1} <- o + (hi - lo)
     done;
-    { n = size; xadj = xadj2; adjncy = adjncy2; weights = None }
+    { n = size; xadj = xadj2; adjncy = adjncy2; weights = None; max_weight = 1 }
   end
 
 (* Weighted variant of [of_stream]: the same counting-sort/transpose-scatter
@@ -271,7 +273,7 @@ let of_weighted_stream ?m_hint ~n:size emit_edges =
   let adjncy = make_ba na and weights = make_ba na in
   let next = make_ba (max size 1) in
   if size > 0 then Bigarray.Array1.blit (Bigarray.Array1.sub xadj 0 size) next;
-  let dropped = ref 0 in
+  let dropped = ref 0 and heaviest = ref 1 in
   for d = 0 to size - 1 do
     for i = start.{d} to start.{d + 1} - 1 do
       (* SAFETY: i ranges over the dst-group of d, so i < na; s was
@@ -294,12 +296,16 @@ let of_weighted_stream ?m_hint ~n:size emit_edges =
            dim adjncy = dim weights; s < size = dim next. *)
         Bigarray.Array1.unsafe_set adjncy p d;
         Bigarray.Array1.unsafe_set weights p w;
-        Bigarray.Array1.unsafe_set next s (p + 1)
+        Bigarray.Array1.unsafe_set next s (p + 1);
+        if w > !heaviest then heaviest := w
       end
     done
   done;
-  if !dropped = 0 then { n = size; xadj; adjncy; weights = Some weights }
+  (* with nothing dropped no kept weight was lowered, so the heaviest weight
+     written is the heaviest arc; otherwise the compaction recounts it *)
+  if !dropped = 0 then { n = size; xadj; adjncy; weights = Some weights; max_weight = !heaviest }
   else begin
+    heaviest := 1;
     let xadj2 = make_ba (size + 1) in
     let adjncy2 = make_ba (na - !dropped) in
     let weights2 = make_ba (na - !dropped) in
@@ -308,12 +314,14 @@ let of_weighted_stream ?m_hint ~n:size emit_edges =
       let lo = xadj.{v} and hi = next.{v} in
       let o = xadj2.{v} in
       for i = lo to hi - 1 do
+        let w = weights.{i} in
         adjncy2.{o + i - lo} <- adjncy.{i};
-        weights2.{o + i - lo} <- weights.{i}
+        weights2.{o + i - lo} <- w;
+        if w > !heaviest then heaviest := w
       done;
       xadj2.{v + 1} <- o + (hi - lo)
     done;
-    { n = size; xadj = xadj2; adjncy = adjncy2; weights = Some weights2 }
+    { n = size; xadj = xadj2; adjncy = adjncy2; weights = Some weights2; max_weight = !heaviest }
   end
 
 let iter_edges t f =

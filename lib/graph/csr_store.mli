@@ -22,6 +22,9 @@ type t = private {
       (** per-arc positive weights aligned with [adjncy]; [None] means every
           edge has weight 1 (the unweighted stores are bit-identical to what
           they were before weights existed) *)
+  max_weight : int;
+      (** the heaviest arc weight, recorded when the store is built: [1]
+          when [weights = None] or there are no arcs *)
 }
 
 val empty : int -> t
@@ -46,6 +49,12 @@ val of_weighted_stream :
 
 val is_weighted : t -> bool
 (** Whether the store carries an explicit weight array. *)
+
+val max_weight : t -> int
+(** The heaviest arc weight, in O(1): recorded at build time, after the
+    minimum-weight dedupe of {!of_weighted_stream} (so a heavier parallel
+    copy that lost to a lighter one does not count).  [1] on unweighted and
+    arc-less stores. *)
 
 val n : t -> int
 (** Number of nodes. *)

@@ -4,7 +4,9 @@
    entry instead of decreasing a key, and stale entries are skipped at pop
    because their recorded distance no longer matches [dist].  On unweighted
    stores every arc costs 1, so the results coincide with [Bfs] — that
-   property is the cross-kernel oracle used by the test suite.
+   property is the cross-kernel oracle used by the test suite.  A run stops
+   at its bound, or once its callback has seen every node it needs: the
+   point queries stop at their target, [to_targets] at its last target.
 
    Counters are batched like in [Bfs]: tallied into locals, flushed once per
    run. *)
@@ -21,6 +23,9 @@ module Scratch = struct
   type t = {
     mutable dist : int array;
     mutable stamp : int array;
+    mutable tmark : int array;
+        (* {!to_targets}: [epoch] on a target not yet settled, [-epoch] on
+           a settled one *)
     mutable hd : int array;  (* heap: tentative distances *)
     mutable hv : int array;  (* heap: nodes, parallel to [hd] *)
     mutable epoch : int;
@@ -30,13 +35,14 @@ module Scratch = struct
 
   let key =
     Domain.DLS.new_key (fun () ->
-        { dist = [||]; stamp = [||]; hd = [||]; hv = [||]; epoch = 0 })
+        { dist = [||]; stamp = [||]; tmark = [||]; hd = [||]; hv = [||]; epoch = 0 })
 
   let get n =
     let s = Domain.DLS.get key in
     if Array.length s.dist < n then begin
       s.dist <- Array.make n 0;
       s.stamp <- Array.make n (-1);
+      s.tmark <- Array.make n 0;
       if Array.length s.hd < n then begin
         s.hd <- Array.make (max n 16) 0;
         s.hv <- Array.make (max n 16) 0
@@ -48,13 +54,14 @@ module Scratch = struct
     s
 end
 
-(* Core run: settle nodes in nondecreasing distance order, calling [settle]
-   once per node, stopping once a popped distance exceeds [bound] (every
-   remaining node is then farther than [bound]) or [stop_at] is settled. *)
-let run g s ~bound ~stop_at ~settle =
-  let n = Csr.n g in
-  if s < 0 || s >= n then invalid_arg "Dijkstra: source out of range";
-  let sc = Scratch.get n in
+let check_source g s = if s < 0 || s >= Csr.n g then invalid_arg "Dijkstra: source out of range"
+
+(* Core run on the arena [sc] (the caller's [Scratch.get]) from a checked
+   source: settle nodes in nondecreasing distance order, calling [settle v
+   d] once per node, stopping once a popped distance exceeds [bound] (every
+   remaining node is then farther than [bound]) or [settle] returns [true].
+   Every exit flushes the counters. *)
+let run sc g s ~bound ~settle =
   let dist = sc.Scratch.dist and stamp = sc.Scratch.stamp and ep = sc.Scratch.epoch in
   let hd = ref sc.Scratch.hd and hv = ref sc.Scratch.hv in
   let size = ref 0 in
@@ -169,9 +176,8 @@ let run g s ~bound ~stop_at ~settle =
     if d = dist.(v) && stamp.(v) = ep then begin
       if d > bound then finished := true
       else begin
-        settle v d;
         incr settled;
-        if v = stop_at then finished := true else relax v d
+        if settle v d then finished := true else relax v d
       end
     end
   done;
@@ -181,66 +187,54 @@ let run g s ~bound ~stop_at ~settle =
     Metrics.set_gauge m_heap !heap_peak
   end
 
-let distances_impl g s ~bound ~stop_at =
+let distances_bounded g s ~bound =
+  check_source g s;
   let out = Array.make (Csr.n g) (-1) in
-  run g s ~bound ~stop_at ~settle:(fun v d -> out.(v) <- d);
+  run (Scratch.get (Csr.n g)) g s ~bound ~settle:(fun v d ->
+      out.(v) <- d;
+      false);
   out
 
-let distances g s = distances_impl g s ~bound:max_int ~stop_at:(-1)
+let distances g s = distances_bounded g s ~bound:max_int
 
-let distances_bounded g s ~bound = distances_impl g s ~bound ~stop_at:(-1)
+let distance_bounded g u v ~bound =
+  if u = v then 0
+  else begin
+    check_source g u;
+    let res = ref (-1) in
+    run (Scratch.get (Csr.n g)) g u ~bound ~settle:(fun x d ->
+        if x = v then res := d;
+        x = v);
+    !res
+  end
 
-let point_query g u v ~bound =
-  let res = ref (-1) in
-  run g u ~bound ~stop_at:v ~settle:(fun x d -> if x = v then res := d);
-  !res
+let distance g u v = distance_bounded g u v ~bound:max_int
 
-let distance g u v = if u = v then 0 else point_query g u v ~bound:max_int
-
-let distance_bounded g u v ~bound = if u = v then 0 else point_query g u v ~bound
-
-(* Hop-bounded Bellman–Ford by frontier relaxation: round [r] relaxes out of
-   every node improved in round [r - 1].  Because a round may consume
-   improvements made earlier in the same round, the result can only be
-   *closer* to the true distance than the strict ≤hops-walk optimum — it
-   never under-shoots the true distance, and it is exact whenever some
-   shortest path uses at most [hops] edges.  That one-sided guarantee is
-   precisely what the certification sweeps need (a non-violating pair gets
-   its exact distance; a violating pair can only look worse). *)
-let bellman_ford_bounded g s ~hops =
+let to_targets g s targets ~bound =
+  check_source g s;
   let n = Csr.n g in
-  if s < 0 || s >= n then invalid_arg "Dijkstra.bellman_ford_bounded: source out of range";
-  if hops < 0 then invalid_arg "Dijkstra.bellman_ford_bounded: negative hops";
-  let dist = Array.make n max_int in
-  let mark = Array.make n (-1) in
-  let cur = ref (Array.make (max n 1) 0) and nxt = ref (Array.make (max n 1) 0) in
-  let clen = ref 1 and nlen = ref 0 in
-  dist.(s) <- 0;
-  !cur.(0) <- s;
-  let r = ref 0 in
-  while !r < hops && !clen > 0 do
-    incr r;
-    nlen := 0;
-    for i = 0 to !clen - 1 do
-      let v = (!cur).(i) in
-      let dv = dist.(v) in
-      Csr.iter_neighbors_w g v (fun u w ->
-          let nd = dv + w in
-          if nd < dist.(u) then begin
-            dist.(u) <- nd;
-            if mark.(u) <> !r then begin
-              mark.(u) <- !r;
-              (!nxt).(!nlen) <- u;
-              incr nlen
-            end
-          end)
-    done;
-    let t = !cur in
-    cur := !nxt;
-    nxt := t;
-    clen := !nlen
-  done;
-  for v = 0 to n - 1 do
-    if dist.(v) = max_int then dist.(v) <- -1
-  done;
-  dist
+  if not (Array.for_all (fun v -> v >= 0 && v < n) targets) then
+    invalid_arg "Dijkstra.to_targets: target out of range";
+  let out = Array.make (Array.length targets) (-1) in
+  if Array.length targets > 0 then begin
+    let sc = Scratch.get n in
+    let ep = sc.Scratch.epoch and tmark = sc.Scratch.tmark in
+    let left = ref 0 (* distinct targets not yet settled *) in
+    Array.iter
+      (fun v ->
+        if tmark.(v) <> ep then begin
+          tmark.(v) <- ep;
+          incr left
+        end)
+      targets;
+    run sc g s ~bound ~settle:(fun v _ ->
+        if tmark.(v) <> ep then false
+        else begin
+          tmark.(v) <- -ep;
+          decr left;
+          !left = 0
+        end);
+    let dist = sc.Scratch.dist in
+    Array.iteri (fun i v -> if tmark.(v) = -ep then out.(i) <- dist.(v)) targets
+  end;
+  out

@@ -7,10 +7,11 @@
     results coincide exactly with {!Bfs} — the cross-kernel oracle the test
     suite checks.  All weights are positive by the {!Csr_store} invariant.
 
-    The kernel dispatch rule: unweighted graphs are certified by the
-    bit-parallel MS-BFS path ({!Bfs_batch}); these routines serve the
-    weighted path only.  Observability: [dijkstra.runs],
-    [dijkstra.nodes_settled], [dijkstra.heap_peak],
+    The kernel dispatch rule: certificates run on the bit-parallel
+    {!Bfs_batch.to_targets}, weighted or not, as long as the snapshot's
+    heaviest arc fits its ring ({!Bfs_batch.ring_max}); heavier snapshots
+    take {!to_targets} here, one source at a time.  Observability:
+    [dijkstra.runs], [dijkstra.nodes_settled], [dijkstra.heap_peak],
     [dijkstra.scratch_reuses]. *)
 
 val distances : Csr.t -> int -> int array
@@ -28,15 +29,13 @@ val distance : Csr.t -> int -> int -> int
 val distance_bounded : Csr.t -> int -> int -> bound:int -> int
 (** Like {!distance} but returns [-1] when the distance exceeds [bound]. *)
 
-val bellman_ford_bounded : Csr.t -> int -> hops:int -> int array
-(** [bellman_ford_bounded g s ~hops] runs [hops] rounds of frontier-based
-    Bellman–Ford relaxation.  The returned value for a node never
-    under-shoots its true weighted distance, and equals it whenever some
-    minimum-weight path from [s] uses at most [hops] edges (a round may
-    consume same-round improvements, so values can be closer to the true
-    distance than the strict [≤ hops]-edge optimum); unreached nodes report
-    [-1].  With [hops >= n - 1] this is exactly {!distances}.  This one-sided
-    guarantee is what the bounded certification sweeps rely on: weights are
-    [≥ 1], so any pair within a weighted bound [b] has a witness path of at
-    most [b] edges and gets its exact distance, while a violating pair can
-    only look worse. *)
+val to_targets : Csr.t -> int -> int array -> bound:int -> int array
+(** [to_targets g s targets ~bound] is the weighted distance from [s] to
+    each of [targets] — entry [i] is [(distances_bounded g s ~bound).(targets.(i))]
+    — without an [n]-row: the run stops once every target is settled (or
+    the bound passed), so it settles no more nodes than
+    {!distances_bounded}, and it writes only the arena and the result.
+    Duplicate targets and [s] itself are allowed; with no targets nothing
+    runs.  Raises [Invalid_argument] if [s] or a target is out of range.
+    The per-group path of the weighted certificates when the snapshot's
+    arcs are too heavy for {!Bfs_batch.to_targets}' ring. *)

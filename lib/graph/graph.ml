@@ -14,6 +14,7 @@ type csr = Csr_store.t = private {
   xadj : Csr_store.ba;
   adjncy : Csr_store.ba;
   weights : Csr_store.ba option;
+  max_weight : int;
 }
 
 type t = {

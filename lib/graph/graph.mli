@@ -21,6 +21,7 @@ type csr = Csr_store.t = private {
   adjncy : Csr_store.ba;  (** concatenated neighbor lists, sorted ascending per node *)
   weights : Csr_store.ba option;
       (** per-arc positive weights aligned with [adjncy]; [None] = all 1 *)
+  max_weight : int;  (** the heaviest arc weight; [1] when unweighted *)
 }
 (** Immutable compressed-sparse-row snapshot of a graph.  {!Csr.t} is an alias
     of this type; the traversal helpers live there. *)
@@ -74,10 +75,12 @@ val iter_edges : t -> (int -> int -> unit) -> unit
 val is_weighted : t -> bool
 (** Whether some live edge carries a weight [<> 1].  Exact at every point:
     {!add_edge} and {!remove_edge} maintain a count of such edges, so a
-    graph whose last non-unit edge is removed is unweighted again.  This is
-    the kernel dispatch rule: unweighted graphs take the bit-parallel MS-BFS
-    certification path, weighted ones the Dijkstra / bounded Bellman–Ford
-    path. *)
+    graph whose last non-unit edge is removed is unweighted again.  The
+    certificates read it to judge a removed edge by its weighted stretch
+    [⌈d_H / w⌉] instead of its hop count; both kinds run on the
+    bit-parallel {!Bfs_batch.to_targets} sweep (a weighted snapshot fills
+    its ring of pending levels), and only a spanner whose heaviest arc
+    exceeds {!Bfs_batch.ring_max} takes per-group Dijkstra. *)
 
 val edge_weight : t -> int -> int -> int
 (** Weight of an edge ([1] on unweighted graphs).  Raises [Invalid_argument]

@@ -66,16 +66,17 @@ let build ?(k = 2) ?(repair = true) rng g =
   let xp_val = !pv and xp_org = !po and xk_val = !cv in
   let h_csr =
     Trace.with_span ~name:"en.keep" (fun () ->
+        (* [kept.(o) = v + 1] iff origin [o] already has an edge kept at [v] *)
+        let kept = Array.make len 0 in
         Csr.of_stream ~m_hint:(Graph.m g) ~n:size (fun emit ->
             for v = 0 to size - 1 do
               let t = xk_val.(v) -. 1.0 in
-              let seen = ref [] in
               Csr.iter_neighbors c v (fun w ->
                   let a = xp_val.(w) -. 1.0 in
                   if a >= t then begin
                     let o = xp_org.(w) in
-                    if not (List.mem o !seen) then begin
-                      seen := o :: !seen;
+                    if kept.(o) <> v + 1 then begin
+                      kept.(o) <- v + 1;
                       emit v w
                     end
                   end)

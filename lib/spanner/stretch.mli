@@ -10,9 +10,9 @@
     {!sampled_pairs} is a fold over a single grouped sweep.  Removed edges
     are grouped by their smaller endpoint — [G]'s edges [u < v], with
     [H]-membership read off one stamp of [H]'s snapshot row per source —
-    and each group is answered from one bounded sweep from its source.  On
-    unit weights up to {!Bfs_batch.width} of those sweeps run bit-parallel
-    in a single {!Bfs_batch.to_targets} pass, which records only the
+    and each group is answered from one bounded sweep from its source.  Up
+    to {!Bfs_batch.width} of those sweeps run bit-parallel in a single
+    {!Bfs_batch.to_targets} pass, weighted or not, which records only the
     distances to the group's own targets and drops each source once it has
     met all of them, so a sweep costs the balls it explores, not [n] per
     level.  On the paper's regular constructions this is a [Δ × word]-factor
@@ -22,17 +22,20 @@
     measurements fold the worst, {!violations} folds the violating edges,
     and the certificate below caches both per source.
 
-    {b Weighted graphs.}  When [g] (or [h]) {!Graph.is_weighted}, the sweep
-    from each source is weighted instead: the stretch of a removed edge
-    [(u,v)] is the ceiling ratio [⌈d_H(u,v) / w(u,v)⌉], so [exact <= b] iff
-    every removed edge satisfies [d_H <= b·w].  Each group runs the
-    hop-capped {!Dijkstra.bellman_ford_bounded} with [bound·w_max] rounds,
-    where [w_max] is the group's heaviest removed edge.  That suffices
-    because weights are ≥ 1: a path of weight at most [bound·w] has at most
-    [bound·w] edges.  Once [bound·w_max] saturates at [max_int] (always for
-    {!exact}) the group runs a full {!Dijkstra} instead, so no bound, however
-    large, overflows.  Unit-weight graphs never reach this path: they keep
-    the MS-BFS kernel byte-for-byte. *)
+    {b Weighted graphs.}  When [g] (or [h]) {!Graph.is_weighted}, distances
+    are weighted: the stretch of a removed edge [(u,v)] is the ceiling
+    ratio [⌈d_H(u,v) / w(u,v)⌉], so [exact <= b] iff every removed edge
+    satisfies [d_H <= b·w].  A batch of groups sweeps to level
+    [bound·w_max], [w_max] being the heaviest removed edge among its
+    groups, on the kernel's ring of pending levels; a target within its own
+    [bound·w] gets its exact distance and a violating one reads [-1] or more
+    than [bound·w], so verdicts are those of a per-group sweep.  When [H]'s
+    heaviest arc exceeds {!Bfs_batch.ring_max} the sources no longer share
+    levels, and each group runs {!Dijkstra.to_targets} at its own
+    [bound·w_max] instead.  [bound·w_max] saturates at [max_int] (always
+    for {!exact}), so no bound, however large, overflows.  Unit-weight
+    pairs run the same kernel on its one-slot ring, byte-for-byte the
+    MS-BFS. *)
 
 val exact : ?snapshot:Csr.t -> Graph.t -> Graph.t -> int
 (** [exact g h] is the exact distance stretch of spanner [h]: the maximum
@@ -44,8 +47,8 @@ val exact : ?snapshot:Csr.t -> Graph.t -> Graph.t -> int
 val exact_parallel :
   ?domains:int -> ?bound:int -> ?snapshot:Csr.t -> Graph.t -> Graph.t -> int
 (** {!exact} fanned out over OCaml 5 domains — one batched sweep
-    ({!Bfs_batch.width} source groups, or one weighted group) per work unit,
-    read-only snapshots.
+    ({!Bfs_batch.width} source groups, or one group when [H]'s arcs are too
+    heavy for the batched kernel) per work unit, read-only snapshots.
     Identical result to the sequential version; used by the harness at full
     scale.  A disconnected removed edge saturates the running max, letting
     every domain stop early.  [bound] as in {!exact_bounded}. *)

@@ -86,6 +86,24 @@ let test_bad_weight_exits_123 () =
 let test_negative_w_max_exits_123 () =
   check Alcotest.int "negative --w-max" 123 (run_cli "graph --family torus -n 25 --w-max -2")
 
+let test_generator_preconditions_exit_123 () =
+  (* the regular family's default degree 60 does not fit n = 25, nor does
+     degree 30 fit n = 30: a one-line error plus usage, not a crash *)
+  List.iter
+    (fun args ->
+      let err = Filename.temp_file "dcs_cli_err" ".txt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove err)
+        (fun () ->
+          let code = Sys.command (Printf.sprintf "%s %s >/dev/null 2>%s" cli args err) in
+          check Alcotest.int (args ^ " exits 123") 123 code;
+          let ic = open_in err in
+          let first = input_line ic in
+          close_in ic;
+          check Alcotest.string (args ^ " says why") "dcs: Generators.random_regular: need 0 <= d < n"
+            first))
+    [ "spanner --n 25"; "graph --n 30 --degree 30"; "distributed --n 25" ]
+
 let test_weighted_pipeline_exits_0 () =
   (* graph --w-max -> weighted file -> bsw spanner -> verify, all green *)
   let gfile = Filename.temp_file "dcs_cli_wgraph" ".txt" in
@@ -253,6 +271,8 @@ let () =
           Alcotest.test_case "unknown algorithm" `Quick test_unknown_algorithm_exits_123;
           Alcotest.test_case "bad edge weight" `Quick test_bad_weight_exits_123;
           Alcotest.test_case "negative w-max" `Quick test_negative_w_max_exits_123;
+          Alcotest.test_case "generator preconditions" `Quick
+            test_generator_preconditions_exit_123;
         ] );
       ( "weighted",
         [ Alcotest.test_case "graph/spanner/verify pipeline" `Quick test_weighted_pipeline_exits_0 ] );

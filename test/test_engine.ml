@@ -278,6 +278,27 @@ let test_en_deterministic () =
   check Alcotest.bool "same seed, same spanner" true
     (a.Csr.xadj = b.Csr.xadj && a.Csr.adjncy = b.Csr.adjncy)
 
+(* The keep loop's emit decisions, pinned: a digest of the spanner's
+   edges and its removed/repaired counts on a dense and a sparse input, at
+   k = 2 and 3 and seeds 1-3.  The value was computed before the loop
+   stamped its origins (it tested each one with [List.mem]). *)
+let test_en_pinned () =
+  let inputs = [ Generators.complete 60; Generators.expander (Prng.create 7) 400 24 ] in
+  let line g k seed =
+    let r = Elkin_neiman.build ~k (Prng.create seed) g in
+    let edges = List.sort compare (Graph.edges r.Elkin_neiman.spanner) in
+    Printf.sprintf "k=%d seed=%d removed=%d repaired=%d %s" k seed r.Elkin_neiman.removed
+      r.Elkin_neiman.repaired
+      (String.concat " " (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) edges))
+  in
+  let lines =
+    List.concat_map
+      (fun g -> List.concat_map (fun k -> List.map (line g k) [ 1; 2; 3 ]) [ 2; 3 ])
+      inputs
+  in
+  check Alcotest.string "spanner digest" "c1429a0d480c0a8a2320c4d44dcc3a20"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 let test_en_invalid () =
   check Alcotest.bool "k = 0 rejected" true
     (try
@@ -320,5 +341,6 @@ let () =
         :: Alcotest.test_case "dense sparsifies" `Quick test_en_dense_sparsifies
         :: Alcotest.test_case "deterministic" `Quick test_en_deterministic
         :: Alcotest.test_case "invalid" `Quick test_en_invalid
-        :: q [ prop_en_certified ] );
+        :: q [ prop_en_certified ]
+        @ [ Alcotest.test_case "pinned decisions" `Quick test_en_pinned ] );
     ]

@@ -101,6 +101,27 @@ let kernel_input seed n ~delta =
     Csr.of_graph g
   end
 
+(* [k] random sources (duplicates likely) with 0 to 8 targets each,
+   duplicates allowed, the source itself sometimes among them *)
+let random_batch rng n =
+  let k = 1 + Prng.int rng (min Bfs_batch.width (2 * n)) in
+  let sources = Array.init k (fun _ -> Prng.int rng n) in
+  let targets =
+    Array.map
+      (fun src ->
+        Array.init (Prng.int rng 9) (fun _ -> if Prng.bool rng 0.2 then src else Prng.int rng n))
+      sources
+  in
+  (sources, targets)
+
+(* the rows a fresh scalar run gives at each target *)
+let fresh_rows scalar sources targets =
+  Array.map2
+    (fun src ts ->
+      let d = scalar src in
+      Array.map (fun v -> d.(v)) ts)
+    sources targets
+
 let prop_targets_match_scalar =
   QCheck.Test.make ~name:"target distances = scalar bounded distances at each target"
     ~count:80
@@ -108,26 +129,69 @@ let prop_targets_match_scalar =
     (fun (seed, n, b, delta) ->
       let bound = [| 0; 1; 3; max_int |].(b) in
       let c = kernel_input seed n ~delta in
-      let rng = Prng.create (seed + 7) in
-      let k = 1 + Prng.int rng (min Bfs_batch.width (2 * n)) in
-      (* duplicate sources are likely (k may exceed n); each source gets 0
-         to 8 targets, duplicates allowed, itself sometimes among them *)
-      let sources = Array.init k (fun _ -> Prng.int rng n) in
-      let targets =
-        Array.map
-          (fun src ->
-            Array.init (Prng.int rng 9) (fun _ ->
-                if Prng.bool rng 0.2 then src else Prng.int rng n))
-          sources
-      in
-      let got = Bfs_batch.to_targets ~bound c sources targets in
-      Array.length got = k
-      && Array.for_all2
-           (fun src (ts, ds) ->
-             let want = Bfs.distances_bounded c src ~bound in
-             ds = Array.map (fun v -> want.(v)) ts)
-           sources
-           (Array.map2 (fun ts ds -> (ts, ds)) targets got))
+      let sources, targets = random_batch (Prng.create (seed + 7)) n in
+      Bfs_batch.to_targets ~bound c sources targets
+      = fresh_rows (fun src -> Bfs.distances_bounded c src ~bound) sources targets)
+
+(* a random graph whose edges weigh 1 .. [w_max], one of them exactly
+   [w_max] (so the snapshot's ring has min (w_max, bound) slots), optionally
+   left with an uncommitted delta read through a cache-bypassing CSR *)
+let weighted_input seed n ~w_max ~delta =
+  let rng = Prng.create seed in
+  let g = Graph.create n in
+  let weight () = 1 + Prng.int rng w_max in
+  if n > 1 then ignore (Graph.add_edge ~weight:w_max g 0 (n - 1));
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Prng.bool rng 0.12 then ignore (Graph.add_edge ~weight:(weight ()) g u v)
+    done
+  done;
+  if not delta then Csr.snapshot g
+  else begin
+    Graph.iter_edges (Graph.copy g) (fun u v ->
+        if Prng.bool rng 0.2 then ignore (Graph.remove_edge g u v));
+    for _ = 1 to n / 4 do
+      ignore (Graph.add_edge ~weight:(weight ()) g (Prng.int rng n) (Prng.int rng n))
+    done;
+    Csr.of_graph g
+  end
+
+let prop_weighted_targets_match_dijkstra =
+  QCheck.Test.make ~name:"weighted target distances = Dijkstra bounded distances" ~count:120
+    QCheck.(quad small_int (int_range 1 60) (pair (int_range 0 4) (int_range 0 4)) bool)
+    (fun (seed, n, (wi, bi), delta) ->
+      let w_max = [| 1; 2; 3; 8; 16 |].(wi) and bound = [| 0; 1; 3; 24; max_int |].(bi) in
+      let c = weighted_input seed n ~w_max ~delta in
+      let sources, targets = random_batch (Prng.create (seed + 7)) n in
+      Bfs_batch.to_targets ~bound c sources targets
+      = fresh_rows (fun src -> Dijkstra.distances_bounded c src ~bound) sources targets)
+
+let prop_run_measures_hops =
+  QCheck.Test.make ~name:"run on a weighted snapshot = hop distances" ~count:40
+    QCheck.(triple small_int (int_range 1 50) (int_range 0 4))
+    (fun (seed, n, wi) ->
+      let c = weighted_input seed n ~w_max:[| 2; 3; 8; 16; 1000 |].(wi) ~delta:false in
+      let sources = Array.init (1 + (seed mod min n Bfs_batch.width)) (fun i -> (seed + i) mod n) in
+      let rows = Bfs_batch.run c sources in
+      Array.for_all2 (fun row s -> row = Bfs.distances c s) rows sources)
+
+let test_ring_max () =
+  (* a ring of min (max_weight, bound) slots: 17 is one too many *)
+  let g = Generators.path 6 in
+  ignore (Graph.add_edge ~weight:(Bfs_batch.ring_max + 1) g 0 5);
+  let c = Csr.snapshot g in
+  let sweep bound = Bfs_batch.to_targets ~bound c [| 0 |] [| [| 5 |] |] in
+  check Alcotest.(array (array int)) "16 slots run" [| [| 5 |] |] (sweep Bfs_batch.ring_max);
+  List.iter
+    (fun bound ->
+      check Alcotest.bool
+        (Printf.sprintf "bound %d raises" bound)
+        true
+        (try
+           ignore (sweep bound);
+           false
+         with Invalid_argument _ -> true))
+    [ Bfs_batch.ring_max + 1; max_int ]
 
 let with_metrics f =
   Metrics.reset ();
@@ -151,28 +215,25 @@ let test_targets_early_exit () =
       check Alcotest.int "sources only" 2
         (Metrics.counter_value (Metrics.counter "bfs.nodes_visited")))
 
-let test_arena_hygiene () =
-  (* back-to-back sweeps on graphs of different n, each stopped by its
-     bound, its targets or an exhausted frontier, must leave the arena
-     clean: every result equals a fresh scalar run — sequentially and on
-     two domains *)
+(* Back-to-back sweeps on graphs of different n, each stopped by its
+   bound, its targets or an exhausted frontier, must leave the arena clean:
+   every result equals a fresh [scalar] run — sequentially, again, and on
+   two domains.  Each [(seed, c)] is swept at [bound] and unbounded, from
+   random sources with three random targets each. *)
+let check_clean_arena scalar ~bound graphs =
   let cases =
     List.concat_map
-      (fun (seed, n) ->
-        let c = Csr.snapshot (random_graph seed n 0.1) in
+      (fun (seed, c) ->
+        let n = Csr.n c in
         let rng = Prng.create seed in
         let sources = Array.init (min n Bfs_batch.width) (fun _ -> Prng.int rng n) in
         let targets = Array.map (fun _ -> Array.init 3 (fun _ -> Prng.int rng n)) sources in
-        [ (c, sources, targets, 1); (c, sources, targets, max_int) ])
-      [ (1, 90); (2, 7); (3, 150); (4, 30); (5, 120) ]
+        [ (c, sources, targets, bound); (c, sources, targets, max_int) ])
+      graphs
   in
   let run (c, sources, targets, bound) = Bfs_batch.to_targets ~bound c sources targets in
   let fresh (c, sources, targets, bound) =
-    Array.map2
-      (fun src ts ->
-        let d = Bfs.distances_bounded c src ~bound in
-        Array.map (fun v -> d.(v)) ts)
-      sources targets
+    fresh_rows (fun src -> scalar c src ~bound) sources targets
   in
   let want = List.map fresh cases in
   check Alcotest.bool "sequential" true (List.map run cases = want);
@@ -180,6 +241,25 @@ let test_arena_hygiene () =
   let arr = Array.of_list cases in
   let par = Parallel.map_range ~domains:2 (Array.length arr) (fun i -> run arr.(i)) in
   check Alcotest.bool "two domains" true (Array.to_list par = want)
+
+let test_arena_hygiene () =
+  check_clean_arena Bfs.distances_bounded ~bound:1
+    (List.map
+       (fun (seed, n) -> (seed, Csr.snapshot (random_graph seed n 0.1)))
+       [ (1, 90); (2, 7); (3, 150); (4, 30); (5, 120) ])
+
+let test_weighted_arena_hygiene () =
+  (* unit sweeps and rings of 1, 3, 8 and 16 slots, interleaved *)
+  let graphs =
+    List.map
+      (fun (seed, n, w_max) -> (seed, weighted_input seed n ~w_max ~delta:false))
+      [ (1, 90, 1); (2, 7, 3); (3, 150, 8); (4, 30, 16); (5, 120, 1); (6, 60, 16); (7, 40, 3) ]
+  in
+  check
+    Alcotest.(list int)
+    "ring sizes" [ 1; 3; 8; 16; 1; 16; 3 ]
+    (List.map (fun (_, c) -> Csr.max_weight c) graphs);
+  check_clean_arena Dijkstra.distances_bounded ~bound:3 graphs
 
 (* the batch kernel's words on the stretch-3 certificate of Algorithm 1 on
    a circulant with offsets 1..12 *)
@@ -427,7 +507,11 @@ let () =
         Alcotest.test_case "early exit" `Quick test_targets_early_exit
         :: Alcotest.test_case "arena hygiene" `Quick test_arena_hygiene
         :: Alcotest.test_case "words output-sensitive" `Quick test_words_output_sensitive
-        :: q [ prop_targets_match_scalar ] );
+        :: q [ prop_targets_match_scalar; prop_weighted_targets_match_dijkstra; prop_run_measures_hops ]
+        @ [
+            Alcotest.test_case "weighted arena hygiene" `Quick test_weighted_arena_hygiene;
+            Alcotest.test_case "ring_max" `Quick test_ring_max;
+          ] );
       ( "stretch",
         Alcotest.test_case "spanner pair" `Quick test_stretch_spanner_pair
         :: Alcotest.test_case "disconnected" `Quick test_exact_disconnected_early_exit

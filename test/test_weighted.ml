@@ -1,5 +1,6 @@
 (* Weighted-stack tests: weights threaded through CSR, the delta-log Graph,
-   the Dijkstra / bounded Bellman–Ford kernels, Graph_io, Stretch dispatch
+   the Dijkstra kernels, Graph_io, Stretch dispatch (the weighted ring of
+   Bfs_batch and its per-group Dijkstra fallback)
    and the weighted Baswana–Sen construction.  Two oracles anchor all of it:
    on unit weights every weighted routine must coincide with its BFS-based
    counterpart bit for bit, and on small weighted graphs everything is
@@ -71,6 +72,36 @@ let test_csr_weighted_stream () =
        ignore (Csr.of_weighted_stream ~n:2 (fun emit -> emit 0 1 0));
        false
      with Invalid_argument _ -> true)
+
+let test_csr_max_weight () =
+  (* the heaviest weight that survives the minimum-weight dedupe: the
+     losing copy of (0, 1) weighs 9 *)
+  let c =
+    Csr.of_weighted_stream ~n:3 (fun emit ->
+        emit 0 1 9;
+        emit 1 0 2;
+        emit 1 2 7)
+  in
+  check Alcotest.int "heaviest kept weight" 7 (Csr.max_weight c);
+  check Alcotest.int "unweighted" 1 (Csr.max_weight (Csr.of_stream ~n:3 (fun emit -> emit 0 1)));
+  check Alcotest.int "no arcs" 1 (Csr.max_weight (Csr.of_weighted_stream ~n:3 (fun _ -> ())));
+  check Alcotest.int "empty" 1 (Csr.max_weight (Csr.empty 4))
+
+let prop_max_weight =
+  QCheck.Test.make ~name:"max_weight = heaviest of iter_edges_w, duplicate arcs included"
+    ~count:60
+    QCheck.(pair small_int (int_range 1 30))
+    (fun (seed, n) ->
+      let rng = Prng.create seed in
+      let arcs = List.init (3 * n) (fun _ -> (Prng.int rng n, Prng.int rng n, 1 + Prng.int rng 20)) in
+      let c = Csr.of_weighted_stream ~n (fun emit -> List.iter (fun (u, v, w) -> emit u v w) arcs) in
+      let heaviest c =
+        let m = ref 1 in
+        Csr.iter_edges_w c (fun _ _ w -> m := max !m w);
+        !m
+      in
+      let g = random_weighted_graph seed n 0.3 ~w_max:(1 + (seed mod 9)) in
+      Csr.max_weight c = heaviest c && Csr.max_weight (Csr.snapshot g) = heaviest (Csr.snapshot g))
 
 let test_csr_unweighted_reports_one () =
   let c = Csr.of_stream ~n:3 (fun emit -> emit 0 1; emit 1 2) in
@@ -197,25 +228,30 @@ let prop_dijkstra_eq_floyd_warshall =
            row
       && Dijkstra.distance c s ((s + 1) mod n) = row.((s + 1) mod n))
 
-let prop_bellman_ford_bounded =
-  QCheck.Test.make ~name:"bounded bellman-ford: one-sided, exact at n-1 hops" ~count:50
-    QCheck.(triple small_int (int_range 2 25) (int_range 1 9))
-    (fun (seed, n, w_max) ->
-      let g = random_weighted_graph seed n 0.25 ~w_max in
-      let c = Csr.snapshot g in
-      let s = seed mod n in
-      let exact = Dijkstra.distances c s in
-      (* hops >= n-1: exactly the true distances *)
-      Dijkstra.bellman_ford_bounded c s ~hops:(n - 1) = exact
-      && List.for_all
-           (fun hops ->
-             let bf = Dijkstra.bellman_ford_bounded c s ~hops in
-             Array.for_all2
-               (fun b e ->
-                 (* never under-shoots; -1 marks not-yet-reached *)
-                 if b < 0 then true else e >= 0 && b >= e)
-               bf exact)
-           [ 0; 1; 2; n / 2 ])
+let settled_by f =
+  Metrics.reset ();
+  Obs.set_metrics true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_metrics false)
+    (fun () ->
+      let r = f () in
+      (r, Metrics.counter_value (Metrics.counter "dijkstra.nodes_settled")))
+
+let prop_dijkstra_to_targets =
+  QCheck.Test.make ~name:"dijkstra to_targets = distances_bounded, settling no more" ~count:60
+    QCheck.(quad small_int (int_range 1 30) (int_range 1 1000) (int_range 0 3))
+    (fun (seed, n, w_max, bi) ->
+      let bound = [| 0; 1; 5; max_int |].(bi) in
+      let c = Csr.snapshot (random_weighted_graph seed n 0.25 ~w_max) in
+      let rng = Prng.create (seed + 3) in
+      let s = Prng.int rng n in
+      (* duplicates, the source itself, sometimes no targets at all *)
+      let targets =
+        Array.init (Prng.int rng 6) (fun _ -> if Prng.bool rng 0.2 then s else Prng.int rng n)
+      in
+      let got, settled = settled_by (fun () -> Dijkstra.to_targets c s targets ~bound) in
+      let row, full = settled_by (fun () -> Dijkstra.distances_bounded c s ~bound) in
+      got = Array.map (fun v -> row.(v)) targets && settled <= full)
 
 (* ---- weighted Baswana–Sen vs Floyd–Warshall ---- *)
 
@@ -296,9 +332,49 @@ let prop_weighted_violations_and_cert =
       in
       same_set want !fw_want && cert_ok && inc_ok)
 
+let prop_heavy_weights_match_reference =
+  QCheck.Test.make ~name:"stretch entry points = reference, on the ring and past it"
+    ~count:40
+    QCheck.(triple small_int (int_range 3 25) (int_range 0 4))
+    (fun (seed, n, bi) ->
+      let n = max 3 n in
+      (* 16 runs on the ring, heavier snapshots take per-group Dijkstra; the
+         edge (0, 1) carries the heaviest weight into both graphs *)
+      let w_max = [| 16; 17; 1000; 1_000_000 |].(seed mod 4) in
+      let g, h = weighted_pair seed n ~w_max in
+      if not (Graph.mem_edge g 0 1) then begin
+        ignore (Graph.add_edge ~weight:w_max g 0 1);
+        ignore (Graph.add_edge ~weight:w_max h 0 1)
+      end;
+      let bound = [| 1; 3; 7; max_int / 2; max_int |].(bi) in
+      let hc = Csr.snapshot h in
+      let violates u v w =
+        let d = Dijkstra.distance hc u v in
+        d < 0 || ratio_ceil d w > bound
+      in
+      let want_viol = ref [] in
+      Graph.iter_edges_w g (fun u v w ->
+          if (not (Graph.mem_edge h u v)) && violates u v w then want_viol := (u, v) :: !want_viol);
+      let fresh_ok =
+        Stretch.exact g h = Stretch.exact_reference g h
+        && Stretch.exact_bounded g h ~bound = Stretch.exact_reference ~bound g h
+        && Stretch.violations g h ~bound = List.sort compare !want_viol
+      in
+      (* then drop one spanner edge: the refresh must match a fresh sweep *)
+      let cert = Stretch.cert_create g h ~bound in
+      fresh_ok
+      &&
+      match Graph.edges h with
+      | [] -> true
+      | edges ->
+          let u, v = List.nth edges (seed mod List.length edges) in
+          ignore (Graph.remove_edge h u v);
+          let r = Stretch.violations_incremental cert g h ~touched:[| u; v |] in
+          r.Stretch.inc_violations = Stretch.violations g h ~bound)
+
 let test_huge_bounds_saturate () =
-  (* bound·w overflows for these bounds; the kernel must saturate it
-     instead of handing Bellman–Ford a negative hop cap *)
+  (* bound·w overflows for these bounds; the sweeps' level bound must
+     saturate at max_int instead of wrapping negative *)
   let g = Generators.weighted_expander (Prng.create 3) 64 16 ~w_max:4 in
   let h = (Construction.build (Construction.find_exn "bsw") (Prng.create 4) g).Dc.spanner in
   let want = Stretch.exact g h in
@@ -444,6 +520,8 @@ let () =
         [
           Alcotest.test_case "weighted stream + min dedup" `Quick test_csr_weighted_stream;
           Alcotest.test_case "unweighted reports weight 1" `Quick test_csr_unweighted_reports_one;
+          Alcotest.test_case "max_weight after dedupe" `Quick test_csr_max_weight;
+          qt prop_max_weight;
         ] );
       ( "graph",
         [
@@ -459,7 +537,7 @@ let () =
         [
           qt prop_dijkstra_eq_bfs_on_unit_weights;
           qt prop_dijkstra_eq_floyd_warshall;
-          qt prop_bellman_ford_bounded;
+          qt prop_dijkstra_to_targets;
         ] );
       ("baswana-sen", [ qt prop_weighted_bs_stretch ]);
       ( "stretch",
@@ -468,6 +546,7 @@ let () =
           qt prop_weighted_violations_and_cert;
           Alcotest.test_case "huge bounds saturate bound·w" `Quick test_huge_bounds_saturate;
           qt prop_sampled_pairs_weighted_sound;
+          qt prop_heavy_weights_match_reference;
         ] );
       ( "io",
         [
