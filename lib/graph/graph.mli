@@ -55,10 +55,17 @@ val degree : t -> int -> int
 (** Number of neighbors of a node. *)
 
 val neighbors : t -> int -> int list
-(** Neighbor list of a node (unspecified order). *)
+(** Neighbor list of a node, in the reverse of the {!iter_neighbors}
+    order. *)
 
 val iter_neighbors : t -> int -> (int -> unit) -> unit
-(** Iterate over neighbors without materializing a list. *)
+(** Iterate over neighbors without materializing a list.  The order is the
+    storage order: the committed base row, ascending, minus its deleted
+    arcs, then the node's uncommitted additions, newest first.  A commit
+    ({!snapshot}, or the automatic one once the delta reaches half the
+    base) sorts every row.  The order is fixed while the graph is not
+    mutated, so a flat scan may number a node's arcs by their position in
+    it. *)
 
 val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 (** Fold over neighbors. *)
@@ -70,7 +77,8 @@ val edge_array : t -> edge array
 (** All edges as an array (normalized; unspecified order). *)
 
 val iter_edges : t -> (int -> int -> unit) -> unit
-(** Iterate each edge exactly once as [(u, v)] with [u < v]. *)
+(** Iterate each edge exactly once as [(u, v)] with [u < v]: [u]
+    ascending, and each [u]'s edges in {!iter_neighbors} order. *)
 
 val is_weighted : t -> bool
 (** Whether some live edge carries a weight [<> 1].  Exact at every point:

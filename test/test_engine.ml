@@ -179,6 +179,146 @@ let prop_snapshot_accessors_match_graph =
                   (Seq.init n Fun.id))
            (Seq.init n Fun.id))
 
+(* ---- neighbour order of uncommitted graphs ---- *)
+
+(* A list model of Graph's delta log, order included.  [base] holds each
+   row as of the last commit, ascending, with weights; [dels] the hidden
+   base edges; [adds] each node's added (neighbour, weight) pairs, newest
+   first.  A row reads as the base row minus its deleted arcs, then the
+   additions — the order that numbers arcs in flat scans over G. *)
+type order_model = {
+  base : (int * int) list array;
+  mutable base_m : int;
+  mutable dels : (int * int) list;
+  adds : (int * int) list array;
+}
+
+let om_create n = { base = Array.make n []; base_m = 0; dels = []; adds = Array.make n [] }
+
+let om_copy md = { md with base = Array.copy md.base; adds = Array.copy md.adds }
+
+let norm u v = (min u v, max u v)
+
+let om_row md v =
+  List.filter (fun (u, _) -> not (List.mem (norm u v) md.dels)) md.base.(v) @ md.adds.(v)
+
+let om_mem md u v = List.exists (fun (x, _) -> x = v) (om_row md u)
+
+(* the delta's size as Graph counts it: added edges plus hidden base edges *)
+let om_delta md =
+  (Array.fold_left (fun acc l -> acc + List.length l) 0 md.adds / 2) + List.length md.dels
+
+let om_commit md =
+  if om_delta md > 0 then begin
+    let rows = Array.init (Array.length md.base) (fun v -> List.sort compare (om_row md v)) in
+    Array.blit rows 0 md.base 0 (Array.length rows);
+    md.base_m <- Array.fold_left (fun acc l -> acc + List.length l) 0 rows / 2;
+    md.dels <- [];
+    Array.fill md.adds 0 (Array.length md.adds) []
+  end
+
+(* the automatic commit: a delta of d >= 64 with 2d >= m(base) *)
+let om_maybe_commit md =
+  let d = om_delta md in
+  if d >= 64 && 2 * d >= md.base_m then om_commit md
+
+let om_add md u v w =
+  if u <> v && not (om_mem md u v) then begin
+    (* a base edge re-added at its base weight reappears in place; at any
+       other weight it stays hidden and the new copy is an addition *)
+    if List.mem (norm u v) md.dels && List.assoc v md.base.(u) = w then
+      md.dels <- List.filter (fun e -> e <> norm u v) md.dels
+    else begin
+      md.adds.(u) <- (v, w) :: md.adds.(u);
+      md.adds.(v) <- (u, w) :: md.adds.(v)
+    end;
+    om_maybe_commit md
+  end
+
+let om_remove md u v =
+  if u <> v && om_mem md u v then begin
+    if List.exists (fun (x, _) -> x = v) md.adds.(u) then begin
+      md.adds.(u) <- List.filter (fun (x, _) -> x <> v) md.adds.(u);
+      md.adds.(v) <- List.filter (fun (x, _) -> x <> u) md.adds.(v)
+    end
+    else md.dels <- norm u v :: md.dels;
+    om_maybe_commit md
+  end
+
+let order_matches g md =
+  let n = Graph.n g in
+  let collect iter =
+    let acc = ref [] in
+    iter (fun x -> acc := x :: !acc);
+    List.rev !acc
+  in
+  let rows_ok =
+    Seq.for_all
+      (fun v ->
+        let row = om_row md v in
+        collect (fun f -> Graph.iter_neighbors_w g v (fun u w -> f (u, w))) = row
+        && collect (Graph.iter_neighbors g v) = List.map fst row
+        && Graph.neighbors g v = List.rev_map fst row
+        && Graph.degree g v = List.length row)
+      (Seq.init n Fun.id)
+  in
+  let edges =
+    List.concat_map
+      (fun u -> List.filter_map (fun (v, w) -> if u < v then Some (u, v, w) else None) (om_row md u))
+      (List.init n Fun.id)
+  in
+  rows_ok
+  && collect (fun f -> Graph.iter_edges_w g (fun u v w -> f (u, v, w))) = edges
+  && collect (fun f -> Graph.iter_edges g (fun u v -> f (u, v)))
+     = List.map (fun (u, v, _) -> (u, v)) edges
+
+(* ops as (kind, a, b): add, remove, resurrect at the same or at another
+   weight, copy (the original is frozen and re-checked at the end),
+   snapshot, and a burst of 40 adds and removes that can reach the
+   automatic commit *)
+let prop_uncommitted_order =
+  QCheck.Test.make ~name:"uncommitted rows: base minus deletions, then additions newest first"
+    ~count:150
+    QCheck.(pair (int_range 2 24) (small_list (triple small_nat small_nat small_nat)))
+    (fun (n, ops) ->
+      let n = max 2 n in
+      let g = ref (Graph.create n) and md = ref (om_create n) in
+      let frozen = ref [] and ok = ref true in
+      let add u v w =
+        ignore (Graph.add_edge ~weight:w !g u v);
+        om_add !md u v w
+      and remove u v =
+        ignore (Graph.remove_edge !g u v);
+        om_remove !md u v
+      in
+      List.iter
+        (fun (kind, a, b) ->
+          let u = a mod n and v = b mod n and w = 1 + (kind / 8 mod 3) in
+          (match kind mod 8 with
+          | 0 | 1 -> add u v w
+          | 2 -> remove u v
+          | 3 | 4 ->
+              if Graph.mem_edge !g u v then begin
+                let w0 = Graph.edge_weight !g u v in
+                remove u v;
+                add u v (if kind mod 8 = 3 then w0 else 1 + (w0 mod 3))
+              end
+          | 5 ->
+              frozen := (!g, om_copy !md) :: !frozen;
+              g := Graph.copy !g;
+              md := om_copy !md
+          | 6 ->
+              ignore (Graph.snapshot !g);
+              om_commit !md
+          | _ ->
+              for i = 0 to 39 do
+                let x = (u + i) mod n and y = (v + (3 * i) + 1) mod n in
+                if i mod 3 = 2 then remove x y else add x y (1 + (i mod 2))
+              done);
+          if not (order_matches !g !md) then ok := false)
+        ops;
+      !ok && List.for_all (fun (g, md) -> order_matches g md) !frozen)
+
 (* ---- expander generator ---- *)
 
 let test_expander_shape () =
@@ -328,8 +468,12 @@ let () =
         :: Alcotest.test_case "empty/invalid" `Quick
              test_store_empty_and_invalid
         :: Alcotest.test_case "canonical" `Quick test_store_canonical
-        :: q [ prop_csr_matches_model; prop_snapshot_accessors_match_graph ]
-      );
+        :: q
+             [
+               prop_csr_matches_model;
+               prop_snapshot_accessors_match_graph;
+               prop_uncommitted_order;
+             ] );
       ( "expander",
         [
           Alcotest.test_case "shape" `Quick test_expander_shape;

@@ -270,6 +270,268 @@ let prop_weighted_bs_stretch =
           if d.(u).(v) > ((2 * k) - 1) * w then stretch_ok := false);
       !subgraph && !stretch_ok)
 
+(* ---- weighted Baswana–Sen pinned to the hashed construction ---- *)
+
+(* The construction before it moved onto flat arrays: a Hashtbl of
+   per-cluster minima per vertex, polymorphic tuple compares, and a residual
+   [Graph.copy] whose drops are committed at round end.  [build] must return
+   the same spanner for the same draws. *)
+let bs_lightest_edges residual cluster v =
+  let best = Hashtbl.create 8 in
+  Graph.iter_neighbors_w residual v (fun u w ->
+      let c = cluster.(u) in
+      if c >= 0 then
+        match Hashtbl.find_opt best c with
+        | Some (w', u') when (w', u') <= (w, u) -> ()
+        | _ -> Hashtbl.replace best c (w, u));
+  best
+
+let bs_reference ?(k = 2) rng g =
+  if k < 1 then invalid_arg "Baswana_sen_weighted.build: k < 1";
+  let n = Graph.n g in
+  let h = Graph.empty_like g in
+  if n > 0 then begin
+    let p = float_of_int n ** (-1.0 /. float_of_int k) in
+    let residual = Graph.copy g in
+    let cluster = ref (Array.init n (fun v -> v)) in
+    let add_edges adds =
+      List.iter (fun (v, u, w) -> ignore (Graph.add_edge ~weight:w h v u)) adds
+    in
+    for _round = 1 to k - 1 do
+      let cl = !cluster in
+      let is_center = Array.make n false in
+      for v = 0 to n - 1 do
+        if cl.(v) >= 0 then is_center.(cl.(v)) <- true
+      done;
+      let sampled = Array.make n false in
+      for c = 0 to n - 1 do
+        if is_center.(c) then sampled.(c) <- Prng.bool rng p
+      done;
+      let next = Array.make n (-1) in
+      for v = 0 to n - 1 do
+        if cl.(v) >= 0 && sampled.(cl.(v)) then next.(v) <- cl.(v)
+      done;
+      let adds = ref [] and drops = ref [] and retired = ref [] in
+      for v = 0 to n - 1 do
+        if cl.(v) >= 0 && (not sampled.(cl.(v))) && Graph.degree residual v > 0 then begin
+          let best = bs_lightest_edges residual cl v in
+          let best_sampled = ref None in
+          Hashtbl.iter
+            (fun c (w, u) ->
+              if sampled.(c) then
+                match !best_sampled with
+                | Some (w', u', c') when (w', u', c') <= (w, u, c) -> ()
+                | _ -> best_sampled := Some (w, u, c))
+            best;
+          match !best_sampled with
+          | None ->
+              Hashtbl.iter (fun _c (w, u) -> adds := (v, u, w) :: !adds) best;
+              retired := v :: !retired
+          | Some (wstar, ustar, cstar) ->
+              adds := (v, ustar, wstar) :: !adds;
+              next.(v) <- cstar;
+              Hashtbl.iter
+                (fun c (w, u) ->
+                  if c <> cstar && (w, u) < (wstar, ustar) then adds := (v, u, w) :: !adds)
+                best;
+              Graph.iter_neighbors_w residual v (fun u _w ->
+                  let c = cl.(u) in
+                  if c = cstar || (c >= 0 && Hashtbl.find best c < (wstar, ustar)) then
+                    drops := (v, u) :: !drops)
+        end
+      done;
+      add_edges !adds;
+      List.iter (fun (v, u) -> ignore (Graph.remove_edge residual v u)) !drops;
+      List.iter (fun v -> ignore (Graph.isolate residual v)) !retired;
+      cluster := next
+    done;
+    let cl = !cluster in
+    let adds = ref [] in
+    for v = 0 to n - 1 do
+      if Graph.degree residual v > 0 then begin
+        let best = bs_lightest_edges residual cl v in
+        Hashtbl.iter (fun _c (w, u) -> adds := (v, u, w) :: !adds) best
+      end
+    done;
+    add_edges !adds
+  end;
+  h
+
+(* Churn [ops] random mutations into [g]: deletions of base edges, additions
+   of non-edges, and resurrections at the same and at a different weight. *)
+let churn_graph rng g ops =
+  let n = Graph.n g in
+  if n >= 2 then
+    for _ = 1 to ops do
+      let u = Prng.int rng n and v = Prng.int rng n in
+      let w = 1 + Prng.int rng 6 in
+      if Graph.mem_edge g u v then
+        match Prng.int rng 3 with
+        | 0 -> ignore (Graph.remove_edge g u v)
+        | 1 ->
+            let w0 = Graph.edge_weight g u v in
+            ignore (Graph.remove_edge g u v);
+            ignore (Graph.add_edge ~weight:w0 g u v)
+        | _ ->
+            let w0 = Graph.edge_weight g u v in
+            ignore (Graph.remove_edge g u v);
+            ignore (Graph.add_edge ~weight:(1 + (w0 mod 6)) g u v)
+      else ignore (Graph.add_edge ~weight:w g u v)
+    done
+
+(* Weighted and unit expanders (committed stores), [random_regular] as
+   generated (a pending switch-repair delta), the same with redrawn weights
+   (all pending additions), weighted tori, an expander under 31 mutations,
+   and small random graphs (n = 0 .. 39, often disconnected) under churn. *)
+let bs_families =
+  [|
+    (fun rng -> Generators.weighted_expander rng 60 12 ~w_max:8);
+    (fun rng -> Generators.weighted_expander rng 60 12 ~w_max:1);
+    (fun rng -> Generators.randomize_weights rng (Generators.random_regular rng 40 8) ~w_max:5);
+    (fun rng -> Generators.random_regular rng 40 8);
+    (fun rng -> Generators.weighted_torus rng 5 6 ~w_max:4);
+    (fun rng ->
+      let g = Generators.weighted_expander rng 60 12 ~w_max:8 in
+      churn_graph rng g 31;
+      g);
+    (fun rng ->
+      let n = Prng.int rng 40 in
+      let g = random_weighted_graph (Prng.int rng 1000) n (Prng.float rng *. 0.4) ~w_max:5 in
+      churn_graph rng g (Prng.int rng 40);
+      g);
+  |]
+
+let edges_w g =
+  let es = ref [] in
+  Graph.iter_edges_w g (fun u v w -> es := (u, v, w) :: !es);
+  List.rev !es
+
+(* [build] and [bs_reference] agree on H's snapshot element for element
+   (the weights' None-ness included), on is_weighted and m, and neither
+   touches G: its version and edge order stay put. *)
+let bs_agrees ~k seed g =
+  let version = Graph.version g and order = edges_w g in
+  let h = Baswana_sen_weighted.build ~k (Prng.create seed) g in
+  let r = bs_reference ~k (Prng.create seed) g in
+  let a = Csr.snapshot h and b = Csr.snapshot r in
+  a.Csr.n = b.Csr.n
+  && a.Csr.xadj = b.Csr.xadj
+  && a.Csr.adjncy = b.Csr.adjncy
+  && a.Csr.weights = b.Csr.weights
+  && a.Csr.max_weight = b.Csr.max_weight
+  && Graph.is_weighted h = Graph.is_weighted r
+  && Graph.m h = Graph.m r
+  && Graph.version g = version
+  && edges_w g = order
+
+let prop_weighted_bs_matches_reference =
+  QCheck.Test.make ~name:"weighted baswana-sen = hashed reference, G untouched" ~count:200
+    QCheck.(quad small_int (int_range 0 6) (int_range 1 4) bool)
+    (fun (seed, fam, k, snap) ->
+      let fam = max 0 (min 6 fam) and k = max 1 (min 4 k) in
+      let g = bs_families.(fam) (Prng.create seed) in
+      (* a prior snapshot commits G's delta, so its rows read sorted *)
+      if snap then ignore (Csr.snapshot g);
+      bs_agrees ~k (seed + 1) g)
+
+let test_weighted_bs_tiny () =
+  let graphs =
+    [
+      Graph.create 0;
+      Graph.create 1;
+      Graph.create 2;
+      Graph.of_weighted_edges 2 [ (0, 1, 3) ];
+      (* two components and an isolated node *)
+      Graph.of_weighted_edges 7 [ (0, 1, 2); (1, 2, 2); (0, 2, 1); (3, 4, 5); (4, 5, 1) ];
+    ]
+  in
+  List.iteri
+    (fun i g ->
+      for k = 1 to 4 do
+        for seed = 1 to 3 do
+          check Alcotest.bool (Printf.sprintf "graph %d, k = %d, seed %d" i k seed) true
+            (bs_agrees ~k seed g)
+        done
+      done)
+    graphs;
+  check Alcotest.int "n = 0 gives the empty graph" 0
+    (Graph.n (Baswana_sen_weighted.build (Prng.create 1) (Graph.create 0)));
+  check Alcotest.bool "k < 1 rejected" true
+    (try
+       ignore (Baswana_sen_weighted.build ~k:0 (Prng.create 1) (Graph.create 3));
+       false
+     with Invalid_argument msg -> msg = "Baswana_sen_weighted.build: k < 1")
+
+(* The sampling and tie-break decisions, pinned: per input, k and seed,
+   m(H) and a digest of H's sorted weighted edge list.  The values were
+   computed with the hashed construction, before the flat rewrite. *)
+let test_weighted_bs_pinned () =
+  let inputs =
+    [
+      ("expander", fun s -> Generators.weighted_expander (Prng.create s) 400 24 ~w_max:8);
+      ( "regular",
+        fun s ->
+          Generators.randomize_weights (Prng.create (s + 1))
+            (Generators.random_regular (Prng.create s) 120 16)
+            ~w_max:8 );
+    ]
+  in
+  let want =
+    [
+      ("expander", 2, 1, 4602, "aeb7f9b155b8f61b3798af2996e64309");
+      ("expander", 2, 2, 4614, "6558e15f0eb31a2cc0734d87f15e6b50");
+      ("expander", 2, 3, 4630, "90149f84906bde4626d509b58df47c45");
+      ("expander", 3, 1, 4331, "cc7a948190ca1061f873a3184087dfbe");
+      ("expander", 3, 2, 4271, "d7dfcd72745b125fb52b531451e6a54b");
+      ("expander", 3, 3, 4235, "6fb8461cf111a056073e7ab297309273");
+      ("regular", 2, 1, 951, "caf0c45ac5056d2885bd5a4da3abde49");
+      ("regular", 2, 2, 939, "1fdd00b45b3ba7975e0d474202156860");
+      ("regular", 2, 3, 936, "cf8d97a5f6b8b06b51cdeaab9465936a");
+      ("regular", 3, 1, 903, "c5983147712d64216d5db8a907fb7b2b");
+      ("regular", 3, 2, 872, "80f3e4f4c4e2e2ff38b5c09520d65beb");
+      ("regular", 3, 3, 855, "ce35a231e0c835e1d5c5730018dbed8c");
+    ]
+  in
+  List.iter
+    (fun (name, k, seed, m, digest) ->
+      let g = (List.assoc name inputs) seed in
+      let h = Baswana_sen_weighted.build ~k (Prng.create (1000 + seed)) g in
+      let lines =
+        List.map (fun (u, v, w) -> Printf.sprintf "%d %d %d\n" u v w) (List.sort compare (edges_w h))
+      in
+      check
+        Alcotest.(pair int string)
+        (Printf.sprintf "%s k=%d seed=%d" name k seed)
+        (m, digest)
+        (Graph.m h, Digest.to_hex (Digest.string (String.concat "" lines))))
+    want
+
+(* One build on weighted-certify's input allocates well under the hashed
+   construction's ~2.0M heap words, and H comes back committed: its snapshot
+   is cached, so reading it builds no CSR. *)
+let test_weighted_bs_allocation () =
+  let g = Generators.weighted_expander (Prng.create 1) 384 192 ~w_max:8 in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  let h = Baswana_sen_weighted.build ~k:2 (Prng.create 3) g in
+  let used = words () -. before in
+  check Alcotest.bool (Printf.sprintf "%.0f heap words <= 500,000" used) true (used <= 500_000.);
+  Metrics.reset ();
+  Obs.set_metrics true;
+  let first, second =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_metrics false)
+      (fun () ->
+        let first = Csr.snapshot h in
+        (first, Csr.snapshot h))
+  in
+  check Alcotest.bool "snapshot is the cached store" true (first == second);
+  check Alcotest.int "no CSR rebuilt" 0
+    (Metrics.counter_value (Metrics.counter "csr.snapshot_builds"))
+
 (* ---- Stretch dispatch: weighted kernels agree with each other and FW ---- *)
 
 let weighted_pair seed n ~w_max =
@@ -539,7 +801,15 @@ let () =
           qt prop_dijkstra_eq_floyd_warshall;
           qt prop_dijkstra_to_targets;
         ] );
-      ("baswana-sen", [ qt prop_weighted_bs_stretch ]);
+      ( "baswana-sen",
+        [
+          qt prop_weighted_bs_stretch;
+          qt prop_weighted_bs_matches_reference;
+          Alcotest.test_case "tiny and disconnected = reference" `Quick test_weighted_bs_tiny;
+          Alcotest.test_case "pinned decisions" `Quick test_weighted_bs_pinned;
+          Alcotest.test_case "allocation budget, cached snapshot" `Quick
+            test_weighted_bs_allocation;
+        ] );
       ( "stretch",
         [
           qt prop_weighted_stretch_kernels_agree;
