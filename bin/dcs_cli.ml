@@ -183,6 +183,10 @@ let w_max_arg =
 let trials_arg =
   Arg.(value & opt int 5 & info [ "trials"; "t" ] ~docv:"T" ~doc:"Matching trials to measure.")
 
+(* A negative count is a bad input like any other (exit 123), not a crash
+   in the measurement. *)
+let check_trials trials = if trials < 0 then Error "trials must be >= 0" else Ok ()
+
 let input_arg =
   Arg.(
     value
@@ -244,6 +248,7 @@ let general_arg =
 
 let spanner_cmd =
   let run () family n degree p seed w_max algorithm trials general input output =
+    let* () = check_trials trials in
     let* g = make_graph ?input ~w_max ~family ~n ~degree ~p ~seed () in
     let* ctor = Construction.find algorithm in
     let rng = Prng.create (seed + 1) in
@@ -372,6 +377,7 @@ let check_cmd =
           ~doc:"Congestion stretch bound (default: the Theorem 3 envelope 12(1+2sqrt(D))log n).")
   in
   let run () family n degree p seed w_max algorithm trials alpha beta input =
+    let* () = check_trials trials in
     let* g = make_graph ?input ~w_max ~family ~n ~degree ~p ~seed () in
     let* ctor = Construction.find algorithm in
     let rng = Prng.create (seed + 1) in
@@ -487,6 +493,7 @@ let verify_cmd =
       & info [ "spanner" ] ~docv:"FILE" ~doc:"The candidate spanner (edge-list file).")
   in
   let run () graph_file spanner_file seed trials =
+    let* () = check_trials trials in
     let* g = catch_parse (fun () -> Graph_io.read graph_file) in
     let* h = catch_parse (fun () -> Graph_io.read spanner_file) in
     let* () =

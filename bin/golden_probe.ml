@@ -12,6 +12,7 @@ let () =
     r.Dc.max_congestion r.Dc.mean_path_len r.Dc.max_path_len;
   (* the same three matchings routed again: Lemma 4 detours by hop count,
      plus the sum of their intermediate nodes *)
+  let route = (Expander_dc.to_dc e g).Dc.route_matching in
   let rng = Prng.create 4 in
   let two = ref 0 and three = ref 0 and inner = ref 0 in
   for _ = 1 to 3 do
@@ -23,7 +24,7 @@ let () =
         for i = 1 to len - 1 do
           inner := !inner + p.(i)
         done)
-      (Expander_dc.router e g rng m)
+      (route rng m)
   done;
   Printf.printf "thm2 routes two=%d three=%d inner=%d\n" !two !three !inner;
   let dc = Regular_dc.to_dc t g in
@@ -36,4 +37,25 @@ let () =
   let lam = Spectral.lambda (Csr.snapshot g) in
   Printf.printf "lambda=%.6f\n" lam;
   let dist = Dist_spanner.run ~seed:6 g in
-  Printf.printf "dist m=%d messages=%d\n" (Graph.m dist.Dist_spanner.spanner) dist.Dist_spanner.messages
+  Printf.printf "dist m=%d messages=%d\n" (Graph.m dist.Dist_spanner.spanner) dist.Dist_spanner.messages;
+  (* test_golden's route digests: per registry entry, each on a fresh G *)
+  List.iter
+    (fun c ->
+      let g = Generators.random_regular (Prng.create 1) 60 20 in
+      let dc = Construction.build c (Prng.create 2) g in
+      let rng = Prng.create 4 in
+      let two = ref 0 and three = ref 0 and inner = ref 0 in
+      for _ = 1 to 3 do
+        let m = Matching.random_maximal rng g in
+        Array.iter
+          (fun p ->
+            let len = Routing.length p in
+            if len = 2 then incr two else if len = 3 then incr three;
+            for i = 1 to len - 1 do
+              inner := !inner + p.(i)
+            done)
+          (dc.Dc.route_matching rng m)
+      done;
+      Printf.printf "route digest %s: (%d, %d, %d, %d, %d)\n" c.Construction.name
+        (Graph.m dc.Dc.spanner) !two !three !inner (Prng.int rng 1_000_000))
+    Construction.all

@@ -22,6 +22,8 @@ let evaluate name g spanner_dc rng =
     (if dist = max_int then "disc" else string_of_int dist)
     m_report.Dc.mean_congestion m_report.Dc.max_congestion
 
+let build name = Construction.build (Construction.find_exn name)
+
 let () =
   let rng = Prng.create 11 in
   let n = 343 in
@@ -33,13 +35,13 @@ let () =
   evaluate "full graph" g (Dc.of_sp_router ~name:"full" ~graph:g ~spanner:(Graph.copy g)) rng;
 
   (* Classic distance-only spanner. *)
-  evaluate "greedy 3-spanner" g (Dc_spanner.build (Dc_spanner.Greedy 2) rng g) rng;
+  evaluate "greedy 3-spanner" g (build "greedy" rng g) rng;
 
   (* Baswana-Sen randomized 3-spanner. *)
-  evaluate "baswana-sen 3-spanner" g (Dc_spanner.build Dc_spanner.Baswana_sen rng g) rng;
+  evaluate "baswana-sen 3-spanner" g (build "baswana-sen" rng g) rng;
 
   (* The paper's DC-spanner. *)
-  evaluate "algorithm 1 (paper)" g (Dc_spanner.build Dc_spanner.Algorithm1 rng g) rng;
+  evaluate "algorithm 1 (paper)" g (build "algorithm1" rng g) rng;
 
   Printf.printf
     "\nEvery option keeps full reachability (same next-hop entries); the sparse\n\

@@ -15,11 +15,13 @@ let () =
     (Graph.is_regular g)
     (Spectral.lambda (Csr.snapshot g));
 
-  (* 2. Build the DC-spanner with Algorithm 1 (Theorem 3). *)
-  let dc = Dc_spanner.build Dc_spanner.Algorithm1 rng g in
+  (* 2. Build the DC-spanner with Algorithm 1 (Theorem 3), picked from the
+        construction registry by its CLI name. *)
+  let algorithm1 = Construction.find_exn "algorithm1" in
+  let dc = Construction.build algorithm1 rng g in
   Printf.printf "H: %d edges (%.0f%% of G) — guarantee: %s\n" (Graph.m dc.Dc.spanner)
     (100.0 *. float_of_int (Graph.m dc.Dc.spanner) /. float_of_int (Graph.m g))
-    (Dc_spanner.stretch_guarantee Dc_spanner.Algorithm1);
+    algorithm1.Construction.guarantee;
 
   (* 3. Distance stretch: exact, certified on every removed edge. *)
   Printf.printf "distance stretch: %d (paper: 3)\n" (Stretch.exact g dc.Dc.spanner);

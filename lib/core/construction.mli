@@ -13,7 +13,6 @@
 type t = {
   name : string;  (** canonical CLI name, unique across the registry *)
   aliases : string list;  (** accepted alternative spellings, also unique *)
-  algorithm : Dc_spanner.algorithm;  (** the underlying variant *)
   reference : string;  (** Table 1 row / theorem / section of the paper *)
   premise : Premise.requirement;  (** what the guarantee assumes of the input *)
   guarantee : string;  (** display form of the (distance, congestion) guarantee *)
@@ -24,7 +23,10 @@ type t = {
       (** expected [e] with [m(H) = O(n^e)] — the normalization exponent for
           {!Experiment.edges_norm} *)
   params : (string * string) list;  (** tunable parameters baked into the entry *)
-  build : Prng.t -> Graph.t -> Dc.t;  (** construct the spanner + router *)
+  build : Prng.t -> Graph.t -> Dc.t;
+      (** construct the spanner and its router; deterministic given the
+          generator state.  The {!Dc.t} reports under the construction's
+          label ([algorithm1], [greedy-3], [spectral[16]], ...) *)
 }
 
 val all : t list

@@ -1,21 +1,38 @@
+type paths = Direct | Uniform of Routing.path array | Shortest
+
 type t = {
   name : string;
   graph : Graph.t;
   spanner : Graph.t;
+  paths : int -> int -> paths;
   route_matching : Prng.t -> (int * int) array -> Routing.path array;
 }
 
-let of_sp_router ~name ~graph ~spanner =
-  let csr = Csr.snapshot spanner in
-  let route_matching rng pairs =
-    Array.map
-      (fun (u, v) ->
-        match Bfs.random_shortest_path csr rng u v with
-        | Some p -> p
-        | None -> invalid_arg (name ^ ": spanner disconnects a routed pair"))
-      pairs
+let reverse p = Array.init (Array.length p) (fun i -> p.(Array.length p - 1 - i))
+
+(* The one sampler: [csr] is H's snapshot, forced only by a draw that walks
+   H, since a snapshot commits H and reorders the rows detours are read from. *)
+let sampler ~name ~graph ~spanner ~csr paths =
+  let found = function
+    | Some p -> p
+    | None -> invalid_arg (name ^ ": spanner disconnects a routed pair")
   in
-  { name; graph; spanner; route_matching }
+  let draw rng (u, v) =
+    match paths u v with
+    | Direct -> [| u; v |]
+    | Uniform [||] -> found (Bfs.shortest_path (Lazy.force csr) u v)
+    | Uniform ps ->
+        let p = Prng.pick rng ps in
+        if p.(0) = u then p else reverse p
+    | Shortest -> found (Bfs.random_shortest_path (Lazy.force csr) rng u v)
+  in
+  { name; graph; spanner; paths; route_matching = (fun rng pairs -> Array.map (draw rng) pairs) }
+
+let make ~name ~graph ~spanner paths =
+  sampler ~name ~graph ~spanner ~csr:(lazy (Csr.snapshot spanner)) paths
+
+let of_sp_router ~name ~graph ~spanner =
+  sampler ~name ~graph ~spanner ~csr:(Lazy.from_val (Csr.snapshot spanner)) (fun _ _ -> Shortest)
 
 let route_general t rng routing =
   Decompose.run ~n:(Graph.n t.graph) ~router:(t.route_matching rng) routing
@@ -30,6 +47,7 @@ type matching_report = {
 }
 
 let measure_matching t rng ~trials =
+  if trials < 0 then invalid_arg "Dc.measure_matching: trials must be >= 0";
   let n = Graph.n t.graph in
   let congestions = Array.make trials 0.0 in
   let max_c = ref 0 in

@@ -37,6 +37,7 @@ type estimate = {
 }
 
 let estimate ?(trials = 20) ~alpha ~beta (dc : Dc.t) rng =
+  if trials < 0 then invalid_arg "Dc_check.estimate: trials must be >= 0";
   let g = dc.Dc.graph in
   let csr = Csr.snapshot g in
   let n = Graph.n g in

@@ -49,4 +49,5 @@ val estimate :
   ?trials:int -> alpha:float -> beta:float -> Dc.t -> Prng.t -> estimate
 (** Sample [trials] (default 20) random routing problems across the four
     workload shapes and report the fraction that admit an [(α, β)]-stretch
-    substitute via the construction. *)
+    substitute via the construction.  Raises [Invalid_argument] when
+    [trials < 0]. *)

@@ -2,9 +2,6 @@ type t = {
   spanner : Graph.t;
   p : float;
   fallbacks : int ref;
-  (* candidate replacement paths per removed edge, computed once: the
-     neighborhood matching (Lemma 4) is a property of G and the sampled
-     spanner, not of the request stream *)
   cache : (int * int, Routing.path array) Hashtbl.t;
 }
 
@@ -56,36 +53,14 @@ let candidates_for t g u v =
       Hashtbl.replace t.cache (u, v) c;
       c
 
-let router t g rng pairs =
-  let h = t.spanner in
-  let csr = lazy (Csr.snapshot h) in
-  let reverse p =
-    let len = Array.length p in
-    Array.init len (fun i -> p.(len - 1 - i))
-  in
-  Array.map
-    (fun (u, v) ->
-      if Graph.mem_edge h u v then [| u; v |]
-      else begin
-        let candidates = candidates_for t g u v in
-        if Array.length candidates = 0 then begin
-          incr t.fallbacks;
-          Metrics.incr m_fallbacks;
-          match Bfs.shortest_path (Lazy.force csr) u v with
-          | Some p -> p
-          | None -> invalid_arg "Expander_dc.router: spanner disconnected for pair"
-        end
-        else begin
-          let p = Prng.pick rng candidates in
-          if p.(0) = u then p else reverse p
-        end
-      end)
-    pairs
+let paths t g u v =
+  if Graph.mem_edge t.spanner u v then Dc.Direct
+  else
+    match candidates_for t g u v with
+    | [||] ->
+        incr t.fallbacks;
+        Metrics.incr m_fallbacks;
+        Dc.Uniform [||]
+    | candidates -> Dc.Uniform candidates
 
-let to_dc t g =
-  {
-    Dc.name = "theorem2";
-    graph = g;
-    spanner = t.spanner;
-    route_matching = (fun rng pairs -> router t g rng pairs);
-  }
+let to_dc t g = Dc.make ~name:"theorem2" ~graph:g ~spanner:t.spanner (paths t g)

@@ -32,13 +32,11 @@ val build : ?p:float -> Prng.t -> Graph.t -> t
 (** Sample the spanner.  [p] overrides the default [n^{2/3}/Δ] (clamped to
     [(0, 1]]). *)
 
-val router : t -> Graph.t -> Prng.t -> (int * int) array -> Routing.path array
-(** The Lemma 6/7 matching router on spanner [t] of graph [g]: spanner-edge
-    requests go direct; removed edges route across a uniformly random
-    surviving 3-hop path over the maximum matching between the endpoint
-    neighborhoods (2-hop paths via surviving common neighbors are also
-    candidates).  BFS fallback if nothing survived (counted in
-    [t.fallbacks]). *)
-
 val to_dc : t -> Graph.t -> Dc.t
-(** Package as a {!Dc.t}. *)
+(** Package spanner [t] of graph [g] with the Lemma 6/7 matching router:
+    spanner-edge requests go direct; a removed edge routes across a
+    uniformly random surviving 3-hop path over the maximum matching between
+    the endpoint neighborhoods (2-hop paths via surviving common neighbors
+    are also candidates), drawn from [t.cache].  When nothing survived the
+    router takes a BFS shortest path; each read of that empty distribution
+    counts in [t.fallbacks]. *)

@@ -19,27 +19,5 @@ let build ?(repair = true) rng g =
   let repaired = if repair then Support.repair g spanner else 0 in
   { spanner; sampled; reinserted; repaired }
 
-let to_dc ?(detour_cap = 64) t g =
-  let h = t.spanner in
-  let csr = lazy (Csr.snapshot h) in
-  let route_matching rng pairs =
-    Array.map
-      (fun (u, v) ->
-        if Graph.mem_edge h u v then [| u; v |]
-        else begin
-          let twos = Support.two_detours h ~u ~v ~cap:detour_cap in
-          let threes = Support.three_detours h ~u ~v ~cap:detour_cap in
-          let candidates =
-            List.map (fun x -> [| u; x; v |]) twos
-            @ List.map (fun (x, z) -> [| u; x; z; v |]) threes
-          in
-          match candidates with
-          | [] -> (
-              match Bfs.shortest_path (Lazy.force csr) u v with
-              | Some p -> p
-              | None -> invalid_arg "Irregular_dc: spanner disconnected for pair")
-          | _ -> Prng.pick rng (Array.of_list candidates)
-        end)
-      pairs
-  in
-  { Dc.name = "irregular"; graph = g; spanner = h; route_matching }
+let to_dc t g =
+  Dc.make ~name:"irregular" ~graph:g ~spanner:t.spanner (Regular_dc.detours t.spanner ~cap:64)

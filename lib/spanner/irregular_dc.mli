@@ -31,5 +31,6 @@ type t = {
 val build : ?repair:bool -> Prng.t -> Graph.t -> t
 (** Build the degree-local DC-spanner ([repair] defaults to [true]). *)
 
-val to_dc : ?detour_cap:int -> t -> Graph.t -> Dc.t
-(** Package with the random-detour matching router of Algorithm 1. *)
+val to_dc : t -> Graph.t -> Dc.t
+(** Package with Algorithm 1's random-detour router ({!Regular_dc.detours},
+    cap 64). *)

@@ -33,21 +33,7 @@ let build ?rho ~k rng g =
     { spanner; sampled; k; rho; reinserted }
   end
 
-let router t rng pairs =
-  let csr = Csr.snapshot t.spanner in
-  Array.map
-    (fun (u, v) ->
-      if Graph.mem_edge t.spanner u v then [| u; v |]
-      else
-        match Bfs.random_shortest_path csr rng u v with
-        | Some p -> p
-        | None -> invalid_arg "Khop_dc.router: spanner disconnected for pair")
-    pairs
-
 let to_dc t g =
-  {
-    Dc.name = Printf.sprintf "khop-%d" ((2 * t.k) - 1);
-    graph = g;
-    spanner = t.spanner;
-    route_matching = (fun rng pairs -> router t rng pairs);
-  }
+  let h = t.spanner in
+  Dc.make ~name:(Printf.sprintf "khop-%d" ((2 * t.k) - 1)) ~graph:g ~spanner:h (fun u v ->
+      if Graph.mem_edge h u v then Dc.Direct else Dc.Shortest)

@@ -32,9 +32,7 @@ val build : ?rho:float -> k:int -> Prng.t -> Graph.t -> t
 (** Build the [(2k−1)]-stretch spanner.  Requires [k ≥ 1]; [k = 1] returns
     [G] itself.  [rho] overrides the default [Δ^{-(k-1)/k}]. *)
 
-val router : t -> Prng.t -> (int * int) array -> Routing.path array
-(** Matching router: direct edges go direct, removed edges take a uniformly
-    random shortest path in the spanner (length [≤ 2k−1] by construction). *)
-
 val to_dc : t -> Graph.t -> Dc.t
-(** Package as a {!Dc.t}. *)
+(** Package with the matching router: direct edges go direct, removed edges
+    take a uniformly random shortest path in the spanner (length [≤ 2k−1]
+    by construction). *)

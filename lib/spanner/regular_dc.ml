@@ -72,35 +72,12 @@ let build ?(thresholds = Scaled) ?(repair = true) rng g =
     delta';
   }
 
-let router t ~detour_cap rng pairs =
-  let h = t.spanner in
-  let csr = lazy (Csr.snapshot h) in
-  Array.map
-    (fun (u, v) ->
-      if Graph.mem_edge h u v then [| u; v |]
-      else begin
-        (* Candidate replacements: 2-detours u–x–v and 3-detours u–x–z–v
-           surviving in H; uniform random choice spreads the congestion
-           (Lemma 17 / proof of Lemma 7). *)
-        let twos = Support.two_detours h ~u ~v ~cap:detour_cap in
-        let threes = Support.three_detours h ~u ~v ~cap:detour_cap in
-        let candidates =
-          List.map (fun x -> [| u; x; v |]) twos
-          @ List.map (fun (x, z) -> [| u; x; z; v |]) threes
-        in
-        match candidates with
-        | [] -> (
-            match Bfs.shortest_path (Lazy.force csr) u v with
-            | Some p -> p
-            | None -> invalid_arg "Regular_dc.router: spanner disconnected for pair")
-        | _ -> Prng.pick rng (Array.of_list candidates)
-      end)
-    pairs
+let detours h ~cap u v =
+  if Graph.mem_edge h u v then Dc.Direct
+  else
+    let twos = List.map (fun x -> [| u; x; v |]) (Support.two_detours h ~u ~v ~cap) in
+    let threes = List.map (fun (x, z) -> [| u; x; z; v |]) (Support.three_detours h ~u ~v ~cap) in
+    Dc.Uniform (Array.of_list (twos @ threes))
 
 let to_dc ?(detour_cap = 64) t g =
-  {
-    Dc.name = "algorithm1";
-    graph = g;
-    spanner = t.spanner;
-    route_matching = (fun rng pairs -> router t ~detour_cap rng pairs);
-  }
+  Dc.make ~name:"algorithm1" ~graph:g ~spanner:t.spanner (detours t.spanner ~cap:detour_cap)

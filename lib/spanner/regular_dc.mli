@@ -49,12 +49,13 @@ val build : ?thresholds:thresholds -> ?repair:bool -> Prng.t -> Graph.t -> t
     (near-)regular; [Δ] is taken as the maximum degree.  Deterministic given
     the generator state. *)
 
-val router : t -> detour_cap:int -> Prng.t -> (int * int) array -> Routing.path array
-(** The Lemma 17 matching router: requests that are spanner edges are routed
-    directly; removed edges over a uniformly random surviving 2- or 3-detour
-    (at most [detour_cap] candidates are enumerated).  Falls back to a
-    BFS shortest path in [H] if no detour survived (counted by Corollary 2
-    as a low-probability event).  Paths are oriented first→second. *)
+val detours : Graph.t -> cap:int -> int -> int -> Dc.paths
+(** The Lemma 17 path distribution on spanner [H]: [Direct] for an edge of
+    [H]; otherwise a uniform pick among the 2-detours and then the
+    3-detours of [(u, v)] surviving in [H] (at most [cap] of each, oriented
+    first→second).  Empty when none survived, so the router falls back to a
+    BFS shortest path (Corollary 2 makes this a low-probability event). *)
 
 val to_dc : ?detour_cap:int -> t -> Graph.t -> Dc.t
-(** Package as a {!Dc.t} (detour cap defaults to 64). *)
+(** Package with the {!detours} router as a {!Dc.t} (detour cap defaults
+    to 64). *)

@@ -16,5 +16,3 @@ let bounded_degree ?(target = 16) rng g =
   let delta = float_of_int (max 1 (Graph.max_degree g)) in
   let p = min 1.0 (float_of_int target /. delta) in
   sample_with rng g p
-
-let to_dc ~name t g = Dc.of_sp_router ~name ~graph:g ~spanner:t.spanner

@@ -22,7 +22,3 @@ val spectral : ?c:float -> Prng.t -> Graph.t -> t
 val bounded_degree : ?target:int -> Prng.t -> Graph.t -> t
 (** [5]-substitute: keep each edge with probability [target/Δ] ([target]
     defaults to 16), i.e. [O(n)] edges and constant expected degree. *)
-
-val to_dc : name:string -> t -> Graph.t -> Dc.t
-(** Package with the randomized-shortest-path router (the [25]-substitute
-    for permutation routing on bounded-degree expanders). *)

@@ -20,6 +20,11 @@ let with_temp_file contents f =
 
 let run_cli args = Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" cli args)
 
+let body_contains body needle =
+  let nl = String.length needle in
+  let rec find i = i + nl <= String.length body && (String.sub body i nl = needle || find (i + 1)) in
+  find 0
+
 let test_cli_exists () = check Alcotest.bool "binary built" true (Sys.file_exists cli)
 
 let test_malformed_graph_exits_123 () =
@@ -86,23 +91,40 @@ let test_bad_weight_exits_123 () =
 let test_negative_w_max_exits_123 () =
   check Alcotest.int "negative --w-max" 123 (run_cli "graph --family torus -n 25 --w-max -2")
 
+(* [args] exits 123 with [msg] as the first line of stderr: a one-line
+   error plus usage, never an uncaught exception *)
+let check_error args msg =
+  let err = Filename.temp_file "dcs_cli_err" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let code = Sys.command (Printf.sprintf "%s %s >/dev/null 2>%s" cli args err) in
+      check Alcotest.int (args ^ " exits 123") 123 code;
+      let ic = open_in err in
+      let body = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      check Alcotest.bool (args ^ " no uncaught exception") false
+        (body_contains body "uncaught exception");
+      check Alcotest.string (args ^ " says why") msg (List.hd (String.split_on_char '\n' body)))
+
 let test_generator_preconditions_exit_123 () =
   (* the regular family's default degree 60 does not fit n = 25, nor does
-     degree 30 fit n = 30: a one-line error plus usage, not a crash *)
+     degree 30 fit n = 30 *)
   List.iter
-    (fun args ->
-      let err = Filename.temp_file "dcs_cli_err" ".txt" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove err)
-        (fun () ->
-          let code = Sys.command (Printf.sprintf "%s %s >/dev/null 2>%s" cli args err) in
-          check Alcotest.int (args ^ " exits 123") 123 code;
-          let ic = open_in err in
-          let first = input_line ic in
-          close_in ic;
-          check Alcotest.string (args ^ " says why") "dcs: Generators.random_regular: need 0 <= d < n"
-            first))
+    (fun args -> check_error args "dcs: Generators.random_regular: need 0 <= d < n")
     [ "spanner --n 25"; "graph --n 30 --degree 30"; "distributed --n 25" ]
+
+let test_negative_trials_exit_123 () =
+  (* rejected up front, not an uncaught Array.make exception or a "0/-2"
+     success rate *)
+  with_temp_file "n 3 3\n0 1\n1 2\n2 0\n" (fun graph ->
+      List.iter
+        (fun args -> check_error args "dcs: trials must be >= 0")
+        [
+          "spanner --family torus -n 25 --trials=-1";
+          Printf.sprintf "verify -g %s --spanner %s --trials=-3" graph graph;
+          "check --family torus -n 25 --trials=-2";
+        ])
 
 let test_weighted_pipeline_exits_0 () =
   (* graph --w-max -> weighted file -> bsw spanner -> verify, all green *)
@@ -131,11 +153,6 @@ let read_cli args =
       let body = really_input_string ic (in_channel_length ic) in
       close_in ic;
       (code, body))
-
-let body_contains body needle =
-  let nl = String.length needle in
-  let rec find i = i + nl <= String.length body && (String.sub body i nl = needle || find (i + 1)) in
-  find 0
 
 let test_list_names_every_construction () =
   let code, body = read_cli "list" in
@@ -273,6 +290,7 @@ let () =
           Alcotest.test_case "negative w-max" `Quick test_negative_w_max_exits_123;
           Alcotest.test_case "generator preconditions" `Quick
             test_generator_preconditions_exit_123;
+          Alcotest.test_case "negative trials" `Quick test_negative_trials_exit_123;
         ] );
       ( "weighted",
         [ Alcotest.test_case "graph/spanner/verify pipeline" `Quick test_weighted_pipeline_exits_0 ] );

@@ -1,5 +1,6 @@
-(* Integration tests for the public facade (Dc_spanner) and the shared
-   experiment harness: every algorithm end-to-end on suitable graphs. *)
+(* Integration tests for the construction registry (Construction) and the
+   shared experiment harness: every construction end-to-end on suitable
+   graphs. *)
 
 let check = Alcotest.check
 
@@ -7,53 +8,44 @@ let expander seed n d =
   let d = if n * d mod 2 = 1 then d + 1 else d in
   Generators.random_regular (Prng.create seed) n d
 
+let build name = Construction.build (Construction.find_exn name)
+
 let all_algorithms =
   [
-    Dc_spanner.Theorem2;
-    Dc_spanner.Algorithm1;
-    Dc_spanner.Greedy 2;
-    Dc_spanner.Baswana_sen;
-    Dc_spanner.Spectral_sparsify;
-    Dc_spanner.Bounded_degree;
-    Dc_spanner.Khop 3;
-    Dc_spanner.Irregular;
+    "theorem2"; "algorithm1"; "greedy"; "baswana-sen"; "spectral"; "bounded-degree"; "khop-5";
+    "irregular";
   ]
 
 let test_algorithm_names_unique () =
-  let names = List.map Dc_spanner.algorithm_name all_algorithms in
-  let uniq = List.sort_uniq compare names in
-  check Alcotest.int "unique names" (List.length names) (List.length uniq);
-  List.iter
-    (fun a -> check Alcotest.bool "guarantee non-empty" true (Dc_spanner.stretch_guarantee a <> ""))
-    all_algorithms
+  (* test_registry checks the names; the label each construction's Dc.t
+     reports under must be unique too *)
+  let g = expander 1 60 20 in
+  let labels =
+    List.map (fun c -> (Construction.build c (Prng.create 7) g).Dc.name) Construction.all
+  in
+  let uniq = List.sort_uniq compare labels in
+  check Alcotest.int "unique labels" (List.length labels) (List.length uniq)
 
 let test_build_all_algorithms () =
   let g = expander 1 120 34 in
   List.iter
     (fun algo ->
       let rng = Prng.create 7 in
-      let dc = Dc_spanner.build algo rng g in
-      check Alcotest.bool
-        (Dc_spanner.algorithm_name algo ^ ": spanner subgraph")
-        true
+      let dc = build algo rng g in
+      check Alcotest.bool (algo ^ ": spanner subgraph") true
         (Graph.is_subgraph dc.Dc.spanner ~of_:g);
       (* route one matching through each *)
       let m = Matching.random_maximal rng g in
       let paths = dc.Dc.route_matching rng m in
       let problem = Routing.problem_of_edges m in
-      check Alcotest.bool
-        (Dc_spanner.algorithm_name algo ^ ": routing valid")
-        true
+      check Alcotest.bool (algo ^ ": routing valid") true
         (Routing.is_valid dc.Dc.spanner problem paths))
     all_algorithms
 
 let test_build_deterministic () =
   let g = expander 2 100 30 in
-  let build () =
-    let rng = Prng.create 13 in
-    (Dc_spanner.build Dc_spanner.Algorithm1 rng g).Dc.spanner
-  in
-  let a = build () and b = build () in
+  let spanner () = (build "algorithm1" (Prng.create 13) g).Dc.spanner in
+  let a = spanner () and b = spanner () in
   check Alcotest.int "same edge count" (Graph.m a) (Graph.m b);
   check Alcotest.bool "same edges" true (Graph.is_subgraph a ~of_:b)
 
@@ -62,17 +54,14 @@ let test_dc_spanners_have_stretch_3 () =
   List.iter
     (fun algo ->
       let rng = Prng.create 19 in
-      let dc = Dc_spanner.build algo rng g in
-      check Alcotest.bool
-        (Dc_spanner.algorithm_name algo ^ ": stretch <= 3")
-        true
-        (Stretch.exact g dc.Dc.spanner <= 3))
-    [ Dc_spanner.Theorem2; Dc_spanner.Algorithm1; Dc_spanner.Greedy 2; Dc_spanner.Baswana_sen ]
+      let dc = build algo rng g in
+      check Alcotest.bool (algo ^ ": stretch <= 3") true (Stretch.exact g dc.Dc.spanner <= 3))
+    [ "theorem2"; "algorithm1"; "greedy"; "baswana-sen" ]
 
 let test_evaluate_row () =
   let g = expander 4 100 30 in
   let rng = Prng.create 23 in
-  let dc = Dc_spanner.build Dc_spanner.Algorithm1 rng g in
+  let dc = build "algorithm1" rng g in
   let row = Experiment.evaluate ~trials:2 rng dc in
   check Alcotest.int "n" 100 row.Experiment.n;
   check Alcotest.int "m(G)" (Graph.m g) row.Experiment.m_graph;
@@ -92,7 +81,7 @@ let test_evaluate_row () =
 let test_evaluate_without_general () =
   let g = expander 5 80 24 in
   let rng = Prng.create 29 in
-  let dc = Dc_spanner.build Dc_spanner.Theorem2 rng g in
+  let dc = build "theorem2" rng g in
   let row = Experiment.evaluate ~trials:1 ~with_general:false ~with_lambda:false rng dc in
   check Alcotest.bool "no general" true (row.Experiment.general = None);
   check (Alcotest.float 1e-9) "lambda skipped" 0.0 row.Experiment.lambda;
@@ -102,7 +91,7 @@ let test_evaluate_without_general () =
 let test_edges_norm () =
   let g = expander 6 64 20 in
   let rng = Prng.create 31 in
-  let dc = Dc_spanner.build Dc_spanner.Bounded_degree rng g in
+  let dc = build "bounded-degree" rng g in
   let row = Experiment.evaluate ~trials:1 ~with_general:false ~with_lambda:false rng dc in
   check (Alcotest.float 1e-9) "norm exponent 0 = raw edges"
     (float_of_int row.Experiment.m_spanner)

@@ -109,6 +109,8 @@ let test_copt_disconnected_raises () =
 
 (* ---- Dc_check ---- *)
 
+let algorithm1 = Construction.find_exn "algorithm1"
+
 let regular seed n d =
   let d = if n * d mod 2 = 1 then d + 1 else d in
   Generators.random_regular (Prng.create seed) n d
@@ -116,7 +118,7 @@ let regular seed n d =
 let test_dc_check_pass () =
   let g = regular 11 120 30 in
   let rng = Prng.create 12 in
-  let dc = Dc_spanner.build Dc_spanner.Algorithm1 rng g in
+  let dc = Construction.build algorithm1 rng g in
   let problem = Problems.edge_matching rng g in
   let routing = Array.map (fun { Routing.src; dst } -> [| src; dst |]) problem in
   let beta = 3.0 *. sqrt 30.0 in
@@ -129,7 +131,7 @@ let test_dc_check_pass () =
 let test_dc_check_distance_violation_detected () =
   let g = regular 13 120 30 in
   let rng = Prng.create 14 in
-  let dc = Dc_spanner.build Dc_spanner.Algorithm1 rng g in
+  let dc = Construction.build algorithm1 rng g in
   (* find a removed edge; its substitute has length 2 or 3 > alpha = 1 *)
   let removed = ref None in
   Graph.iter_edges g (fun u v ->
@@ -148,7 +150,7 @@ let test_dc_check_congestion_violation_detected () =
   (* beta = 0.1 is unsatisfiable whenever the substitute uses any node. *)
   let g = regular 15 100 26 in
   let rng = Prng.create 16 in
-  let dc = Dc_spanner.build Dc_spanner.Algorithm1 rng g in
+  let dc = Construction.build algorithm1 rng g in
   let problem = Problems.edge_matching rng g in
   let routing = Array.map (fun { Routing.src; dst } -> [| src; dst |]) problem in
   let verdict = Dc_check.check_routing ~alpha:3.0 ~beta:0.1 dc rng routing in
@@ -158,7 +160,7 @@ let test_dc_check_congestion_violation_detected () =
 let test_dc_check_estimate () =
   let g = regular 17 120 30 in
   let rng = Prng.create 18 in
-  let dc = Dc_spanner.build Dc_spanner.Algorithm1 rng g in
+  let dc = Construction.build algorithm1 rng g in
   let beta = 12.0 *. (1.0 +. (2.0 *. sqrt 30.0)) *. Stats.log2 120.0 in
   let e = Dc_check.estimate ~trials:8 ~alpha:3.0 ~beta dc rng in
   check Alcotest.int "trials" 8 e.Dc_check.trials;

@@ -44,6 +44,7 @@ let test_theorem2_routes_golden () =
   check (Alcotest.float 1e-6) "mean path length" 1.420455 r.Dc.mean_path_len;
   check Alcotest.int "max path length" 3 r.Dc.max_path_len;
   (* the same three matchings again, route by route *)
+  let route = (Expander_dc.to_dc e g).Dc.route_matching in
   let rng = Prng.create 4 in
   let two = ref 0 and three = ref 0 and inner = ref 0 in
   for _ = 1 to 3 do
@@ -55,11 +56,62 @@ let test_theorem2_routes_golden () =
         for i = 1 to len - 1 do
           inner := !inner + p.(i)
         done)
-      (Expander_dc.router e g rng m)
+      (route rng m)
   done;
   check Alcotest.int "two-hop routes" 5 !two;
   check Alcotest.int "three-hop routes" 16 !three;
   check Alcotest.int "sum of intermediate nodes" 1184 !inner
+
+(* Per registry entry: m(H); then, over three random maximal matchings routed
+   in turn, the 2-hop and 3-hop route counts and the sum of the routes'
+   intermediate nodes; then the routing generator's next draw, which pins how
+   many draws the router made.  Each entry builds on a freshly generated G:
+   some builds commit G, which reorders the rows later builds read.  A new
+   registry entry needs its row here. *)
+let route_digests =
+  [
+    ("theorem2", (470, 7, 9, 531, 148688));
+    ("bounded-degree", (483, 14, 0, 353, 969811));
+    ("spectral", (600, 0, 0, 0, 968625));
+    ("algorithm1", (226, 6, 50, 3387, 22896));
+    ("greedy", (121, 23, 45, 1053, 773024));
+    ("baswana-sen", (402, 27, 2, 794, 470266));
+    ("baswana-sen-weighted", (573, 9, 0, 248, 940105));
+    ("elkin-neiman", (387, 14, 16, 1239, 847099));
+    ("khop-5", (275, 41, 10, 1610, 974557));
+    ("khop-7", (316, 32, 11, 1544, 767449));
+    ("irregular", (276, 4, 43, 2621, 659496));
+  ]
+
+let route_digest c =
+  let g = base_graph () in
+  let dc = Construction.build c (Prng.create 2) g in
+  let rng = Prng.create 4 in
+  let two = ref 0 and three = ref 0 and inner = ref 0 in
+  for _ = 1 to 3 do
+    let m = Matching.random_maximal rng g in
+    Array.iter
+      (fun p ->
+        let len = Routing.length p in
+        if len = 2 then incr two else if len = 3 then incr three;
+        for i = 1 to len - 1 do
+          inner := !inner + p.(i)
+        done)
+      (dc.Dc.route_matching rng m)
+  done;
+  (Graph.m dc.Dc.spanner, !two, !three, !inner, Prng.int rng 1_000_000)
+
+let test_route_digests_golden () =
+  let digest = Alcotest.(pair int (pair int (pair int (pair int int)))) in
+  let nest (m, two, three, inner, next) = (m, (two, (three, (inner, next)))) in
+  List.iter
+    (fun c ->
+      let name = c.Construction.name in
+      match List.assoc_opt name route_digests with
+      | None -> Alcotest.failf "%s: no pinned route digest" name
+      | Some want -> check digest name (nest want) (nest (route_digest c)))
+    Construction.all;
+  check Alcotest.int "one row per entry" (List.length Construction.all) (List.length route_digests)
 
 let test_matching_congestion_golden () =
   let g = base_graph () in
@@ -102,6 +154,7 @@ let () =
           Alcotest.test_case "algorithm 1" `Quick test_algorithm1_golden;
           Alcotest.test_case "theorem 2" `Quick test_theorem2_golden;
           Alcotest.test_case "theorem 2 routes" `Quick test_theorem2_routes_golden;
+          Alcotest.test_case "route digests" `Quick test_route_digests_golden;
           Alcotest.test_case "matching congestion" `Quick test_matching_congestion_golden;
           Alcotest.test_case "classic spanners" `Quick test_classic_golden;
           Alcotest.test_case "distributed" `Quick test_distributed_golden;

@@ -122,6 +122,70 @@ let test_build_smoke () =
         (Graph.is_subgraph dc.Dc.spanner ~of_:g))
     Construction.all
 
+(* ---- the sampler contract ---- *)
+
+let reverse p = Array.init (Array.length p) (fun i -> p.(Array.length p - 1 - i))
+
+let is_shortest_path h u v p =
+  let len = Array.length p in
+  len >= 1
+  && p.(0) = u
+  && p.(len - 1) = v
+  && List.for_all (fun i -> Graph.mem_edge h p.(i) p.(i + 1)) (List.init (len - 1) Fun.id)
+  && len - 1 = Bfs.distance (Csr.snapshot h) u v
+
+let in_support h (u, v) dist p =
+  match dist with
+  | Dc.Direct -> p = [| u; v |]
+  | Dc.Uniform [||] | Dc.Shortest -> is_shortest_path h u v p
+  | Dc.Uniform ps -> p.(0) = u && Array.exists (fun c -> c = p || reverse c = p) ps
+
+(* Every route [route_matching] draws lies in the support of [Dc.paths] for
+   its request, and a spanner-edge request draws once under the
+   shortest-path walk and never under [Direct].  Each distribution is read
+   just before its request is routed: a BFS draw snapshots H, which reorders
+   the rows the next detour enumeration reads. *)
+let prop_sampler_contract =
+  QCheck.Test.make ~name:"routes lie in Dc.paths" ~count:10
+    QCheck.(triple small_int (int_range 16 60) (int_range 3 24))
+    (fun (seed, n, d) ->
+      let d = min d (n - 1) in
+      let d = if n * d mod 2 = 1 then d - 1 else d in
+      let g = Generators.random_regular (Prng.create seed) n d in
+      List.for_all
+        (fun c ->
+          let name = c.Construction.name in
+          let dc = Construction.build c (Prng.create (seed + 1)) g in
+          let h = dc.Dc.spanner in
+          let rng = Prng.create (seed + 2) in
+          Array.iter
+            (fun (u, v) ->
+              let dist = dc.Dc.paths u v in
+              match dc.Dc.route_matching rng [| (u, v) |] with
+              | [| p |] when in_support h (u, v) dist p -> ()
+              | _ ->
+                  QCheck.Test.fail_reportf "%s: the route of (%d, %d) is outside its support" name
+                    u v)
+            (Matching.random_maximal rng g);
+          (match Graph.edge_array h with
+          | [||] -> ()
+          | edges ->
+              let u, v = edges.(0) in
+              let draws =
+                match dc.Dc.paths u v with
+                | Dc.Direct -> 0
+                | Dc.Shortest -> 1
+                | Dc.Uniform _ -> QCheck.Test.fail_reportf "%s: a spanner edge is not direct" name
+              in
+              let routed = Prng.create seed in
+              let expected = Prng.copy routed in
+              ignore (dc.Dc.route_matching routed [| (u, v) |]);
+              if draws = 1 then ignore (Prng.int expected 1);
+              if Prng.int64 routed <> Prng.int64 expected then
+                QCheck.Test.fail_reportf "%s: a spanner edge should draw %d time(s)" name draws);
+          true)
+        Construction.all)
+
 let test_premise_warnings_any_empty () =
   let g = Generators.ring_of_cliques 4 10 in
   List.iter
@@ -153,5 +217,6 @@ let () =
         [
           Alcotest.test_case "every entry builds" `Quick test_build_smoke;
           Alcotest.test_case "Any premises never warn" `Quick test_premise_warnings_any_empty;
+          QCheck_alcotest.to_alcotest prop_sampler_contract;
         ] );
     ]

@@ -394,6 +394,33 @@ let test_dc_of_sp_router () =
   let paths = dc.Dc.route_matching rng m in
   check Alcotest.bool "valid" true (Routing.is_valid h problem paths)
 
+let test_dc_sampler_draws () =
+  (* H is the path 0–1–2–3; G adds the edge (0, 3) *)
+  let h = Graph.of_edges 4 [ (0, 1); (1, 2); (2, 3) ] in
+  let g = Graph.of_edges 4 [ (0, 1); (1, 2); (2, 3); (0, 3) ] in
+  let route paths (u, v) =
+    let dc = Dc.make ~name:"test" ~graph:g ~spanner:h (fun _ _ -> paths) in
+    let rng = Prng.create 1 in
+    let p = (dc.Dc.route_matching rng [| (u, v) |]).(0) in
+    (p, Prng.int64 rng)
+  in
+  let after draws =
+    let rng = Prng.create 1 in
+    for _ = 1 to draws do
+      ignore (Prng.int rng 1)
+    done;
+    Prng.int64 rng
+  in
+  let expect label (want_path, want_draws) (p, next) =
+    check Alcotest.(array int) (label ^ ": path") want_path p;
+    check Alcotest.int64 (label ^ ": draws") (after want_draws) next
+  in
+  expect "direct" ([| 0; 1 |], 0) (route Dc.Direct (0, 1));
+  (* a one-element array still draws; a candidate from the far end is reversed *)
+  expect "uniform" ([| 0; 1; 2; 3 |], 1) (route (Dc.Uniform [| [| 3; 2; 1; 0 |] |]) (0, 3));
+  expect "empty uniform" ([| 0; 1; 2; 3 |], 0) (route (Dc.Uniform [||]) (0, 3));
+  expect "shortest" ([| 0; 1; 2; 3 |], 3) (route Dc.Shortest (0, 3))
+
 (* ---- qcheck ---- *)
 
 let prop_alg1_always_subgraph_3spanner =
@@ -588,6 +615,7 @@ let () =
           Alcotest.test_case "bounded degree substitute" `Quick test_sparsify_bounded_degree;
           Alcotest.test_case "sp-router dc" `Quick test_dc_of_sp_router;
         ] );
+      ("dc", [ Alcotest.test_case "sampler draws" `Quick test_dc_sampler_draws ]);
       ( "properties",
         q
           [
