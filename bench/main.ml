@@ -329,7 +329,7 @@ let figures_fig2 () =
   List.iter
     (fun d ->
       let g = regular_expander (200 + d) n d in
-      let gc = Csr.snapshot g in
+      let gc = Graph.snapshot g in
       let lam = Spectral.lambda_lanczos gc in
       (* Lemma 3 (expander mixing lemma) verified with the measured lambda *)
       let mixing = Mixing.check ~trials:40 (Prng.create (250 + d)) gc ~lambda:lam in
@@ -466,7 +466,7 @@ let lemmas_theorem1 br =
   let side = pick ~quick:8 ~standard:10 ~full:14 in
   let g = Generators.torus side side in
   let n = side * side in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let table =
     Report.create
       ~title:
@@ -752,11 +752,11 @@ let ablation_decomposition () =
   let t = Regular_dc.build rng g in
   let dc = Regular_dc.to_dc t g in
   let problem = Problems.permutation rng g in
-  let base = Sp_routing.route_random (Csr.snapshot g) rng problem in
+  let base = Sp_routing.route_random (Graph.snapshot g) rng problem in
   let base_c = Routing.congestion ~n:(Graph.n g) base in
   let report = Dc.measure_general dc rng base in
   (* naive: independently reroute each pair by a random shortest path in H *)
-  let hc = Csr.snapshot t.Regular_dc.spanner in
+  let hc = Graph.snapshot t.Regular_dc.spanner in
   let naive = Sp_routing.route_random hc rng problem in
   let naive_c = Routing.congestion ~n:(Graph.n g) naive in
   let table =
@@ -845,7 +845,7 @@ let ablation_valiant () =
   in
   List.iter
     (fun (gname, g, problems) ->
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       List.iter
         (fun (pname, mk) ->
           let rng = Prng.create 981 in
@@ -977,7 +977,7 @@ let ext_congestion_baselines () =
     "the harness approximates the optimal congestion C_G(R); this block compares the\n";
   Printf.printf "routers against the exact optimum (branch-and-bound) on small instances\n\n";
   let g = Generators.torus 6 6 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let table =
     Report.create ~title:"routing a random-pairs problem on a 6x6 torus"
       ~columns:[ "requests"; "deterministic SP"; "random SP"; "optimizer"; "exact optimum" ]
@@ -1058,7 +1058,7 @@ let ext_packets () =
         [ "network"; "links"; "C"; "D"; "lower bd"; "delivered by"; "max queue"; "avg latency" ]
   in
   let simulate name h =
-    let routing = Congestion_opt.route (Csr.snapshot h) (Prng.create 963) problem in
+    let routing = Congestion_opt.route (Graph.snapshot h) (Prng.create 963) problem in
     let s = Packet_sim.run ~n:(Graph.n g) routing in
     Report.add_row table
       [
@@ -1133,7 +1133,7 @@ let fault_degradation_sweep br =
       let dc = Construction.build ctor (Prng.create 1202) g in
       let h = dc.Dc.spanner in
       let problem = Problems.permutation (Prng.create 1203) g in
-      let routing = Sp_routing.route_random (Csr.snapshot h) (Prng.create 1204) problem in
+      let routing = Sp_routing.route_random (Graph.snapshot h) (Prng.create 1204) problem in
       List.iter
         (fun p ->
           let plan = Fault_plan.uniform_nodes ~round:2 (Prng.create 1205) g ~p in
@@ -1259,7 +1259,7 @@ let run_timing br =
   let n = pick ~quick:125 ~standard:216 ~full:343 in
   let d = even_degree n (int_of_float (float_of_int n ** 0.7)) in
   let g = regular_expander 991 n d in
-  let gc = Csr.snapshot g in
+  let gc = Graph.snapshot g in
   let small_routing =
     let rng = Prng.create 992 in
     let problem = Problems.random_pairs rng g ~k:(n / 2) in
@@ -1317,7 +1317,7 @@ let run_obs br =
   let n = pick ~quick:216 ~standard:343 ~full:512 in
   let d = even_degree n (int_of_float (float_of_int n ** 0.7)) in
   let g = regular_expander 995 n d in
-  let gc = Csr.snapshot g in
+  let gc = Graph.snapshot g in
   let probe = Metrics.counter "bench.obs_probe" in
   let probe_h = Metrics.histo "bench.obs_probe_h" in
   let hook = ns_per_call ~calls:1_000_000 in
@@ -1668,7 +1668,7 @@ let run_weighted br =
      with BFS source by source — the dispatch rule's semantic anchor *)
   let n = pick ~quick:400 ~standard:800 ~full:1600 in
   let g = Generators.expander (Prng.create 7004) n 8 in
-  let gc = Csr.snapshot g in
+  let gc = Graph.snapshot g in
   let identical = ref true in
   for s = 0 to min (n - 1) 63 do
     if Dijkstra.distances gc s <> Bfs.distances gc s then identical := false

@@ -206,7 +206,7 @@ let graph_cmd =
   let run () family n degree p seed w_max input output =
     let* g = make_graph ?input ~w_max ~family ~n ~degree ~p ~seed () in
     (match output with None -> () | Some path -> Graph_io.write g path);
-    let c = Csr.snapshot g in
+    let c = Graph.snapshot g in
     let rng = Prng.create (seed + 1) in
     Printf.printf "family:      %s\n" family;
     Printf.printf "nodes:       %d\n" (Graph.n g);
@@ -265,8 +265,11 @@ let spanner_cmd =
     Printf.printf "dist stretch: %s\n"
       (if row.Experiment.dist_stretch = max_int then "disconnected"
        else string_of_int row.Experiment.dist_stretch);
-    Printf.printf "matching congestion: mean %.2f, max %d over %d trials\n"
-      row.Experiment.matching.Dc.mean_congestion row.Experiment.matching.Dc.max_congestion trials;
+    if trials = 0 then Printf.printf "matching congestion: not measured (--trials 0)\n"
+    else
+      Printf.printf "matching congestion: mean %.2f, max %d over %d trials\n"
+        row.Experiment.matching.Dc.mean_congestion row.Experiment.matching.Dc.max_congestion
+        trials;
     (match row.Experiment.general with
     | None -> ()
     | Some gen ->
@@ -378,6 +381,11 @@ let check_cmd =
   in
   let run () family n degree p seed w_max algorithm trials alpha beta input =
     let* () = check_trials trials in
+    let* () =
+      if trials = 0 then
+        Error "rho (Definition 4) needs at least one sampled routing (--trials >= 1)"
+      else Ok ()
+    in
     let* g = make_graph ?input ~w_max ~family ~n ~degree ~p ~seed () in
     let* ctor = Construction.find algorithm in
     let rng = Prng.create (seed + 1) in
@@ -437,7 +445,7 @@ let route_cmd =
   in
   let run () family n degree p seed strategy requests input problem_file =
     let* g = make_graph ?input ~family ~n ~degree ~p ~seed () in
-    let c = Csr.snapshot g in
+    let c = Graph.snapshot g in
     let rng = Prng.create (seed + 1) in
     let* problem =
       match problem_file with
@@ -509,7 +517,9 @@ let verify_cmd =
       let dist = Stretch.exact g h in
       Printf.printf "distance stretch: %s\n"
         (if dist = max_int then "unbounded (disconnects some pair)" else string_of_int dist);
-      if dist < max_int then begin
+      if dist < max_int && trials = 0 then
+        Printf.printf "matching congestion stretch: not measured (--trials 0)\n"
+      else if dist < max_int then begin
         let dc = Dc.of_sp_router ~name:"verify" ~graph:g ~spanner:h in
         let rng = Prng.create seed in
         let r = Dc.measure_matching dc rng ~trials in
@@ -594,7 +604,7 @@ let faults_cmd =
       if requests <= 0 then Problems.permutation rng g else Problems.random_pairs rng g ~k:requests
     in
     let* routing =
-      try Ok (Sp_routing.route_random (Csr.snapshot h) rng problem)
+      try Ok (Sp_routing.route_random (Graph.snapshot h) rng problem)
       with Failure _ -> Error "the spanner disconnects the workload; cannot route in it"
     in
     let frng = Prng.create (seed + 2) in

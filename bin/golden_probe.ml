@@ -34,7 +34,7 @@ let () =
   Printf.printf "bs m=%d\n" (Graph.m h);
   let gr = Classic.greedy g ~k:2 in
   Printf.printf "greedy m=%d\n" (Graph.m gr);
-  let lam = Spectral.lambda (Csr.snapshot g) in
+  let lam = Spectral.lambda (Graph.snapshot g) in
   Printf.printf "lambda=%.6f\n" lam;
   let dist = Dist_spanner.run ~seed:6 g in
   Printf.printf "dist m=%d messages=%d\n" (Graph.m dist.Dist_spanner.spanner) dist.Dist_spanner.messages;

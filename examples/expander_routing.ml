@@ -14,7 +14,7 @@ let () =
   let delta = int_of_float (float_of_int n ** 0.8167) in
   let delta = if n * delta mod 2 = 1 then delta + 1 else delta in
   let g = Generators.random_regular rng n delta in
-  let lam = Spectral.lambda (Csr.snapshot g) in
+  let lam = Spectral.lambda (Graph.snapshot g) in
   Printf.printf "network: n=%d, Delta=%d, m=%d, lambda=%.1f (2*sqrt(Delta-1)=%.1f)\n" n delta
     (Graph.m g) lam
     (2.0 *. sqrt (float_of_int (delta - 1)));
@@ -29,7 +29,7 @@ let () =
   (* Permutation workload: every node talks to a random partner. *)
   let dc = Expander_dc.to_dc t g in
   let problem = Problems.permutation rng g in
-  let base = Sp_routing.route_random (Csr.snapshot g) rng problem in
+  let base = Sp_routing.route_random (Graph.snapshot g) rng problem in
   let report = Dc.measure_general dc rng base in
   Printf.printf "\npermutation routing (%d requests):\n" (Array.length problem);
   Printf.printf "  congestion in G:           %d\n" report.Dc.base_congestion;

@@ -16,7 +16,7 @@ let evaluate name g spanner_dc rng =
   let dist = Stretch.exact g h in
   let m_report = Dc.measure_matching spanner_dc rng ~trials:5 in
   (* compile actual forwarding tables: port state is what the spanner shrinks *)
-  let tables = Route_tables.compile (Csr.snapshot h) in
+  let tables = Route_tables.compile (Graph.snapshot h) in
   Printf.printf "%-22s ports=%-6d entries=%-7d dist=%-4s match-congestion: mean %.1f max %d\n"
     name (Route_tables.ports tables) (Route_tables.entries tables)
     (if dist = max_int then "disc" else string_of_int dist)

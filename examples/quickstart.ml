@@ -13,7 +13,7 @@ let () =
   let g = Generators.random_regular rng n 60 in
   Printf.printf "G: %d nodes, %d edges, regular=%b, lambda=%.2f\n" (Graph.n g) (Graph.m g)
     (Graph.is_regular g)
-    (Spectral.lambda (Csr.snapshot g));
+    (Spectral.lambda (Graph.snapshot g));
 
   (* 2. Build the DC-spanner with Algorithm 1 (Theorem 3), picked from the
         construction registry by its CLI name. *)
@@ -35,7 +35,7 @@ let () =
 
   (* 5. An arbitrary routing problem, via the Theorem 1 decomposition. *)
   let problem = Problems.permutation rng g in
-  let base = Sp_routing.route_random (Csr.snapshot g) rng problem in
+  let base = Sp_routing.route_random (Graph.snapshot g) rng problem in
   let general = Dc.measure_general dc rng base in
   Printf.printf
     "permutation routing: C_G = %d, C_H = %d (stretch %.2f); every path <= %.0fx longer\n"

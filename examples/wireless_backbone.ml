@@ -33,18 +33,18 @@ let () =
   Printf.printf "traffic: permutation, %d flows\n\n" (Array.length problem);
 
   (* route on the full backbone with the congestion-aware router *)
-  let full_routing = Congestion_opt.route (Csr.snapshot backbone) rng problem in
+  let full_routing = Congestion_opt.route (Graph.snapshot backbone) rng problem in
   describe "full backbone" backbone full_routing;
 
   (* thin it to the DC-spanner and route the same flows *)
   let t = Regular_dc.build rng backbone in
   let spanner = t.Regular_dc.spanner in
-  let sp_routing = Congestion_opt.route (Csr.snapshot spanner) rng problem in
+  let sp_routing = Congestion_opt.route (Graph.snapshot spanner) rng problem in
   describe "DC-spanner" spanner sp_routing;
 
   (* the congestion-oblivious alternative at the same link budget *)
   let greedy = Classic.greedy backbone ~k:2 in
-  let greedy_routing = Congestion_opt.route (Csr.snapshot greedy) rng problem in
+  let greedy_routing = Congestion_opt.route (Graph.snapshot greedy) rng problem in
   describe "greedy 3-spanner" greedy greedy_routing;
 
   Printf.printf

@@ -228,9 +228,9 @@ let run ?(on_batch = fun (_ : batch_stats) -> ()) config ~graph ~spanner =
         let problem = sample_problem rng_traffic h ~requests:config.requests in
         let routing =
           if Array.length problem = 0 then [||]
-          else Sp_routing.route_random (Csr.snapshot h) rng_traffic problem
+          else Sp_routing.route_random (Graph.snapshot h) rng_traffic problem
         in
-        let traffic_stretch = routed_stretch (Csr.snapshot g) problem routing in
+        let traffic_stretch = routed_stretch (Graph.snapshot g) problem routing in
         let loads = Routing.node_loads ~n routing in
         (* 2. draw the batch; its destructive half degrades the traffic *)
         let events = Churn_gen.generate config.kind rng_events ~g ~h ~loads ~count in

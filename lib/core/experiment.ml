@@ -15,7 +15,7 @@ let evaluate ?(trials = 5) ?(with_general = true) ?(with_lambda = true) rng (dc 
   let n = Graph.n g in
   (* one CSR snapshot per graph for the whole evaluation: spectral, exact
      stretch and baseline routing all read the same immutable views *)
-  let gc = Csr.snapshot g and hc = Csr.snapshot h in
+  let gc = Graph.snapshot g and hc = Graph.snapshot h in
   let lambda, lambda_spanner =
     Trace.with_span ~name:"experiment.spectral" (fun () ->
         if with_lambda then (Spectral.lambda gc, Spectral.lambda hc) else (0.0, 0.0))

@@ -13,27 +13,13 @@ let pick_index ~seed u v count =
     Prng.int (Prng.create mix) count
   end
 
-(* The router's candidate computation over any graph view that contains the
-   2-hop ball of (u, v): identical code for local and full knowledge, which
-   is what makes the equality assertion meaningful. *)
-let candidates view ~sampled u v =
-  let commons, matched = Bipartite_matching.neighborhood_matching view u v in
-  let two_hop =
-    List.filter_map
-      (fun x -> if sampled u x && sampled x v then Some [| u; x; v |] else None)
-      (List.sort compare commons)
-  in
-  let three_hop =
-    Array.to_list matched
-    |> List.filter_map (fun (x, y) ->
-           if sampled u x && sampled x y && sampled y v then Some [| u; x; y; v |] else None)
-  in
-  Array.of_list (two_hop @ three_hop)
-
+(* The centralized router's candidate computation, run over any graph view
+   that contains the 2-hop ball of (u, v): identical code for local and full
+   knowledge, which is what makes the equality assertion meaningful. *)
 let route_one view ~sampled ~seed (u, v) =
   if sampled u v then [| u; v |]
   else begin
-    let cands = candidates view ~sampled u v in
+    let cands = Expander_dc.candidates view ~sampled u v in
     let idx = pick_index ~seed u v (Array.length cands) in
     if idx < 0 then [||] (* no surviving candidate: reported as empty *)
     else cands.(idx)

@@ -58,7 +58,7 @@ let run ?(timeout = 4) ?(max_attempts = 5) ?(backoff_cap = 64) ~n ~network ~plan
     Array.fold_left max 0 loads
   in
   (* fault state: [alive]/[removed] answer liveness queries on the hot path;
-     [survivor] mirrors them as a graph for BFS reroutes ([Csr.snapshot]'s
+     [survivor] mirrors them as a graph for BFS reroutes ([Graph.snapshot]'s
      version cache rebuilds its CSR only when the survivor changed since the
      last reroute) *)
   let alive = Array.make n true in
@@ -83,7 +83,7 @@ let run ?(timeout = 4) ?(max_attempts = 5) ?(backoff_cap = 64) ~n ~network ~plan
           ignore (Graph.remove_edge survivor u v)
         end
   in
-  let csr () = Csr.snapshot survivor in
+  let csr () = Graph.snapshot survivor in
   (* packet state *)
   let delivery = Array.make k (-1) in
   let queues = Array.make n [] in

@@ -1,83 +1,98 @@
-(** Immutable compressed-sparse-row snapshot of a graph.
+(** Immutable compressed-sparse-row graphs: the flat storage every kernel
+    reads.
 
-    BFS sweeps, spectral power iteration, and the routing measurements are the
-    hot loops of the benchmark harness; they all run over this flat
-    Bigarray-backed representation ({!Csr_store.t}) instead of the delta-log
-    {!Graph.t}.  Kernels borrow rows in place: [xadj.{v} .. xadj.{v+1} - 1]
-    indexes straight into [adjncy] with no copying. *)
+    [n + 1] row offsets and [2m] concatenated neighbor lists held in [int]
+    Bigarrays, laid out for sequential scans: BFS sweeps, spectral power
+    iteration and the routing measurements borrow rows in place
+    ([xadj.{v} .. xadj.{v+1} - 1] indexes straight into [adjncy], no
+    copying).  Storage is exactly [(n + 1) + 2m] machine words outside the
+    OCaml heap; the GC never scans it, but the runtime still counts its size
+    when pacing major collections.  Rows are sorted ascending and free of
+    duplicates and self-loops, which makes the structure canonical for a
+    given edge set: two stores over the same edges are element-for-element
+    equal.
 
-type t = Graph.csr = private {
+    {!Graph.t} is a delta log over one of these; {!Graph.snapshot} commits
+    the log and returns it.  {!of_stream} builds one in O(n + m) time by
+    counting sort from an arbitrary edge stream (no per-node hash tables, no
+    comparison sort), which keeps 10^6-node builds at memory bandwidth. *)
+
+type ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Off-heap [int] array; element [i] reads as [a.{i}]. *)
+
+type t = private {
   n : int;  (** number of nodes *)
-  xadj : Csr_store.ba;  (** offsets: neighbors of [v] live at [xadj.{v} .. xadj.{v+1} - 1] *)
-  adjncy : Csr_store.ba;  (** concatenated neighbor lists, sorted ascending per node *)
-  weights : Csr_store.ba option;
-      (** per-arc positive weights aligned with [adjncy]; [None] = all 1 *)
-  max_weight : int;  (** the heaviest arc weight; [1] when unweighted *)
+  xadj : ba;  (** offsets: neighbors of [v] live at [xadj.{v} .. xadj.{v+1} - 1] *)
+  adjncy : ba;  (** concatenated neighbor lists, sorted ascending per node *)
+  weights : ba option;
+      (** per-arc positive weights aligned with [adjncy]; [None] means every
+          edge has weight 1 (the unweighted stores are bit-identical to what
+          they were before weights existed) *)
+  max_weight : int;
+      (** the heaviest arc weight, recorded when the store is built: [1]
+          when [weights = None] or there are no arcs *)
 }
 
-val of_graph : Graph.t -> t
-(** Build a fresh snapshot, bypassing the version cache ({!Graph.to_csr}).
-    Neighbor lists are sorted ascending so that the snapshot is canonical for
-    a given edge set.  Prefer {!snapshot} unless you specifically need a new
-    physical copy. *)
-
-val snapshot : Graph.t -> t
-(** The memoized snapshot ({!Graph.snapshot}): rebuilt only when the graph's
-    mutation {!Graph.version} has moved, otherwise the cached, physically
-    equal snapshot is returned.  [csr.snapshot_hits] / [csr.snapshot_builds]
-    metrics count the cache behavior. *)
+val empty : int -> t
+(** [empty n] is the edgeless store on [n] nodes. *)
 
 val of_stream : ?m_hint:int -> n:int -> ((int -> int -> unit) -> unit) -> t
-(** O(n + m) counting-sort construction from an edge stream, bypassing
-    {!Graph.t} entirely ({!Csr_store.of_stream}).  The streaming path for
-    million-node graphs. *)
+(** [of_stream ~n produce] runs [produce emit] and builds the CSR from every
+    [emit u v] call in O(n + m): arcs are buffered (doubling growth, so pass
+    [~m_hint] when the edge count is known to avoid regrows), counting-sorted
+    by destination, and transpose-scattered into sorted rows.  Emitting an
+    edge once suffices; duplicates (either orientation) and self-loops are
+    dropped.  The result has [weights = None].  Raises [Invalid_argument] if
+    an endpoint is out of range. *)
 
 val of_weighted_stream :
   ?m_hint:int -> n:int -> ((int -> int -> int -> unit) -> unit) -> t
-(** Weighted streaming construction ({!Csr_store.of_weighted_stream}): each
-    [emit u v w] records a positively weighted edge; duplicate edges keep the
-    minimum weight. *)
+(** [of_weighted_stream ~n produce] is {!of_stream} for weighted edges: each
+    [emit u v w] records edge [(u, v)] with positive integer weight [w],
+    carried through the same counting-sort scatter.  When duplicate edges are
+    emitted (either orientation), the minimum weight wins.  Raises
+    [Invalid_argument] on out-of-range endpoints or [w < 1].  The result
+    always has [is_weighted t = true], even if every emitted weight is 1. *)
 
-val empty : int -> t
-(** The edgeless snapshot on [n] nodes. *)
+val is_weighted : t -> bool
+(** Whether the store carries an explicit weight array. *)
+
+val max_weight : t -> int
+(** The heaviest arc weight, in O(1): recorded at build time, after the
+    minimum-weight dedupe of {!of_weighted_stream} (so a heavier parallel
+    copy that lost to a lighter one does not count).  [1] on unweighted and
+    arc-less stores.  {!Bfs_batch.to_targets} sizes its ring of pending
+    levels by it. *)
 
 val n : t -> int
 (** Number of nodes. *)
 
 val m : t -> int
-(** Number of (undirected) edges. *)
+(** Number of undirected edges. *)
 
 val degree : t -> int -> int
-(** Degree of a node. *)
+(** Row length of a node.  Raises [Invalid_argument] out of range. *)
 
 val iter_neighbors : t -> int -> (int -> unit) -> unit
-(** Iterate over the neighbors of a node, ascending. *)
+(** Iterate a node's neighbors in ascending order, without copying. *)
 
 val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-(** Fold over the neighbors of a node, ascending. *)
+(** Fold over a node's neighbors in ascending order. *)
 
 val mem_edge : t -> int -> int -> bool
-(** Edge membership by binary search over the sorted neighbor list:
-    O(log deg). *)
-
-val iter_edges : t -> (int -> int -> unit) -> unit
-(** Iterate each edge exactly once as [(u, v)] with [u < v]. *)
-
-val is_weighted : t -> bool
-(** Whether the snapshot carries an explicit weight array. *)
-
-val max_weight : t -> int
-(** The heaviest arc weight, in O(1) ({!Csr_store.max_weight}): [1] on
-    unweighted snapshots.  {!Bfs_batch.to_targets} sizes its ring of
-    pending levels by it. *)
+(** Edge membership by binary search over the sorted row: O(log deg). *)
 
 val edge_weight : t -> int -> int -> int
-(** Weight of an edge (1 on unweighted snapshots); raises [Invalid_argument]
-    if absent. *)
+(** Weight of an edge (1 on unweighted stores), by the same binary search as
+    {!mem_edge}.  Raises [Invalid_argument] if the edge is absent. *)
 
 val iter_neighbors_w : t -> int -> (int -> int -> unit) -> unit
-(** Like {!iter_neighbors} but passing each edge's weight (1 when
-    unweighted). *)
+(** Like {!iter_neighbors} but passing each neighbor's edge weight (1 when
+    the store is unweighted). *)
+
+val iter_edges : t -> (int -> int -> unit) -> unit
+(** Iterate each edge once as [(u, v)] with [u < v], ascending
+    lexicographically. *)
 
 val iter_edges_w : t -> (int -> int -> int -> unit) -> unit
 (** Like {!iter_edges} but passing each edge's weight (1 when unweighted). *)

@@ -5,7 +5,7 @@
     style), so the steady state allocates nothing beyond the returned
     distance rows.  On an unweighted snapshot every arc costs 1 and the
     results coincide exactly with {!Bfs} — the cross-kernel oracle the test
-    suite checks.  All weights are positive by the {!Csr_store} invariant.
+    suite checks.  All weights are positive by the {!Csr} invariant.
 
     The kernel dispatch rule: certificates run on the bit-parallel
     {!Bfs_batch.to_targets}, weighted or not, as long as the snapshot's

@@ -349,7 +349,7 @@ let expander rng n d =
   if d < 2 || d >= n then invalid_arg "Generators.expander: need 2 <= d < n";
   let rounds = (d - 2 + 1) / 2 in
   let c =
-    Csr_store.of_stream ~m_hint:(n * (d + 1) / 2) ~n (fun emit ->
+    Csr.of_stream ~m_hint:(n * (d + 1) / 2) ~n (fun emit ->
         for v = 0 to n - 1 do
           emit v (if v = n - 1 then 0 else v + 1)
         done;
@@ -370,7 +370,7 @@ let weighted_expander rng n d ~w_max =
   let rounds = (d - 2 + 1) / 2 in
   let w () = 1 + Prng.int rng w_max in
   let c =
-    Csr_store.of_weighted_stream ~m_hint:(n * (d + 1) / 2) ~n (fun emit ->
+    Csr.of_weighted_stream ~m_hint:(n * (d + 1) / 2) ~n (fun emit ->
         for v = 0 to n - 1 do
           emit v (if v = n - 1 then 0 else v + 1) (w ())
         done;

@@ -81,7 +81,7 @@ val expander : Prng.t -> int -> int -> Graph.t
 (** [expander rng n d]: streaming O(n + m) near-[d]-regular expander — a
     Hamiltonian cycle (connectivity) unioned with [⌈(d-2)/2⌉] uniform random
     permutations (each a 2-regular union of cycles).  Built entirely through
-    {!Csr_store.of_stream}, never {!Graph.add_edge}, so a 10^6-node instance
+    {!Csr.of_stream}, never {!Graph.add_edge}, so a 10^6-node instance
     costs one counting sort.  Degrees are [d] rounded up to even, minus
     permutation fixed points and duplicate collisions (a o(1) fraction);
     requires [2 <= d < n]. *)
@@ -89,7 +89,7 @@ val expander : Prng.t -> int -> int -> Graph.t
 val weighted_expander : Prng.t -> int -> int -> w_max:int -> Graph.t
 (** [weighted_expander rng n d ~w_max]: the {!expander} family with uniform
     integer edge weights in [[1, w_max]], streamed through
-    {!Csr_store.of_weighted_stream} (duplicate arcs keep the lighter
+    {!Csr.of_weighted_stream} (duplicate arcs keep the lighter
     weight).  Requires [w_max >= 1]. *)
 
 val weighted_torus : Prng.t -> int -> int -> w_max:int -> Graph.t

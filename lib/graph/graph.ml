@@ -1,6 +1,6 @@
 (* Delta-log graph over an immutable Bigarray CSR base.
 
-   The committed edge set lives in [base] (a Csr_store.t); mutations are
+   The committed edge set lives in [base] (a Csr.t); mutations are
    recorded in a small delta — [added] / [dels] keyed by normalized edge,
    plus per-node [adds] lists so added neighbors can be iterated — and the
    delta is replayed into a fresh base (an O(m) counting-sort rebuild) once
@@ -9,13 +9,7 @@
    speed: a neighbor scan is the sorted base row (skipping deleted edges only
    when deletions exist) plus the node's few delta additions. *)
 
-type csr = Csr_store.t = private {
-  n : int;
-  xadj : Csr_store.ba;
-  adjncy : Csr_store.ba;
-  weights : Csr_store.ba option;
-  max_weight : int;
-}
+type csr = Csr.t
 
 type t = {
   mutable base : csr;  (* committed snapshot of the edge set *)
@@ -34,7 +28,7 @@ type edge = int * int
 let create size =
   if size < 0 then invalid_arg "Graph.create: negative size";
   {
-    base = Csr_store.empty size;
+    base = Csr.empty size;
     added = Hashtbl.create 16;
     dels = Hashtbl.create 16;
     adds = Array.make size [];
@@ -45,7 +39,7 @@ let create size =
     snap = None;
   }
 
-let n g = Csr_store.n g.base
+let n g = Csr.n g.base
 
 let m g = g.m
 
@@ -62,7 +56,7 @@ let mem_edge g u v =
   &&
   let k = key g u v in
   Hashtbl.mem g.added k
-  || (Csr_store.mem g.base u v && not (Hashtbl.mem g.dels k))
+  || (Csr.mem_edge g.base u v && not (Hashtbl.mem g.dels k))
 
 let degree g v =
   check_node g v;
@@ -70,17 +64,17 @@ let degree g v =
 
 let iter_neighbors g v f =
   check_node g v;
-  if Hashtbl.length g.dels = 0 then Csr_store.iter_row g.base v f
-  else Csr_store.iter_row g.base v (fun u -> if not (Hashtbl.mem g.dels (key g u v)) then f u);
+  if Hashtbl.length g.dels = 0 then Csr.iter_neighbors g.base v f
+  else Csr.iter_neighbors g.base v (fun u -> if not (Hashtbl.mem g.dels (key g u v)) then f u);
   List.iter (fun (u, _) -> f u) g.adds.(v)
 
 let is_weighted g = g.nonunit > 0
 
 let iter_neighbors_w g v f =
   check_node g v;
-  if Hashtbl.length g.dels = 0 then Csr_store.iter_row_w g.base v f
+  if Hashtbl.length g.dels = 0 then Csr.iter_neighbors_w g.base v f
   else
-    Csr_store.iter_row_w g.base v (fun u w ->
+    Csr.iter_neighbors_w g.base v (fun u w ->
         if not (Hashtbl.mem g.dels (key g u v)) then f u w);
   List.iter (fun (u, w) -> f u w) g.adds.(v)
 
@@ -92,9 +86,9 @@ let edge_weight g u v =
   match Hashtbl.find_opt g.added k with
   | Some w -> w
   | None ->
-      if Hashtbl.mem g.dels k || not (Csr_store.mem g.base u v) then
+      if Hashtbl.mem g.dels k || not (Csr.mem_edge g.base u v) then
         invalid_arg "Graph.edge_weight: no such edge"
-      else Csr_store.weight g.base u v
+      else Csr.edge_weight g.base u v
 
 let neighbors g v =
   let acc = ref [] in
@@ -110,7 +104,7 @@ let fold_neighbors g v f init =
 let iter_edges g f =
   let no_dels = Hashtbl.length g.dels = 0 in
   for u = 0 to n g - 1 do
-    Csr_store.iter_row g.base u (fun v ->
+    Csr.iter_neighbors g.base u (fun v ->
         if u < v && (no_dels || not (Hashtbl.mem g.dels (key g u v))) then f u v);
     List.iter (fun (v, _) -> if u < v then f u v) g.adds.(u)
   done
@@ -118,7 +112,7 @@ let iter_edges g f =
 let iter_edges_w g f =
   let no_dels = Hashtbl.length g.dels = 0 in
   for u = 0 to n g - 1 do
-    Csr_store.iter_row_w g.base u (fun v w ->
+    Csr.iter_neighbors_w g.base u (fun v w ->
         if u < v && (no_dels || not (Hashtbl.mem g.dels (key g u v))) then f u v w);
     List.iter (fun (v, w) -> if u < v then f u v w) g.adds.(u)
   done
@@ -136,13 +130,10 @@ let edge_array g =
       incr i);
   out
 
-(* CSR construction lives here (not in [Csr]) so that the cache slot inside
-   [t] can name the snapshot type without a dependency cycle; [Csr] re-exports
-   the record and the entry points. *)
 let to_csr g =
   if is_weighted g then
-    Csr_store.of_weighted_stream ~m_hint:g.m ~n:(n g) (fun emit -> iter_edges_w g emit)
-  else Csr_store.of_stream ~m_hint:g.m ~n:(n g) (fun emit -> iter_edges g emit)
+    Csr.of_weighted_stream ~m_hint:g.m ~n:(n g) (fun emit -> iter_edges_w g emit)
+  else Csr.of_stream ~m_hint:g.m ~n:(n g) (fun emit -> iter_edges g emit)
 
 (* Replay the delta into a fresh base.  Does not bump [version]: the edge set
    is unchanged, only its physical layout. *)
@@ -159,7 +150,7 @@ let commit g =
    O(total edges) amortized. *)
 let maybe_commit g =
   let d = Hashtbl.length g.added + Hashtbl.length g.dels in
-  if d >= 64 && 2 * d >= Csr_store.m g.base then commit g
+  if d >= 64 && 2 * d >= Csr.m g.base then commit g
 
 let add_edge ?(weight = 1) g u v =
   check_node g u;
@@ -177,7 +168,7 @@ let add_edge ?(weight = 1) g u v =
       (* Resurrected base edge.  If the weight matches the base copy, just
          drop the deletion marker; otherwise keep the marker (the base copy
          stays hidden) and record the re-weighted edge in the delta. *)
-      if weight = Csr_store.weight g.base u v then Hashtbl.remove g.dels k
+      if weight = Csr.edge_weight g.base u v then Hashtbl.remove g.dels k
       else record_delta ()
     end
     else record_delta ();
@@ -204,7 +195,7 @@ let remove_edge g u v =
           w
       | None ->
           Hashtbl.replace g.dels k ();
-          if is_weighted g then Csr_store.weight g.base u v else 1
+          if is_weighted g then Csr.edge_weight g.base u v else 1
     in
     if weight <> 1 then g.nonunit <- g.nonunit - 1;
     g.deg.(u) <- g.deg.(u) - 1;
@@ -242,18 +233,18 @@ let of_weighted_edges size es =
   g
 
 let of_csr c =
-  let size = Csr_store.n c in
-  let deg = Array.init size (fun v -> Csr_store.degree c v) in
+  let size = Csr.n c in
+  let deg = Array.init size (fun v -> Csr.degree c v) in
   let nonunit = ref 0 in
-  if Csr_store.is_weighted c then
-    Csr_store.iter_edges_w c (fun _ _ w -> if w <> 1 then incr nonunit);
+  if Csr.is_weighted c then
+    Csr.iter_edges_w c (fun _ _ w -> if w <> 1 then incr nonunit);
   {
     base = c;
     added = Hashtbl.create 16;
     dels = Hashtbl.create 16;
     adds = Array.make size [];
     deg;
-    m = Csr_store.m c;
+    m = Csr.m c;
     nonunit = !nonunit;
     version = 0;
     snap = Some (0, c);

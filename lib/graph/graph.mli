@@ -2,8 +2,8 @@
 
     This is the central mutable representation used while *constructing*
     graphs and spanners.  Storage is a delta log over an immutable
-    Bigarray-backed CSR base ({!Csr_store.t}): reads scan the flat base rows
-    plus a small per-node delta, and mutations are O(1) amortized — once the
+    Bigarray-backed CSR base ({!Csr.t}): reads scan the flat base rows plus
+    a small per-node delta, and mutations are O(1) amortized — once the
     delta reaches half the base size it is replayed into a fresh base by an
     O(m) counting-sort rebuild.  Algorithms that only traverse a fixed graph
     should take a {!Csr.t} snapshot (see {!snapshot}) for zero-overhead
@@ -15,16 +15,8 @@
 
 type t
 
-type csr = Csr_store.t = private {
-  n : int;  (** number of nodes *)
-  xadj : Csr_store.ba;  (** offsets: neighbors of [v] live at [xadj.{v} .. xadj.{v+1} - 1] *)
-  adjncy : Csr_store.ba;  (** concatenated neighbor lists, sorted ascending per node *)
-  weights : Csr_store.ba option;
-      (** per-arc positive weights aligned with [adjncy]; [None] = all 1 *)
-  max_weight : int;  (** the heaviest arc weight; [1] when unweighted *)
-}
-(** Immutable compressed-sparse-row snapshot of a graph.  {!Csr.t} is an alias
-    of this type; the traversal helpers live there. *)
+type csr = Csr.t
+(** The snapshot type, {!Csr.t}; its record and read API live in {!Csr}. *)
 
 type edge = int * int
 (** Normalized edge: [(u, v)] with [u < v]. *)
@@ -115,7 +107,7 @@ val of_csr : csr -> t
 (** [of_csr c] adopts a CSR store as the committed base of a new graph in
     O(n): no edges are copied, the delta starts empty, and the store is also
     installed as the cached {!snapshot}.  This is the bridge from streaming
-    builders ({!Csr_store.of_stream}, {!Generators.expander}) into the mutable
+    builders ({!Csr.of_stream}, {!Generators.expander}) into the mutable
     API. *)
 
 val empty_like : t -> t
@@ -154,9 +146,10 @@ val version : t -> int
     the same value bracket a window in which the graph was not mutated. *)
 
 val to_csr : t -> csr
-(** Build a fresh CSR snapshot, bypassing the cache (= {!Csr.of_graph}).
-    Neighbor lists are sorted ascending, so the snapshot is canonical for a
-    given edge set. *)
+(** Build a fresh CSR snapshot, bypassing the cache and leaving the graph's
+    delta uncommitted.  Neighbor lists are sorted ascending, so the snapshot
+    is canonical for a given edge set.  Prefer {!snapshot} unless you
+    specifically need a new physical copy. *)
 
 val snapshot : t -> csr
 (** The memoized CSR snapshot: rebuilt only when {!version} has moved since

@@ -20,8 +20,8 @@ type t = {
   msg : string;
   resolved_path : string option;
       (** typed passes only: the canonical resolved identity behind the
-          flagged source text, e.g. ["Csr.of_graph"] for [C.of_graph] under
-          [module C = Csr] *)
+          flagged source text, e.g. ["Graph.to_csr"] for [C.to_csr] under
+          [module C = Graph] *)
 }
 
 val make :

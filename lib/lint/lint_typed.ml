@@ -1,7 +1,7 @@
 (* The pass catalogue: the repo's rules stated over the typedtree, where
    identifiers are resolved Path.ts and expressions carry inferred types.
-   That is what makes them alias-, open- and functor-proof: [C.of_graph]
-   under [module C = Csr], [of_graph] under [open Csr] and a shadowing-free
+   That is what makes them alias-, open- and functor-proof: [C.to_csr]
+   under [module C = Graph], [to_csr] under [open Graph] and a shadowing-free
    [compare] all reduce to the same canonical identity here, while a local
    [let compare = ...] (a Pident, not a Pdot) correctly stops matching the
    Stdlib rule. *)
@@ -62,7 +62,7 @@ let kernel_allowlist =
   [
     "lib/graph/bfs_batch.ml";
     "lib/graph/bitmat.ml";
-    "lib/graph/csr_store.ml";
+    "lib/graph/csr.ml";
     "lib/graph/dijkstra.ml";
   ]
 
@@ -153,9 +153,6 @@ let check_banned_api ctx unit =
                              && not (print_exempt path) ->
                 err ~resolved_path:name
                   (Printf.sprintf "%s in lib/ (route output through Report or Dcs_obs)" name)
-            | Some ("Csr.of_graph" as name) when not (csr_exempt path) ->
-                err ~resolved_path:name
-                  "Csr.of_graph outside lib/graph (use the version-cached Csr.snapshot)"
             | Some ("Graph.to_csr" as name) when not (csr_exempt path) ->
                 err ~resolved_path:name
                   "Graph.to_csr outside lib/graph (use the version-cached Graph.snapshot)"
@@ -218,11 +215,10 @@ let poly_compare_ops = [ "="; "<>"; "compare"; "min"; "max" ]
 
 (* The graph representations whose structural comparison is banned: deep
    compare walks the whole CSR and ignores the version counter.  Inside
-   graph.ml / csr.ml / csr_store.ml the same types appear under their local
-   name [t]. *)
+   graph.ml / csr.ml the same types appear under their local name [t]. *)
 let graph_type modname name =
-  List.mem name [ "Graph.t"; "Csr.t"; "Csr_store.t"; "Graph.csr" ]
-  || (name = "t" && List.mem modname [ "Graph"; "Csr"; "Csr_store" ])
+  List.mem name [ "Graph.t"; "Csr.t"; "Graph.csr" ]
+  || (name = "t" && List.mem modname [ "Graph"; "Csr" ])
 
 let check_poly_compare ctx (unit : Lint_cmt.t) =
   on_exprs unit (fun e ->
@@ -439,7 +435,7 @@ let all =
       doc =
         "failwith/Failure and unprefixed invalid_arg messages in lib/ (except \
          lib/util/io_error.ml); Printf.printf/print_*/prerr_* in lib/ (except Report and \
-         Dcs_obs); Csr.of_graph / Graph.to_csr outside lib/graph.  Matched on resolved \
+         Dcs_obs); Graph.to_csr outside lib/graph.  Matched on resolved \
          paths, so module aliases, opens and functor arguments cannot hide a call";
       check = check_banned_api;
     };
@@ -448,7 +444,7 @@ let all =
       title = "unsafe accesses confined and justified";
       doc =
         "Array/Bytes/String/Bigarray unsafe_* only in bfs_batch.ml, bitmat.ml, \
-         csr_store.ml, dijkstra.ml, and every site preceded by a (* SAFETY: ... *) \
+         csr.ml, dijkstra.ml, and every site preceded by a (* SAFETY: ... *) \
          comment; matched by resolved module, so module A = Array cannot hide one and a \
          local safe wrapper named unsafe_* does not match";
       check = check_unsafe_audit;
@@ -458,7 +454,7 @@ let all =
       title = "no polymorphic compare on graphs";
       doc =
         "=, <>, compare, min, max whose operand's inferred type involves \
-         Graph.t/Csr.t/Csr_store.t, through type aliases and inside containers \
+         Graph.t/Csr.t, through type aliases and inside containers \
          (Graph.t list, tuples); locally shadowed operators do not match";
       check = check_poly_compare;
     };

@@ -3,7 +3,7 @@
     carry inferred types.
 
     This is what makes the rules alias-, open- and functor-proof:
-    [C.of_graph] under [module C = Csr], [of_graph] under [open Csr] and
+    [C.to_csr] under [module C = Graph], [to_csr] under [open Graph] and
     [Stdlib.Array.unsafe_get] under [module A = Array] all reduce to the
     same canonical identity, while a locally shadowed [compare] (a [Pident],
     not a [Pdot]) correctly stops matching the Stdlib rule.  Findings carry

@@ -18,7 +18,7 @@ val maximum :
 val neighborhood_matching : Graph.t -> int -> int -> int list * (int * int) array
 (** [neighborhood_matching g u v] realizes Lemma 4 / Figure 2 for the pair
     [(u, v)]: it returns [(commons, matched)] where [commons] are the common
-    neighbors of [u] and [v] (each yields a 2-hop path [u–x–v]), and
+    neighbors of [u] and [v], ascending (each yields a 2-hop path [u–x–v]), and
     [matched] is a maximum matching, using [E(g)], between the exclusive
     neighborhoods [N(u) \ (N(v) ∪ {v})] and [N(v) \ (N(u) ∪ {u})] (each edge
     [(x, y)] yields the 3-hop path [u–x–y–v]).  The Lemma 4 bound applies to

@@ -29,10 +29,10 @@ let sampler ~name ~graph ~spanner ~csr paths =
   { name; graph; spanner; paths; route_matching = (fun rng pairs -> Array.map (draw rng) pairs) }
 
 let make ~name ~graph ~spanner paths =
-  sampler ~name ~graph ~spanner ~csr:(lazy (Csr.snapshot spanner)) paths
+  sampler ~name ~graph ~spanner ~csr:(lazy (Graph.snapshot spanner)) paths
 
 let of_sp_router ~name ~graph ~spanner =
-  sampler ~name ~graph ~spanner ~csr:(Lazy.from_val (Csr.snapshot spanner)) (fun _ _ -> Shortest)
+  sampler ~name ~graph ~spanner ~csr:(Lazy.from_val (Graph.snapshot spanner)) (fun _ _ -> Shortest)
 
 let route_general t rng routing =
   Decompose.run ~n:(Graph.n t.graph) ~router:(t.route_matching rng) routing

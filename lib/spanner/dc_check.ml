@@ -37,9 +37,9 @@ type estimate = {
 }
 
 let estimate ?(trials = 20) ~alpha ~beta (dc : Dc.t) rng =
-  if trials < 0 then invalid_arg "Dc_check.estimate: trials must be >= 0";
+  if trials < 1 then invalid_arg "Dc_check.estimate: trials must be >= 1";
   let g = dc.Dc.graph in
-  let csr = Csr.snapshot g in
+  let csr = Graph.snapshot g in
   let n = Graph.n g in
   let sample_routing i =
     let shape = i mod 4 in
@@ -79,7 +79,7 @@ let estimate ?(trials = 20) ~alpha ~beta (dc : Dc.t) rng =
   {
     trials;
     successes = !successes;
-    rate = float_of_int !successes /. float_of_int (max 1 trials);
+    rate = float_of_int !successes /. float_of_int trials;
     worst_dist = !worst_dist;
     worst_cong = !worst_cong;
     cert_dist;

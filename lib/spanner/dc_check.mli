@@ -50,4 +50,4 @@ val estimate :
 (** Sample [trials] (default 20) random routing problems across the four
     workload shapes and report the fraction that admit an [(α, β)]-stretch
     substitute via the construction.  Raises [Invalid_argument] when
-    [trials < 0]. *)
+    [trials < 1]: zero sampled routings estimate nothing. *)

@@ -21,7 +21,7 @@ type result = { spanner : Graph.t; removed : int; repaired : int }
 
 let build ?(k = 2) ?(repair = true) rng g =
   if k < 1 then invalid_arg "Elkin_neiman.build: k must be >= 1";
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let size = Csr.n c in
   let beta = log (2.0 *. float_of_int (max 2 size)) /. float_of_int k in
   let fk = float_of_int k in

@@ -5,7 +5,7 @@
     PAPERS.md): truncated-exponential radii, [k] rounds of discounted
     max-propagation over the CSR snapshot, and one counting-sort build of
     the kept edges.  This is the distance-only construction that pairs with
-    the flat {!Csr_store} engine — the whole pipeline is flat array sweeps,
+    the flat {!Csr} engine — the whole pipeline is flat array sweeps,
     so it runs at memory bandwidth on 10^6-node graphs. *)
 
 type result = {

@@ -26,8 +26,23 @@ let build ?p rng g =
   { spanner; p; fallbacks = ref 0; cache = Hashtbl.create 256 }
 
 (* Lemma 4 matching between the neighborhoods, then keep the 2/3-hop paths
-   whose edges all survived the sampling (Lemma 6).  Candidates are oriented
-   from the normalized edge's smaller endpoint. *)
+   whose edges all survived the sampling (Lemma 6). *)
+let candidates g ~sampled u v =
+  let commons, matched = Bipartite_matching.neighborhood_matching g u v in
+  let two_hop =
+    List.filter_map
+      (fun x -> if sampled u x && sampled x v then Some [| u; x; v |] else None)
+      commons
+  in
+  let three_hop =
+    Array.to_list matched
+    |> List.filter_map (fun (x, y) ->
+           if sampled u x && sampled x y && sampled y v then Some [| u; x; y; v |] else None)
+  in
+  Array.of_list (two_hop @ three_hop)
+
+(* Cached on the normalized pair, so candidates are oriented from the
+   edge's smaller endpoint. *)
 let candidates_for t g u v =
   let u, v = norm u v in
   match Hashtbl.find_opt t.cache (u, v) with
@@ -35,21 +50,7 @@ let candidates_for t g u v =
   | None ->
       Metrics.incr m_cache_miss;
       let h = t.spanner in
-      let commons, matched = Bipartite_matching.neighborhood_matching g u v in
-      let two_hop =
-        List.filter_map
-          (fun x ->
-            if Graph.mem_edge h u x && Graph.mem_edge h x v then Some [| u; x; v |] else None)
-          commons
-      in
-      let three_hop =
-        Array.to_list matched
-        |> List.filter_map (fun (x, y) ->
-               if Graph.mem_edge h u x && Graph.mem_edge h x y && Graph.mem_edge h y v then
-                 Some [| u; x; y; v |]
-               else None)
-      in
-      let c = Array.of_list (two_hop @ three_hop) in
+      let c = candidates g ~sampled:(fun x y -> Graph.mem_edge h x y) u v in
       Hashtbl.replace t.cache (u, v) c;
       c
 

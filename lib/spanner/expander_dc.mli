@@ -32,6 +32,16 @@ val build : ?p:float -> Prng.t -> Graph.t -> t
 (** Sample the spanner.  [p] overrides the default [n^{2/3}/Δ] (clamped to
     [(0, 1]]). *)
 
+val candidates : Graph.t -> sampled:(int -> int -> bool) -> int -> int -> Routing.path array
+(** [candidates g ~sampled u v]: the replacement paths of request [(u, v)],
+    oriented from [u] and not cached.  First the 2-hop paths [u–x–v] over
+    the common neighbors [x] of [u] and [v] in [g], ascending, then the
+    3-hop paths [u–x–y–v] over the Lemma 4 maximum matching between the
+    exclusive neighborhoods ({!Bipartite_matching.neighborhood_matching}),
+    keeping the paths whose every edge is [sampled] (Lemma 6).  {!to_dc}'s
+    router caches it on the normalized pair; {!Dist_expander} runs it on a
+    node's 2-hop view. *)
+
 val to_dc : t -> Graph.t -> Dc.t
 (** Package spanner [t] of graph [g] with the Lemma 6/7 matching router:
     spanner-edge requests go direct; a removed edge routes across a

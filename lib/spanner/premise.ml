@@ -16,7 +16,7 @@ let check g =
   let delta = Graph.max_degree g in
   let min_deg = Graph.min_degree g in
   let min_delta = float_of_int (max 1 n) ** (2.0 /. 3.0) in
-  let lambda = Spectral.lambda_lanczos (Csr.snapshot g) in
+  let lambda = Spectral.lambda_lanczos (Graph.snapshot g) in
   let lambda_budget =
     if n = 0 then 0.0 else float_of_int (delta * delta) /. float_of_int n
   in

@@ -71,7 +71,7 @@ let group_of a g hc ~weighted u =
    group is [(u, targets, weights)] where [weights.(i)] is the weight of
    [(u, targets.(i))] on a weighted pair and [weights = [||]] on a
    unit-weight one; the pair's weightedness comes first.  [hc] must be
-   [Csr.snapshot h]. *)
+   [Graph.snapshot h]. *)
 let removed_by_source g h hc =
   let weighted = weighted g h and n = Graph.n g in
   let a = arena n in
@@ -174,7 +174,7 @@ let sweep ?domains hc groups ~weighted ~bound f =
         (Parallel.max_range_saturating ?domains ((ng + width - 1) / width) sweep_unit
            ~saturate:max_int))
 
-let snapshot_of h = function Some c -> c | None -> Csr.snapshot h
+let snapshot_of h = function Some c -> c | None -> Graph.snapshot h
 
 let certify ?domains ?snapshot g h ~bound =
   Trace.with_span ~name:"spanner.certify" (fun () ->
@@ -190,7 +190,7 @@ let exact_parallel ?domains ?(bound = max_int) ?snapshot g h =
 let exact_bounded ?snapshot g h ~bound = certify ~domains:1 ?snapshot g h ~bound
 
 let exact_reference ?(bound = max_int) g h =
-  let hc = Csr.snapshot h in
+  let hc = Graph.snapshot h in
   if weighted g h then begin
     let worst = ref 1 in
     (try
@@ -226,7 +226,7 @@ let is_three_spanner g h = exact_bounded g h ~bound:3 <= 3
 
 let sampled_pairs ?snapshots rng g h ~samples =
   let gc, hc =
-    match snapshots with Some p -> p | None -> (Csr.snapshot g, Csr.snapshot h)
+    match snapshots with Some p -> p | None -> (Graph.snapshot g, Graph.snapshot h)
   in
   let n = Graph.n g in
   if n < 2 then 1.0
@@ -252,7 +252,7 @@ let sampled_pairs ?snapshots rng g h ~samples =
   end
 
 let violations g h ~bound =
-  let hc = Csr.snapshot h in
+  let hc = Graph.snapshot h in
   let weighted, groups = removed_by_source g h hc in
   let bad = ref [] in
   (* [f] returns 1, never [max_int], so every group is swept *)

@@ -41,7 +41,7 @@ val exact : ?snapshot:Csr.t -> Graph.t -> Graph.t -> int
 (** [exact g h] is the exact distance stretch of spanner [h]: the maximum
     over edges [(u,v)] of [G] of [d_H(u,v)].  Returns [max_int] if some edge
     is disconnected in [h], stopping at the first such batch.  [snapshot],
-    when given, must be [Csr.snapshot h] (lets callers reuse one snapshot
+    when given, must be [Graph.snapshot h] (lets callers reuse one snapshot
     across measurements). *)
 
 val exact_parallel :
@@ -73,7 +73,7 @@ val sampled_pairs :
   ?snapshots:Csr.t * Csr.t -> Prng.t -> Graph.t -> Graph.t -> samples:int -> float
 (** Monte-Carlo pairwise stretch: max over [samples] random connected node
     pairs of [d_H / d_G]; a sanity cross-check of {!exact} at scale.
-    [snapshots], when given, must be [(Csr.snapshot g, Csr.snapshot h)].
+    [snapshots], when given, must be [(Graph.snapshot g, Graph.snapshot h)].
     The random draws are identical with or without [snapshots]. *)
 
 val violations : Graph.t -> Graph.t -> bound:int -> (int * int) list
@@ -123,7 +123,7 @@ type inc_report = {
 val cert_create : ?snapshot:Csr.t -> Graph.t -> Graph.t -> bound:int -> cert
 (** Full sweep; caches every group's violation list and worst bounded
     detour.  Raises [Invalid_argument] if the node counts differ or
-    [bound < 1].  [snapshot], when given, must be [Csr.snapshot h]. *)
+    [bound < 1].  [snapshot], when given, must be [Graph.snapshot h]. *)
 
 val violations_incremental :
   cert -> ?snapshot:Csr.t -> Graph.t -> Graph.t -> touched:int array -> inc_report

@@ -78,7 +78,7 @@ let in_edge_order g es =
   List.rev !out
 
 let repair g h =
-  (* sweep a copy: the sweep's [Csr.snapshot] commits the delta it is given,
+  (* sweep a copy: the sweep's [Graph.snapshot] commits the delta it is given,
      which would reorder [h]'s neighbour lists *)
   let bad = Stretch.violations g (Graph.copy h) ~bound:3 in
   List.iter (fun (u, v) -> ignore (Graph.add_edge h u v)) (List.rev (in_edge_order g bad));

@@ -58,7 +58,7 @@ let test_gen_pinned_digest () =
      sorted edge order; the digest of every kind's events at seeds 1-3 was
      recorded with the draws made from a sorted copy of the edge array *)
   let g0 = Generators.random_regular (Prng.create 21) 80 10 in
-  let g = Graph.of_csr (Csr.snapshot g0) in
+  let g = Graph.of_csr (Graph.snapshot g0) in
   let h = Classic.greedy g0 ~k:2 in
   let i = ref 0 in
   Graph.iter_edges g0 (fun u v ->

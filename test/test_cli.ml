@@ -154,6 +154,25 @@ let read_cli args =
       close_in ic;
       (code, body))
 
+(* zero sampled routings measure nothing: check refuses to print a rho,
+   spanner and verify say the matching congestion was not measured *)
+let test_zero_trials () =
+  check_error "check --family regular --n 64 --degree 12 --trials 0"
+    "dcs: rho (Definition 4) needs at least one sampled routing (--trials >= 1)";
+  let code, body = read_cli "spanner --family regular --n 64 --degree 12 --trials 0" in
+  check Alcotest.int "spanner --trials 0 exits 0" 0 code;
+  check Alcotest.bool "spanner: not measured" true
+    (body_contains body "matching congestion: not measured (--trials 0)");
+  check Alcotest.bool "spanner: no 0-trial mean" false (body_contains body "over 0 trials");
+  with_temp_file "n 3 3\n0 1\n1 2\n2 0\n" (fun graph ->
+      let code, body =
+        read_cli (Printf.sprintf "verify -g %s --spanner %s --trials 0" graph graph)
+      in
+      check Alcotest.int "verify --trials 0 exits 0" 0 code;
+      check Alcotest.bool "verify: not measured" true
+        (body_contains body "matching congestion stretch: not measured (--trials 0)");
+      check Alcotest.bool "verify: no 0-trial mean" false (body_contains body "over 0 trials"))
+
 let test_list_names_every_construction () =
   let code, body = read_cli "list" in
   check Alcotest.int "list exits 0" 0 code;
@@ -291,6 +310,7 @@ let () =
           Alcotest.test_case "generator preconditions" `Quick
             test_generator_preconditions_exit_123;
           Alcotest.test_case "negative trials" `Quick test_negative_trials_exit_123;
+          Alcotest.test_case "zero trials" `Quick test_zero_trials;
         ] );
       ( "weighted",
         [ Alcotest.test_case "graph/spanner/verify pipeline" `Quick test_weighted_pipeline_exits_0 ] );

@@ -63,7 +63,7 @@ let test_local_bfs_protocol () =
   (* A tiny distributed BFS: node 0 floods a counter; states converge to
      BFS distances, validating synchronous-round semantics. *)
   let g = Generators.torus 4 4 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let expected = Bfs.distances c 0 in
   let diameter = 4 in
   let step ~round ~me ~neighbors state inbox =

@@ -20,7 +20,7 @@ let test_single_node () =
   let g = Graph.create 1 in
   check Alcotest.bool "connected" true (Connectivity.is_connected g);
   check Alcotest.int "stretch of itself" 1 (Stretch.exact g (Graph.copy g));
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   check Alcotest.int "self distance" 0 (Bfs.distance c 0 0)
 
 let test_of_edges_dedup () =
@@ -47,7 +47,7 @@ let test_edge_array_matches_edges () =
 
 let test_csr_mem_edge_extremes () =
   let g = Graph.of_edges 10 [ (5, 0); (5, 9); (5, 4) ] in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   check Alcotest.bool "first neighbor" true (Csr.mem_edge c 5 0);
   check Alcotest.bool "last neighbor" true (Csr.mem_edge c 5 9);
   check Alcotest.bool "middle neighbor" true (Csr.mem_edge c 5 4);
@@ -219,14 +219,14 @@ let test_local_model_zero_rounds () =
 
 let test_copt_single_request () =
   let g = Generators.path 6 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let rng = Prng.create 6 in
   let routing = Congestion_opt.route c rng [| { Routing.src = 0; dst = 5 } |] in
   check Alcotest.int "unique path" 5 (Routing.length routing.(0))
 
 let test_copt_zero_requests () =
   let g = Generators.path 4 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   check Alcotest.int "empty problem" 0 (Congestion_opt.congestion c (Prng.create 7) [||])
 
 let () =

@@ -1,11 +1,11 @@
-(* Graph-engine tests: the Bigarray CSR store (Csr_store), the delta-log
+(* Graph-engine tests: the Bigarray CSR store (Csr), the delta-log
    mutation path behind Graph.snapshot, the streaming expander generator,
    and the Elkin–Neiman near-linear-time spanner.
 
    The central property is the oracle: a CSR built from an edge stream must
    be element-for-element identical to a naive per-node sorted-list model,
    for any interleaving of add_edge / remove_edge / isolate — both through
-   the pure [Csr.of_graph] path and the delta-replaying [Csr.snapshot]
+   the pure [Graph.to_csr] path and the delta-replaying [Graph.snapshot]
    path. *)
 
 let check = Alcotest.check
@@ -57,11 +57,11 @@ let csr_matches_model md (c : Csr.t) =
   Array.iteri (fun i x -> if c.Csr.adjncy.{i} <> x then ok := false) adjncy;
   !ok
 
-(* ---- Csr_store unit behavior ---- *)
+(* ---- Csr unit behavior ---- *)
 
 let test_store_basic () =
   let c =
-    Csr_store.of_stream ~n:5 (fun emit ->
+    Csr.of_stream ~n:5 (fun emit ->
         emit 0 1;
         emit 1 0;
         (* duplicate, reversed orientation *)
@@ -72,26 +72,26 @@ let test_store_basic () =
         (* duplicate, same orientation *)
         emit 1 2)
   in
-  check Alcotest.int "n" 5 (Csr_store.n c);
-  check Alcotest.int "m" 3 (Csr_store.m c);
-  check Alcotest.int "arcs" 6 (Csr_store.arcs c);
-  check Alcotest.int "degree 1" 2 (Csr_store.degree c 1);
-  check Alcotest.int "degree 3" 0 (Csr_store.degree c 3);
-  check Alcotest.bool "mem 2 4" true (Csr_store.mem c 2 4);
-  check Alcotest.bool "mem 0 2" false (Csr_store.mem c 0 2);
+  check Alcotest.int "n" 5 (Csr.n c);
+  check Alcotest.int "m" 3 (Csr.m c);
+  check Alcotest.int "arcs" 6 (Bigarray.Array1.dim c.Csr.adjncy);
+  check Alcotest.int "degree 1" 2 (Csr.degree c 1);
+  check Alcotest.int "degree 3" 0 (Csr.degree c 3);
+  check Alcotest.bool "mem 2 4" true (Csr.mem_edge c 2 4);
+  check Alcotest.bool "mem 0 2" false (Csr.mem_edge c 0 2);
   let row = ref [] in
-  Csr_store.iter_row c 2 (fun w -> row := w :: !row);
+  Csr.iter_neighbors c 2 (fun w -> row := w :: !row);
   check Alcotest.(list int) "row 2 sorted" [ 1; 4 ] (List.rev !row);
   let edges = ref [] in
-  Csr_store.iter_edges c (fun u v -> edges := (u, v) :: !edges);
+  Csr.iter_edges c (fun u v -> edges := (u, v) :: !edges);
   check
     Alcotest.(list (pair int int))
     "edges ascending" [ (0, 1); (1, 2); (2, 4) ] (List.rev !edges)
 
 let test_store_empty_and_invalid () =
-  let e = Csr_store.empty 4 in
-  check Alcotest.int "empty m" 0 (Csr_store.m e);
-  check Alcotest.int "empty degree" 0 (Csr_store.degree e 3);
+  let e = Csr.empty 4 in
+  check Alcotest.int "empty m" 0 (Csr.m e);
+  check Alcotest.int "empty degree" 0 (Csr.degree e 3);
   let expects_invalid name f =
     check Alcotest.bool name true
       (try
@@ -100,25 +100,113 @@ let test_store_empty_and_invalid () =
        with Invalid_argument _ -> true)
   in
   expects_invalid "endpoint too large" (fun () ->
-      Csr_store.of_stream ~n:3 (fun emit -> emit 0 3));
+      Csr.of_stream ~n:3 (fun emit -> emit 0 3));
   expects_invalid "negative endpoint" (fun () ->
-      Csr_store.of_stream ~n:3 (fun emit -> emit (-1) 2));
-  expects_invalid "degree out of range" (fun () -> Csr_store.degree e 4)
+      Csr.of_stream ~n:3 (fun emit -> emit (-1) 2));
+  expects_invalid "degree out of range" (fun () -> Csr.degree e 4)
 
 let test_store_canonical () =
   (* same edge set, wildly different emit orders -> identical arrays *)
   let edges = [ (0, 9); (3, 4); (1, 2); (5, 8); (2, 7); (0, 3) ] in
   let build order =
-    Csr_store.of_stream ~n:10 (fun emit ->
+    Csr.of_stream ~n:10 (fun emit ->
         List.iter (fun (u, v) -> emit u v) order)
   in
   let a = build edges in
   let b =
     build (List.rev_map (fun (u, v) -> (v, u)) edges @ [ (1, 2); (9, 0) ])
   in
-  check Alcotest.bool "canonical xadj" true (a.Csr_store.xadj = b.Csr_store.xadj);
+  check Alcotest.bool "canonical xadj" true (a.Csr.xadj = b.Csr.xadj);
   check Alcotest.bool "canonical adjncy" true
-    (a.Csr_store.adjncy = b.Csr_store.adjncy)
+    (a.Csr.adjncy = b.Csr.adjncy)
+
+(* ---- qcheck oracle: the two stream builders = a min-wins model ---- *)
+
+(* A random arc stream on n = 0..40 nodes: each drawn arc, then (by its
+   flag) the same edge re-emitted reversed at another weight, or a
+   self-loop; the whole stream is shuffled by [seed]. *)
+let arc_stream (n, arcs, seed) =
+  if n = 0 then [||]
+  else begin
+    let es =
+      Array.of_list
+        (List.concat_map
+           (fun (a, b, w, flag) ->
+             let u = a mod n and v = b mod n in
+             (u, v, w)
+             :: (match flag mod 4 with
+                | 0 -> [ (v, u, 1 + ((w + flag) mod 9)) ]
+                | 1 -> [ (u, u, w) ]
+                | _ -> []))
+           arcs)
+    in
+    let st = Random.State.make [| seed |] in
+    for i = Array.length es - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let t = es.(i) in
+      es.(i) <- es.(j);
+      es.(j) <- t
+    done;
+    es
+  end
+
+(* rows of the stream's edge set with the lightest weight per edge,
+   ascending: the canonical (xadj, adjncy, weights) and the heaviest
+   surviving weight *)
+let min_wins_model n es =
+  let best = Hashtbl.create 64 in
+  Array.iter
+    (fun (u, v, w) ->
+      if u <> v then
+        let k = (min u v, max u v) in
+        match Hashtbl.find_opt best k with
+        | Some w' when w' <= w -> ()
+        | _ -> Hashtbl.replace best k w)
+    es;
+  let rows = Array.make n [] in
+  Hashtbl.iter
+    (fun (u, v) w ->
+      rows.(u) <- (v, w) :: rows.(u);
+      rows.(v) <- (u, w) :: rows.(v))
+    best;
+  let arcs = List.concat_map (fun r -> List.sort compare r) (Array.to_list rows) in
+  let xadj = Array.make (n + 1) 0 in
+  Array.iteri (fun v r -> xadj.(v + 1) <- xadj.(v) + List.length r) rows;
+  ( xadj,
+    Array.of_list (List.map fst arcs),
+    Array.of_list (List.map snd arcs),
+    Hashtbl.fold (fun _ w acc -> max w acc) best 1 )
+
+let ints (b : Csr.ba) = Array.init (Bigarray.Array1.dim b) (fun i -> b.{i})
+
+let prop_stream_builders =
+  QCheck.Test.make ~name:"stream builders: unit = weighted at weight 1; weighted = min-wins model"
+    ~count:300
+    QCheck.(
+      triple (int_range 0 40)
+        (small_list (quad small_nat small_nat (int_range 1 9) small_nat))
+        int)
+    (fun ((n, _, _) as input) ->
+      let es = arc_stream input in
+      let unit = Csr.of_stream ~n (fun emit -> Array.iter (fun (u, v, _) -> emit u v) es) in
+      let ones =
+        Csr.of_weighted_stream ~n (fun emit -> Array.iter (fun (u, v, _) -> emit u v 1) es)
+      in
+      let weighted =
+        Csr.of_weighted_stream ~n (fun emit -> Array.iter (fun (u, v, w) -> emit u v w) es)
+      in
+      let xadj, adjncy, weights, heaviest = min_wins_model n es in
+      unit.Csr.weights = None
+      && Csr.max_weight unit = 1
+      && ints ones.Csr.xadj = ints unit.Csr.xadj
+      && ints ones.Csr.adjncy = ints unit.Csr.adjncy
+      && Csr.max_weight ones = 1
+      && ints unit.Csr.xadj = xadj
+      && ints unit.Csr.adjncy = adjncy
+      && ints weighted.Csr.xadj = xadj
+      && ints weighted.Csr.adjncy = adjncy
+      && (match weighted.Csr.weights with Some w -> ints w = weights | None -> false)
+      && Csr.max_weight weighted = heaviest)
 
 (* ---- qcheck oracle: CSR = model under interleaved mutation ---- *)
 
@@ -153,14 +241,14 @@ let prop_csr_matches_model =
       let ops = List.map (fun (k, a, b) -> (k, a, b)) ops in
       let g, md = apply_ops n ops in
       (* of_graph: pure O(m) rebuild; snapshot: delta-log commit + cache *)
-      let pure = Csr.of_graph g in
-      let snap = Csr.snapshot g in
+      let pure = Graph.to_csr g in
+      let snap = Graph.snapshot g in
       let ok1 = csr_matches_model md pure && csr_matches_model md snap in
       (* mutate again after the snapshot to exercise cache invalidation *)
       let u = extra mod n in
       ignore (Graph.add_edge g u ((u + 1) mod n));
       model_add md u ((u + 1) mod n);
-      let ok2 = csr_matches_model md (Csr.snapshot g) in
+      let ok2 = csr_matches_model md (Graph.snapshot g) in
       ok1 && ok2)
 
 let prop_snapshot_accessors_match_graph =
@@ -169,7 +257,7 @@ let prop_snapshot_accessors_match_graph =
       pair (int_range 1 30) (small_list (triple small_nat small_nat small_nat)))
     (fun (n, ops) ->
       let g, _ = apply_ops n ops in
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       Csr.m c = Graph.m g
       && Seq.for_all
            (fun v ->
@@ -325,7 +413,7 @@ let test_expander_shape () =
   let n = 600 and d = 8 in
   let g = Generators.expander (Prng.create 42) n d in
   check Alcotest.int "n" n (Graph.n g);
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let dist = Bfs.distances c 0 in
   Array.iteri
     (fun v dv -> if dv < 0 then Alcotest.failf "node %d unreachable" v)
@@ -343,7 +431,7 @@ let test_expander_shape () =
     (2 * Graph.m g > (d - 2) * n)
 
 let test_expander_deterministic () =
-  let build seed = Csr.snapshot (Generators.expander (Prng.create seed) 300 6) in
+  let build seed = Graph.snapshot (Generators.expander (Prng.create seed) 300 6) in
   let a = build 7 and b = build 7 and c = build 8 in
   check Alcotest.bool "same seed, same arrays" true
     (a.Csr.xadj = b.Csr.xadj && a.Csr.adjncy = b.Csr.adjncy);
@@ -412,7 +500,7 @@ let test_en_dense_sparsifies () =
 let test_en_deterministic () =
   let g = Generators.expander (Prng.create 5) 800 8 in
   let build seed =
-    Csr.snapshot (Elkin_neiman.build (Prng.create seed) g).Elkin_neiman.spanner
+    Graph.snapshot (Elkin_neiman.build (Prng.create seed) g).Elkin_neiman.spanner
   in
   let a = build 9 and b = build 9 in
   check Alcotest.bool "same seed, same spanner" true
@@ -473,6 +561,7 @@ let () =
                prop_csr_matches_model;
                prop_snapshot_accessors_match_graph;
                prop_uncommitted_order;
+               prop_stream_builders;
              ] );
       ( "expander",
         [

@@ -42,7 +42,7 @@ let test_min_congestion_matches_copt_exact () =
     let rng = Prng.create seed in
     let g = Generators.erdos_renyi rng 10 0.4 in
     if Connectivity.is_connected g then begin
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       let problem = Problems.random_pairs rng g ~k:4 in
       let diam = Bfs.diameter_sampled c (Prng.create 1) ~samples:10 in
       let all_shortest_equal =

@@ -8,7 +8,7 @@ let check = Alcotest.check
 
 let test_copt_validity () =
   let g = Generators.torus 6 6 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let rng = Prng.create 1 in
   let problem = Problems.random_pairs rng g ~k:40 in
   let routing = Congestion_opt.route c rng problem in
@@ -23,7 +23,7 @@ let test_copt_improves_on_sp () =
   (* The optimizer should never be (much) worse than random shortest paths;
      check across several seeds that it is <= the random-SP congestion. *)
   let g = Generators.torus 7 7 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   for seed = 1 to 5 do
     let rng = Prng.create seed in
     let problem = Problems.random_pairs rng g ~k:60 in
@@ -36,7 +36,7 @@ let test_copt_star_forced () =
   (* On a star every path between leaves crosses the center: congestion = k
      regardless of routing. *)
   let g = Generators.star 10 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let rng = Prng.create 3 in
   let problem = [| { Routing.src = 1; dst = 2 }; { Routing.src = 3; dst = 4 } |] in
   check Alcotest.int "star congestion" 2 (Congestion_opt.congestion c rng problem)
@@ -45,7 +45,7 @@ let test_copt_slack_helps () =
   (* Two requests sharing the only shortest path; one extra hop lets the
      second avoid the middle.  Graph: path 0-1-2 plus detour 0-3-4-2. *)
   let g = Graph.of_edges 5 [ (0, 1); (1, 2); (0, 3); (3, 4); (4, 2) ] in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let problem = [| { Routing.src = 0; dst = 2 }; { Routing.src = 0; dst = 2 } |] in
   let rng = Prng.create 4 in
   let tight = Congestion_opt.congestion c rng problem in
@@ -58,7 +58,7 @@ let test_copt_slack_helps () =
   check Alcotest.bool "middle splits" true (loads.(1) <= 1)
 
 let test_copt_exact_known_instances () =
-  let c4 = Csr.snapshot (Generators.cycle 4) in
+  let c4 = Graph.snapshot (Generators.cycle 4) in
   let problem = [| { Routing.src = 0; dst = 2 }; { Routing.src = 1; dst = 3 } |] in
   (match Congestion_opt.exact c4 problem with
   | None -> Alcotest.fail "expected exact result"
@@ -67,7 +67,7 @@ let test_copt_exact_known_instances () =
       check Alcotest.bool "routing valid" true
         (Routing.is_valid (Generators.cycle 4) problem routing));
   (* two independent requests on a 6-cycle can be routed disjointly *)
-  let c6 = Csr.snapshot (Generators.cycle 6) in
+  let c6 = Graph.snapshot (Generators.cycle 6) in
   let problem6 = [| { Routing.src = 0; dst = 1 }; { Routing.src = 3; dst = 4 } |] in
   match Congestion_opt.exact c6 problem6 with
   | None -> Alcotest.fail "expected exact result"
@@ -80,7 +80,7 @@ let test_copt_exact_vs_heuristic () =
     let rng = Prng.create seed in
     let g = Generators.erdos_renyi rng 14 0.3 in
     if Connectivity.is_connected g then begin
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       let problem = Problems.random_pairs rng g ~k:5 in
       match Congestion_opt.exact c problem with
       | None -> () (* too many shortest paths; fine *)
@@ -99,7 +99,7 @@ let test_copt_exact_vs_heuristic () =
 
 let test_copt_disconnected_raises () =
   let g = Graph.of_edges 4 [ (0, 1); (2, 3) ] in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let rng = Prng.create 9 in
   check Alcotest.bool "raises" true
     (try
@@ -392,7 +392,7 @@ let prop_copt_never_worse_than_det_sp =
     QCheck.(pair small_int (int_range 5 40))
     (fun (seed, k) ->
       let g = Generators.torus 6 6 in
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       let rng = Prng.create seed in
       let problem = Problems.random_pairs rng g ~k in
       let det = Routing.congestion ~n:36 (Sp_routing.route c problem) in

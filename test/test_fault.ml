@@ -174,7 +174,7 @@ let test_sim_late_faults_never_strike () =
 let test_sim_deterministic () =
   let g = Generators.random_regular (Prng.create 5) 80 8 in
   let rng = Prng.create 6 in
-  let routing = Sp_routing.route_random (Csr.snapshot g) rng (Problems.permutation rng g) in
+  let routing = Sp_routing.route_random (Graph.snapshot g) rng (Problems.permutation rng g) in
   let plan = Fault_plan.uniform_nodes ~round:2 (Prng.create 7) g ~p:0.1 in
   let a = Fault_sim.run ~n:80 ~network:g ~plan routing in
   let b = Fault_sim.run ~n:80 ~network:g ~plan routing in
@@ -196,7 +196,7 @@ let test_sim_rate0_equivalence () =
       let problem =
         if k = 0 then Problems.permutation rng g else Problems.random_pairs rng g ~k
       in
-      let routing = Sp_routing.route_random (Csr.snapshot g) rng problem in
+      let routing = Sp_routing.route_random (Graph.snapshot g) rng problem in
       let n = Graph.n g in
       let faulty = Fault_sim.run ~n ~network:g ~plan:(Fault_plan.empty n) routing in
       let base = Packet_sim.run ~n routing in
@@ -214,7 +214,7 @@ let test_sim_rate0_offnetwork_routing () =
   let g = Generators.complete 10 in
   let h = Classic.greedy g ~k:2 in
   let rng = Prng.create 31 in
-  let routing = Sp_routing.route_random (Csr.snapshot g) rng (Problems.permutation rng g) in
+  let routing = Sp_routing.route_random (Graph.snapshot g) rng (Problems.permutation rng g) in
   let faulty = Fault_sim.run ~n:10 ~network:h ~plan:(Fault_plan.empty 10) routing in
   check Alcotest.bool "stats identical" true
     (Fault_sim.base_stats faulty = Packet_sim.run ~n:10 routing)
@@ -359,7 +359,7 @@ let prop_rate0_equivalence =
       let g = Generators.torus 5 5 in
       let rng = Prng.create seed in
       let routing =
-        Sp_routing.route_random (Csr.snapshot g) rng (Problems.random_pairs rng g ~k)
+        Sp_routing.route_random (Graph.snapshot g) rng (Problems.random_pairs rng g ~k)
       in
       let s = Fault_sim.run ~n:25 ~network:g ~plan:(Fault_plan.empty 25) routing in
       Fault_sim.base_stats s = Packet_sim.run ~n:25 routing)

@@ -9,7 +9,7 @@ let check = Alcotest.check
 
 let routing_for seed k =
   let g = Generators.torus 6 6 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let rng = Prng.create seed in
   let problem = Problems.random_pairs rng g ~k in
   Sp_routing.route_random c rng problem
@@ -60,19 +60,19 @@ let test_literal_levels_shared_edge () =
 let feq tol msg a b = check (Alcotest.float tol) msg a b
 
 let test_lanczos_closed_forms () =
-  feq 0.02 "K_20" 1.0 (Spectral.lambda_lanczos (Csr.snapshot (Generators.complete 20)));
-  feq 0.02 "Q_5 (bipartite)" 5.0 (Spectral.lambda_lanczos (Csr.snapshot (Generators.hypercube 5)));
+  feq 0.02 "K_20" 1.0 (Spectral.lambda_lanczos (Graph.snapshot (Generators.complete 20)));
+  feq 0.02 "Q_5 (bipartite)" 5.0 (Spectral.lambda_lanczos (Graph.snapshot (Generators.hypercube 5)));
   let n = 25 in
   feq 0.02 "C_25"
     (2.0 *. cos (Float.pi /. float_of_int n))
-    (Spectral.lambda_lanczos (Csr.snapshot (Generators.cycle n)));
-  feq 0.02 "K_{8,8}" 8.0 (Spectral.lambda_lanczos (Csr.snapshot (Generators.complete_bipartite 8 8)))
+    (Spectral.lambda_lanczos (Graph.snapshot (Generators.cycle n)));
+  feq 0.02 "K_{8,8}" 8.0 (Spectral.lambda_lanczos (Graph.snapshot (Generators.complete_bipartite 8 8)))
 
 let test_lanczos_matches_power_iteration () =
   List.iter
     (fun seed ->
       let g = Generators.random_regular (Prng.create seed) 150 12 in
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       let p = Spectral.lambda c in
       let l = Spectral.lambda_lanczos c in
       check Alcotest.bool
@@ -82,14 +82,14 @@ let test_lanczos_matches_power_iteration () =
     [ 1; 2; 3 ]
 
 let test_lanczos_trivial () =
-  feq 1e-9 "single node" 0.0 (Spectral.lambda_lanczos (Csr.snapshot (Graph.create 1)));
+  feq 1e-9 "single node" 0.0 (Spectral.lambda_lanczos (Graph.snapshot (Graph.create 1)));
   (* two isolated nodes: spectrum {0}; deflated operator is 0 *)
-  feq 0.05 "empty graph" 0.0 (Spectral.lambda_lanczos (Csr.snapshot (Graph.create 2)))
+  feq 0.05 "empty graph" 0.0 (Spectral.lambda_lanczos (Graph.snapshot (Graph.create 2)))
 
 (* ---- mixing lemma ---- *)
 
 let test_e_between () =
-  let g = Csr.snapshot (Generators.complete_bipartite 3 4) in
+  let g = Graph.snapshot (Generators.complete_bipartite 3 4) in
   (* S = left part, T = right part: all 12 edges cross *)
   check Alcotest.int "K_{3,4} full cut" 12
     (Mixing.e_between g [| 0; 1; 2 |] [| 3; 4; 5; 6 |]);
@@ -100,7 +100,7 @@ let test_mixing_lemma_holds () =
   (* With the true lambda, the inequality must hold on every sample. *)
   List.iter
     (fun (name, g, lambda) ->
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       let rng = Prng.create 7 in
       let r = Mixing.check ~trials:60 rng c ~lambda in
       check Alcotest.int (name ^ ": no violations") 0 r.Mixing.violations;
@@ -110,14 +110,14 @@ let test_mixing_lemma_holds () =
       ("hypercube", Generators.hypercube 6, 6.0);
       ( "random regular",
         Generators.random_regular (Prng.create 3) 120 20,
-        Spectral.lambda_lanczos (Csr.snapshot (Generators.random_regular (Prng.create 3) 120 20))
+        Spectral.lambda_lanczos (Graph.snapshot (Generators.random_regular (Prng.create 3) 120 20))
       );
     ]
 
 let test_mixing_lemma_detects_fake_lambda () =
   (* With lambda far below the truth, some sample must violate. *)
   let g = Generators.random_regular (Prng.create 4) 120 20 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let rng = Prng.create 8 in
   let r = Mixing.check ~trials:80 rng c ~lambda:0.3 in
   check Alcotest.bool "violations found" true (r.Mixing.violations > 0)

@@ -16,7 +16,7 @@ let test_graph_golden () =
   check Alcotest.int "m(G)" 600 (Graph.m g);
   check Alcotest.bool "regular" true (Graph.is_regular g);
   (* spectral estimate is deterministic given the fixed internal seed *)
-  let lam = Spectral.lambda (Csr.snapshot g) in
+  let lam = Spectral.lambda (Graph.snapshot g) in
   check (Alcotest.float 1e-4) "lambda" 7.188976 lam
 
 let test_algorithm1_golden () =

@@ -64,7 +64,7 @@ let test_common_neighbors () =
 
 let test_csr_matches_graph () =
   let g = random_graph 3 40 0.2 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   check Alcotest.int "n" (Graph.n g) (Csr.n c);
   check Alcotest.int "m" (Graph.m g) (Csr.m c);
   for v = 0 to Graph.n g - 1 do
@@ -106,7 +106,7 @@ let test_bfs_vs_floyd_warshall () =
   List.iter
     (fun (seed, n, p) ->
       let g = random_graph seed n p in
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       let fw = floyd_warshall g in
       for s = 0 to n - 1 do
         let dist = Bfs.distances c s in
@@ -116,7 +116,7 @@ let test_bfs_vs_floyd_warshall () =
 
 let test_bfs_bounded () =
   let g = Generators.path 10 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let dist = Bfs.distances_bounded c 0 ~bound:3 in
   check Alcotest.int "within bound" 3 dist.(3);
   check Alcotest.int "beyond bound" (-1) dist.(4);
@@ -125,13 +125,13 @@ let test_bfs_bounded () =
 
 let test_bfs_distance_disconnected () =
   let g = Graph.of_edges 4 [ (0, 1); (2, 3) ] in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   check Alcotest.int "disconnected" (-1) (Bfs.distance c 0 3);
   check Alcotest.(option (array int)) "no path" None (Bfs.shortest_path c 0 3)
 
 let test_shortest_path_valid () =
   let g = random_graph 7 30 0.15 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   for u = 0 to 29 do
     for v = 0 to 29 do
       let d = Bfs.distance c u v in
@@ -149,7 +149,7 @@ let test_shortest_path_valid () =
 
 let test_random_shortest_path () =
   let g = Generators.torus 5 5 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let rng = Prng.create 9 in
   for _ = 1 to 50 do
     let u = Prng.int rng 25 and v = Prng.int rng 25 in
@@ -165,7 +165,7 @@ let test_random_shortest_path_spreads () =
   (* On a 4-cycle the two shortest paths between antipodes should both
      appear across many draws. *)
   let g = Generators.cycle 4 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let rng = Prng.create 13 in
   let via = Hashtbl.create 2 in
   for _ = 1 to 100 do
@@ -177,7 +177,7 @@ let test_random_shortest_path_spreads () =
 
 let test_eccentricity_diameter () =
   let g = Generators.path 10 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   check Alcotest.int "ecc of end" 9 (Bfs.eccentricity c 0);
   check Alcotest.int "ecc of middle" 5 (Bfs.eccentricity c 4);
   let rng = Prng.create 1 in
@@ -259,7 +259,7 @@ let test_hypercube () =
   check Alcotest.int "m" 32 (Graph.m g);
   check Alcotest.bool "regular" true (Graph.is_regular g);
   (* distance = Hamming distance *)
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let popcount x =
     let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
     go x 0
@@ -321,7 +321,7 @@ let test_random_regular_connected_expander () =
   let rng = Prng.create 99 in
   let g = Generators.random_regular rng 200 8 in
   check Alcotest.bool "connected" true (Connectivity.is_connected g);
-  let lam = Spectral.lambda (Csr.snapshot g) in
+  let lam = Spectral.lambda (Graph.snapshot g) in
   (* Friedman: lambda ~ 2*sqrt(7) ~ 5.29; allow generous slack. *)
   check Alcotest.bool "near-Ramanujan" true (lam < 6.5)
 
@@ -330,7 +330,7 @@ let test_margulis () =
   check Alcotest.int "n" 64 (Graph.n g);
   check Alcotest.bool "degree <= 8" true (Graph.max_degree g <= 8);
   check Alcotest.bool "connected" true (Connectivity.is_connected g);
-  let ratio = Spectral.expansion_ratio (Csr.snapshot g) in
+  let ratio = Spectral.expansion_ratio (Graph.snapshot g) in
   check Alcotest.bool "expander" true (ratio < 0.95)
 
 let test_two_cliques_matching () =
@@ -348,14 +348,14 @@ let test_ring_of_cliques () =
   check Alcotest.int "m" ((4 * 10) + 4) (Graph.m g);
   check Alcotest.bool "connected" true (Connectivity.is_connected g);
   (* Non-expander: ratio should be large. *)
-  check Alcotest.bool "not an expander" true (Spectral.expansion_ratio (Csr.snapshot g) > 0.5)
+  check Alcotest.bool "not an expander" true (Spectral.expansion_ratio (Graph.snapshot g) > 0.5)
 
 (* ---- Spectral closed forms ---- *)
 
 let test_spectral_complete () =
   (* K_n has eigenvalues n-1 and -1: lambda = 1. *)
   let g = Generators.complete 20 in
-  let lam = Spectral.lambda (Csr.snapshot g) in
+  let lam = Spectral.lambda (Graph.snapshot g) in
   check (Alcotest.float 0.05) "K_20 lambda" 1.0 lam
 
 let test_spectral_cycle () =
@@ -363,12 +363,12 @@ let test_spectral_cycle () =
      eigenvalue magnitude 2 cos(pi / n). *)
   let even = Generators.cycle 24 in
   check (Alcotest.float 0.02) "C_24 lambda (bipartite)" 2.0
-    (Spectral.lambda (Csr.snapshot even));
+    (Spectral.lambda (Graph.snapshot even));
   let n = 25 in
   let odd = Generators.cycle n in
   let expected = 2.0 *. cos (Float.pi /. float_of_int n) in
   check (Alcotest.float 0.02) "C_25 lambda" expected
-    (Spectral.lambda (Csr.snapshot odd))
+    (Spectral.lambda (Graph.snapshot odd))
 
 let test_spectral_hypercube () =
   (* Q_d has eigenvalues d - 2k: lambda = d - 2 (and |-d| on the bipartite
@@ -376,18 +376,18 @@ let test_spectral_hypercube () =
      max(|l2|,|ln|) = d). *)
   let d = 5 in
   let g = Generators.hypercube d in
-  let lam = Spectral.lambda (Csr.snapshot g) in
+  let lam = Spectral.lambda (Graph.snapshot g) in
   check (Alcotest.float 0.1) "Q_5 lambda (bipartite: = d)" (float_of_int d) lam
 
 let test_spectral_complete_bipartite () =
   (* K_{a,b} has eigenvalues ±sqrt(ab); deflating all-ones is only exact for
      regular graphs, so use the balanced (regular) case. *)
   let g = Generators.complete_bipartite 8 8 in
-  let lam = Spectral.lambda (Csr.snapshot g) in
+  let lam = Spectral.lambda (Graph.snapshot g) in
   check (Alcotest.float 0.1) "K_{8,8} lambda" 8.0 lam
 
 let test_expansion_ratio_star () =
-  check (Alcotest.float 1e-6) "empty graph" 0.0 (Spectral.lambda (Csr.snapshot (Graph.create 1)))
+  check (Alcotest.float 1e-6) "empty graph" 0.0 (Spectral.lambda (Graph.snapshot (Graph.create 1)))
 
 (* ---- Bitmat ---- *)
 
@@ -410,8 +410,8 @@ let test_bitmat_matches_common_neighbors () =
 
 let test_snapshot_cached () =
   let g = random_graph 7 30 0.3 in
-  let a = Csr.snapshot g in
-  let b = Csr.snapshot g in
+  let a = Graph.snapshot g in
+  let b = Graph.snapshot g in
   check Alcotest.bool "unmutated snapshots physically equal" true (a == b);
   (* any successful mutation must invalidate the cache *)
   let u, v =
@@ -420,26 +420,26 @@ let test_snapshot_cached () =
     !e
   in
   check Alcotest.bool "remove" true (Graph.remove_edge g u v);
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   check Alcotest.bool "mutation invalidates" true (not (c == a));
   check Alcotest.int "snapshot m tracks graph" (Graph.m g) (Csr.m c);
   (* a failed mutation (removing a non-edge) must NOT invalidate *)
   check Alcotest.bool "remove again" false (Graph.remove_edge g u v);
-  check Alcotest.bool "no-op keeps cache" true (Csr.snapshot g == c);
+  check Alcotest.bool "no-op keeps cache" true (Graph.snapshot g == c);
   (* re-adding restores the edge set; the snapshot follows *)
   check Alcotest.bool "add back" true (Graph.add_edge g u v);
-  check Alcotest.int "restored m" (Csr.m a) (Csr.m (Csr.snapshot g))
+  check Alcotest.int "restored m" (Csr.m a) (Csr.m (Graph.snapshot g))
 
 let test_snapshot_copy_independent () =
   let g = random_graph 8 20 0.3 in
-  let snap_g = Csr.snapshot g in
+  let snap_g = Graph.snapshot g in
   let g' = Graph.copy g in
   (* the copy may share the cached snapshot (same version, same edges)... *)
-  check Alcotest.int "copy snapshot m" (Csr.m snap_g) (Csr.m (Csr.snapshot g'));
+  check Alcotest.int "copy snapshot m" (Csr.m snap_g) (Csr.m (Graph.snapshot g'));
   (* ...but mutating the copy must not disturb the original's cache *)
   ignore (Graph.isolate g' 0);
-  check Alcotest.bool "original cache untouched" true (Csr.snapshot g == snap_g);
-  check Alcotest.int "copy snapshot follows its graph" (Graph.m g') (Csr.m (Csr.snapshot g'))
+  check Alcotest.bool "original cache untouched" true (Graph.snapshot g == snap_g);
+  check Alcotest.int "copy snapshot follows its graph" (Graph.m g') (Csr.m (Graph.snapshot g'))
 
 (* ---- qcheck properties ---- *)
 
@@ -448,13 +448,13 @@ let graph_param = QCheck.(triple small_int (int_range 2 40) (int_range 0 100))
 let prop_csr_roundtrip =
   QCheck.Test.make ~name:"csr preserves edge count" ~count:100 graph_param (fun (seed, n, p100) ->
       let g = random_graph seed n (float_of_int p100 /. 100.0) in
-      Csr.m (Csr.snapshot g) = Graph.m g)
+      Csr.m (Graph.snapshot g) = Graph.m g)
 
 let prop_bfs_triangle_inequality =
   QCheck.Test.make ~name:"bfs distances obey triangle inequality over edges" ~count:60 graph_param
     (fun (seed, n, p100) ->
       let g = random_graph seed n (float_of_int p100 /. 100.0) in
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       let dist = Bfs.distances c 0 in
       let ok = ref true in
       Graph.iter_edges g (fun u v ->
@@ -473,14 +473,14 @@ let prop_random_regular_is_regular =
 
 let prop_snapshot_matches_fresh =
   (* satellite invariant for the version cache: after an arbitrary interleaving
-     of mutations and snapshots, [Csr.snapshot] is bit-identical to a fresh
-     [Csr.of_graph] build that bypasses the cache *)
+     of mutations and snapshots, [Graph.snapshot] is bit-identical to a fresh
+     [Graph.to_csr] build that bypasses the cache *)
   QCheck.Test.make ~name:"snapshot = fresh of_graph under interleaved mutation" ~count:100
     QCheck.(
       pair small_int (small_list (triple (int_range 0 3) (int_range 0 19) (int_range 0 19))))
     (fun (seed, ops) ->
       let g = random_graph seed 20 0.2 in
-      ignore (Csr.snapshot g);
+      ignore (Graph.snapshot g);
       List.iter
         (fun (op, u, v) ->
           (match op with
@@ -488,10 +488,10 @@ let prop_snapshot_matches_fresh =
           | 1 -> ignore (Graph.remove_edge g u v)
           | 2 -> ignore (Graph.isolate g u)
           (* interleave reads so stale caches would be observed mid-sequence *)
-          | _ -> ignore (Csr.snapshot g)))
+          | _ -> ignore (Graph.snapshot g)))
         ops;
-      let snap = Csr.snapshot g in
-      let fresh = Csr.of_graph g in
+      let snap = Graph.snapshot g in
+      let fresh = Graph.to_csr g in
       snap.Csr.n = fresh.Csr.n
       && snap.Csr.xadj = fresh.Csr.xadj
       && snap.Csr.adjncy = fresh.Csr.adjncy)

@@ -19,7 +19,7 @@ let random_subgraph seed keep g =
 (* ---- Bfs_batch vs scalar BFS ---- *)
 
 let test_batch_empty_and_invalid () =
-  let g = Csr.snapshot (Generators.cycle 5) in
+  let g = Graph.snapshot (Generators.cycle 5) in
   check Alcotest.int "no sources, no rows" 0 (Array.length (Bfs_batch.run g [||]));
   let too_many = Array.make (Bfs_batch.width + 1) 0 in
   let expects_invalid name f =
@@ -38,7 +38,7 @@ let test_batch_empty_and_invalid () =
     (Bfs_batch.to_targets g [| 0; 3 |] [| [||]; [||] |])
 
 let test_batch_duplicates () =
-  let g = Csr.snapshot (Generators.torus 4 4) in
+  let g = Graph.snapshot (Generators.torus 4 4) in
   let rows = Bfs_batch.run g [| 3; 3; 3 |] in
   let d = Bfs.distances g 3 in
   Array.iter (fun row -> check Alcotest.(array int) "duplicated source rows" d row) rows
@@ -60,7 +60,7 @@ let prop_batch_matches_scalar =
     QCheck.(triple small_int (int_range 2 60) (int_range 0 100))
     (fun (seed, n, pct) ->
       (* pct sweeps from almost surely disconnected to dense *)
-      let g = Csr.snapshot (random_graph seed n (float_of_int pct /. 100.0 *. 0.2)) in
+      let g = Graph.snapshot (random_graph seed n (float_of_int pct /. 100.0 *. 0.2)) in
       let k = 1 + (seed mod min n Bfs_batch.width) in
       let sources = Array.init k (fun i -> (seed + (i * 7)) mod n) in
       let rows = Bfs_batch.run g sources in
@@ -70,7 +70,7 @@ let prop_batch_bounded_matches_scalar =
   QCheck.Test.make ~name:"bounded batched BFS = scalar bounded distances" ~count:60
     QCheck.(triple small_int (int_range 2 60) (int_range 0 5))
     (fun (seed, n, bound) ->
-      let g = Csr.snapshot (random_graph seed n 0.08) in
+      let g = Graph.snapshot (random_graph seed n 0.08) in
       let k = 1 + (seed mod min n Bfs_batch.width) in
       let sources = Array.init k (fun i -> (seed + (i * 3)) mod n) in
       let rows = Bfs_batch.run ~bound g sources in
@@ -80,7 +80,7 @@ let prop_all_distances_matches_scalar =
   QCheck.Test.make ~name:"all_distances(_parallel) = per-source scalar BFS" ~count:30
     QCheck.(pair small_int (int_range 1 80))
     (fun (seed, n) ->
-      let g = Csr.snapshot (random_graph seed n 0.1) in
+      let g = Graph.snapshot (random_graph seed n 0.1) in
       let want = Array.init n (Bfs.distances g) in
       Bfs.all_distances g = want && Bfs.all_distances_parallel ~domains:3 g = want)
 
@@ -90,7 +90,7 @@ let prop_all_distances_matches_scalar =
    added edges) read through a cache-bypassing CSR *)
 let kernel_input seed n ~delta =
   let g = random_graph seed n 0.12 in
-  if not delta then Csr.snapshot g
+  if not delta then Graph.snapshot g
   else begin
     let rng = Prng.create (seed + 31) in
     Graph.iter_edges (Graph.copy g) (fun u v ->
@@ -98,7 +98,7 @@ let kernel_input seed n ~delta =
     for _ = 1 to n / 4 do
       ignore (Graph.add_edge g (Prng.int rng n) (Prng.int rng n))
     done;
-    Csr.of_graph g
+    Graph.to_csr g
   end
 
 (* [k] random sources (duplicates likely) with 0 to 8 targets each,
@@ -146,14 +146,14 @@ let weighted_input seed n ~w_max ~delta =
       if Prng.bool rng 0.12 then ignore (Graph.add_edge ~weight:(weight ()) g u v)
     done
   done;
-  if not delta then Csr.snapshot g
+  if not delta then Graph.snapshot g
   else begin
     Graph.iter_edges (Graph.copy g) (fun u v ->
         if Prng.bool rng 0.2 then ignore (Graph.remove_edge g u v));
     for _ = 1 to n / 4 do
       ignore (Graph.add_edge ~weight:(weight ()) g (Prng.int rng n) (Prng.int rng n))
     done;
-    Csr.of_graph g
+    Graph.to_csr g
   end
 
 let prop_weighted_targets_match_dijkstra =
@@ -179,7 +179,7 @@ let test_ring_max () =
   (* a ring of min (max_weight, bound) slots: 17 is one too many *)
   let g = Generators.path 6 in
   ignore (Graph.add_edge ~weight:(Bfs_batch.ring_max + 1) g 0 5);
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let sweep bound = Bfs_batch.to_targets ~bound c [| 0 |] [| [| 5 |] |] in
   check Alcotest.(array (array int)) "16 slots run" [| [| 5 |] |] (sweep Bfs_batch.ring_max);
   List.iter
@@ -202,7 +202,7 @@ let test_targets_early_exit () =
   (* on a path, the source aiming one hop away stops at level 1 while its
      twin aiming at the far end runs on: 2 + 16 discoveries, not the 2 x 20
      of two full sweeps *)
-  let c = Csr.snapshot (Generators.path 20) in
+  let c = Graph.snapshot (Generators.path 20) in
   with_metrics (fun () ->
       let d = Bfs_batch.to_targets c [| 0; 0 |] [| [| 1 |]; [| 15 |] |] in
       check Alcotest.(array (array int)) "near and far" [| [| 1 |]; [| 15 |] |] d;
@@ -245,7 +245,7 @@ let check_clean_arena scalar ~bound graphs =
 let test_arena_hygiene () =
   check_clean_arena Bfs.distances_bounded ~bound:1
     (List.map
-       (fun (seed, n) -> (seed, Csr.snapshot (random_graph seed n 0.1)))
+       (fun (seed, n) -> (seed, Graph.snapshot (random_graph seed n 0.1)))
        [ (1, 90); (2, 7); (3, 150); (4, 30); (5, 120) ])
 
 let test_weighted_arena_hygiene () =
@@ -292,7 +292,7 @@ let prop_exact_matches_reference =
       let want = Stretch.exact_reference g h in
       Stretch.exact g h = want
       && Stretch.exact_parallel ~domains:4 g h = want
-      && Stretch.exact ~snapshot:(Csr.snapshot h) g h = want)
+      && Stretch.exact ~snapshot:(Graph.snapshot h) g h = want)
 
 let prop_exact_bounded_matches_reference =
   QCheck.Test.make ~name:"bounded certification = bounded reference" ~count:50
@@ -312,7 +312,7 @@ let prop_violations_consistent =
       let g = random_graph (seed + 1) n 0.2 in
       let h = random_subgraph (seed + 9) 0.5 g in
       let bound = 3 in
-      let hc = Csr.snapshot h in
+      let hc = Graph.snapshot h in
       let want = ref [] in
       Graph.iter_edges g (fun u v ->
           if not (Graph.mem_edge h u v) then begin
@@ -345,7 +345,7 @@ let prop_sampled_pairs_snapshot_invariant =
       let a = Stretch.sampled_pairs (Prng.create seed) g h ~samples:50 in
       let b =
         Stretch.sampled_pairs
-          ~snapshots:(Csr.snapshot g, Csr.snapshot h)
+          ~snapshots:(Graph.snapshot g, Graph.snapshot h)
           (Prng.create seed) g h ~samples:50
       in
       a = b)
@@ -353,19 +353,19 @@ let prop_sampled_pairs_snapshot_invariant =
 (* ---- disconnection signalling ---- *)
 
 let test_eccentricity_signals () =
-  let c = Csr.snapshot (Generators.path 6) in
+  let c = Graph.snapshot (Generators.path 6) in
   check Alcotest.int "path end" 5 (Bfs.eccentricity c 0);
   let g = Generators.path 6 in
   ignore (Graph.isolate g 5);
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   check Alcotest.int "disconnected = max_int" max_int (Bfs.eccentricity c 0)
 
 let test_diameter_signals () =
-  let c = Csr.snapshot (Generators.cycle 9) in
+  let c = Graph.snapshot (Generators.cycle 9) in
   check Alcotest.int "cycle diameter" 4 (Bfs.diameter_sampled c (Prng.create 1) ~samples:20);
   let g = Generators.cycle 9 in
   ignore (Graph.isolate g 0);
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   check Alcotest.int "disconnected = max_int" max_int
     (Bfs.diameter_sampled c (Prng.create 1) ~samples:20)
 
@@ -399,7 +399,7 @@ let test_scratch_resizes () =
   (* growing then shrinking the graph exercises realloc and reuse paths *)
   List.iter
     (fun n ->
-      let c = Csr.snapshot (Generators.cycle n) in
+      let c = Graph.snapshot (Generators.cycle n) in
       check Alcotest.int "cycle distance" (n / 2) (Bfs.distance c 0 (n / 2)))
     [ 4; 64; 8; 128; 6 ]
 
@@ -440,7 +440,7 @@ let prop_batch_matches_oracle =
     (fun (seed, n, pct) ->
       (* pct near 0 gives empty-edge/disconnected graphs, near 100 dense *)
       let g = random_graph seed n (float_of_int pct /. 100.0 *. 0.25) in
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       let k = 1 + (seed mod min n Bfs_batch.width) in
       let sources = Array.init k (fun i -> (seed + (i * 11)) mod n) in
       let rows = Bfs_batch.run c sources in
@@ -470,13 +470,13 @@ let prop_bitmat_matches_oracle =
 
 let test_unsafe_degenerate_inputs () =
   (* empty graph: no sources to run, nothing to intersect *)
-  let empty = Csr.snapshot (Graph.create 0) in
+  let empty = Graph.snapshot (Graph.create 0) in
   check Alcotest.int "empty graph, no rows" 0 (Array.length (Bfs_batch.run empty [||]));
   let bm0 = Bitmat.of_graph (Graph.create 0) in
   ignore bm0;
   (* singleton: one node, no edges *)
   let one = Graph.create 1 in
-  let rows = Bfs_batch.run (Csr.snapshot one) [| 0 |] in
+  let rows = Bfs_batch.run (Graph.snapshot one) [| 0 |] in
   check Alcotest.(array (array int)) "singleton distances" [| [| 0 |] |] rows;
   let bm1 = Bitmat.of_graph one in
   check Alcotest.int "singleton common" 0 (Bitmat.common_count bm1 0 0);
@@ -485,7 +485,7 @@ let test_unsafe_degenerate_inputs () =
   let g = Generators.two_cliques_matching 8 in
   let h = Graph.create (Graph.n g) in
   Graph.iter_edges g (fun u v -> if u < 4 && v < 4 then ignore (Graph.add_edge h u v));
-  let rows = Bfs_batch.run (Csr.snapshot h) [| 0; 5 |] in
+  let rows = Bfs_batch.run (Graph.snapshot h) [| 0; 5 |] in
   check Alcotest.(array int) "cross component -1" (oracle_distances h 0) rows.(0);
   check Alcotest.(array int) "isolated source" (oracle_distances h 5) rows.(1)
 

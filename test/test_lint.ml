@@ -36,9 +36,7 @@ let stub_graph =
   "type t = { n : int }\nlet make n = { n }\nlet n t = t.n\n\
    let snapshot (t : t) = t\nlet to_csr (t : t) = t\n"
 
-let stub_csr =
-  "type t = { deg : int array }\nlet of_graph (_ : Graph.t) = { deg = [||] }\n\
-   let snapshot = of_graph\n"
+let stub_csr = "type t = { deg : int array }\n"
 
 let stub_generators = "let cycle n = Graph.make n\n"
 let stub_stretch = "let violations (_ : Graph.t) : (int * int) list = []\n"
@@ -117,7 +115,6 @@ let test_banned_api () =
   fires "print" (run_pass "banned-api" ~path:p {|let f () = print_endline "hi"|});
   fires "printf" (run_pass "banned-api" ~path:p {|let f () = Printf.printf "hi"|});
   fires "eprintf" (run_pass "banned-api" ~path:p {|let f () = Printf.eprintf "hi"|});
-  fires "of_graph" (run_pass "banned-api" ~path:p {|let f g = Csr.of_graph g|});
   fires "to_csr" (run_pass "banned-api" ~path:p {|let f g = Graph.to_csr g|});
   fires "bare invalid_arg"
     (run_pass "banned-api" ~path:p {|let f () = invalid_arg "no prefix here"|});
@@ -130,7 +127,7 @@ let test_banned_api () =
     (run_pass "banned-api" ~path:p {|let f x = Printf.sprintf "%d" x|});
   clean "fprintf to channel is fine"
     (run_pass "banned-api" ~path:p {|let f oc = Printf.fprintf oc "row"|});
-  clean "snapshot is fine" (run_pass "banned-api" ~path:p {|let f g = Csr.snapshot g|});
+  clean "snapshot is fine" (run_pass "banned-api" ~path:p {|let f g = Graph.snapshot g|});
   clean "string literal not flagged"
     (run_pass "banned-api" ~path:p {|let f () = "failwith Printf.printf"|});
   (* scoping exemptions *)
@@ -140,9 +137,9 @@ let test_banned_api () =
     (run_pass "banned-api" ~path:"util/report.ml" {|let f () = Printf.printf "t"|});
   clean "obs may warn"
     (run_pass "banned-api" ~path:"obs/trace.ml" {|let f () = Printf.eprintf "w"|});
-  (* a unit cannot name itself, so the lib/graph fixture is a neighbour of Csr *)
+  (* a unit cannot name itself, so the lib/graph fixture is a neighbour of Graph *)
   clean "lib/graph may build CSRs"
-    (run_pass "banned-api" ~path:"graph/bfs.ml" {|let f g = Csr.of_graph g|});
+    (run_pass "banned-api" ~path:"graph/bfs.ml" {|let f g = Graph.to_csr g|});
   clean "bin/ is out of scope"
     (run_pass "banned-api" ~path:"../bin/dcs_cli.ml" {|let f () = Printf.printf "t"|})
 
@@ -224,10 +221,10 @@ let test_poly_compare () =
 (* ---- alias/open evasion ---- *)
 
 let evade_src =
-  "module C = Csr\n\
-   let build g = C.of_graph g\n\
-   open Csr\n\
-   let build2 g = of_graph g\n\
+  "module C = Graph\n\
+   let build g = C.to_csr g\n\
+   open Graph\n\
+   let build2 g = to_csr g\n\
    module A = Array\n\
    let got (a : int array) = A.unsafe_get a 0\n"
 
@@ -245,7 +242,7 @@ let test_typed_catches_alias_evasion () =
         (fun f ->
           check
             Alcotest.(option string)
-            "resolved path recorded" (Some "Csr.of_graph") f.Lint_finding.resolved_path)
+            "resolved path recorded" (Some "Graph.to_csr") f.Lint_finding.resolved_path)
         banned;
       match by_pass "unsafe-audit" r with
       | [ f ] ->
@@ -467,11 +464,11 @@ let test_json_report () =
     = {|{"pass":"banned-api","file":"lib/x.ml","line":3,"col":2,"severity":"error","msg":"uses \"quotes\""}|}
     );
   let fr =
-    Lint_finding.make ~resolved_path:"Csr.of_graph" ~pass:"banned-api" ~file:"lib/x.ml"
+    Lint_finding.make ~resolved_path:"Graph.to_csr" ~pass:"banned-api" ~file:"lib/x.ml"
       ~line:3 ~col:2 ~severity:Lint_finding.Error "m"
   in
   check Alcotest.bool "resolved_path serialized" true
-    (contains {|"resolved_path":"Csr.of_graph"|} (Lint_finding.to_json fr))
+    (contains {|"resolved_path":"Graph.to_csr"|} (Lint_finding.to_json fr))
 
 (* ---- allowlist ---- *)
 

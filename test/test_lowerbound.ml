@@ -48,7 +48,7 @@ let test_ray_line_forced_congestion () =
      the endpoints in H *)
   Array.iter
     (fun (u, v) ->
-      let hc = Csr.snapshot h in
+      let hc = Graph.snapshot h in
       check Alcotest.int "spanner distance exactly 3" 3 (Bfs.distance hc u v))
     removed
 
@@ -149,7 +149,7 @@ let test_theorem4_congestion_blowup () =
 let test_theorem4_forced_is_only_short_option () =
   let t = make_thm4 4 in
   let h, removed = Theorem4.optimal_spanner t in
-  let hc = Csr.snapshot h in
+  let hc = Graph.snapshot h in
   Array.iter
     (fun r ->
       Array.iter
@@ -202,7 +202,7 @@ let test_lemma2_dc_failure_is_forced () =
   let t = Lemma2.make ~alpha:3 ~size:8 in
   let cut = Graph.copy t.Lemma2.spanner in
   ignore (Graph.remove_edge cut t.Lemma2.a.(0) t.Lemma2.b.(0));
-  let cc = Csr.snapshot cut in
+  let cc = Graph.snapshot cut in
   for i = 1 to 7 do
     let d = Bfs.distance cc t.Lemma2.a.(i) t.Lemma2.b.(i) in
     check Alcotest.bool
@@ -217,7 +217,7 @@ let test_lemma2_congestion_2_substitute () =
   let n = Graph.n g in
   for _ = 1 to 5 do
     let problem = Problems.random_pairs rng g ~k:25 in
-    let routing = Sp_routing.route_random (Csr.snapshot g) rng problem in
+    let routing = Sp_routing.route_random (Graph.snapshot g) rng problem in
     let substitute = Lemma2.congestion_2_substitute t routing in
     check Alcotest.bool "valid in spanner" true
       (Routing.is_valid t.Lemma2.spanner problem substitute);

@@ -311,13 +311,13 @@ let test_snapshot_counters () =
       let hits = Metrics.counter "csr.snapshot_hits" in
       let builds = Metrics.counter "csr.snapshot_builds" in
       let g = Generators.torus 5 5 in
-      ignore (Csr.snapshot g);
-      ignore (Csr.snapshot g);
-      ignore (Csr.snapshot g);
+      ignore (Graph.snapshot g);
+      ignore (Graph.snapshot g);
+      ignore (Graph.snapshot g);
       check Alcotest.int "one build for a stable graph" 1 (Metrics.counter_value builds);
       check Alcotest.int "repeat snapshots hit" 2 (Metrics.counter_value hits);
       ignore (Graph.remove_edge g 0 1);
-      ignore (Csr.snapshot g);
+      ignore (Graph.snapshot g);
       check Alcotest.int "mutation forces a rebuild" 2 (Metrics.counter_value builds))
 
 (* ---- report formats the dumps share their escaping with -------------- *)

@@ -34,7 +34,7 @@ let test_parallel_default_domains () =
 let test_parallel_side_effect_free_reads () =
   (* domains reading a shared CSR concurrently must agree with sequential *)
   let g = Generators.torus 8 8 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let seq = Array.init 64 (fun s -> Array.fold_left ( + ) 0 (Bfs.distances c s)) in
   let par =
     Parallel.map_range ~domains:4 64 (fun s -> Array.fold_left ( + ) 0 (Bfs.distances c s))
@@ -45,7 +45,7 @@ let test_parallel_side_effect_free_reads () =
 
 let test_all_distances_parallel () =
   let g = Generators.erdos_renyi (Prng.create 5) 50 0.15 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let seq = Bfs.all_distances c in
   let par = Bfs.all_distances_parallel ~domains:4 c in
   Array.iteri (fun i row -> check Alcotest.(array int) (Printf.sprintf "row %d" i) row par.(i)) seq
@@ -76,7 +76,7 @@ let test_exact_parallel_disconnected () =
 
 let test_valiant_validity () =
   let g = Generators.torus 6 6 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let rng = Prng.create 7 in
   let problem = Problems.permutation rng g in
   let routing = Valiant.route c rng problem in
@@ -90,7 +90,7 @@ let test_valiant_validity () =
 let test_valiant_congestion_reasonable () =
   (* On an expander, Valiant congestion for a permutation stays polylog-ish. *)
   let g = Generators.random_regular (Prng.create 8) 128 8 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let rng = Prng.create 9 in
   let problem = Problems.permutation rng g in
   let cong = Valiant.congestion c rng problem in
@@ -135,13 +135,13 @@ let test_bit_reversal () =
 let test_valiant_on_adversarial_patterns () =
   (* Both adversarial problems route validly through Valiant. *)
   let torus = Generators.torus 8 8 in
-  let tc = Csr.snapshot torus in
+  let tc = Graph.snapshot torus in
   let rng = Prng.create 11 in
   let tp = Valiant.torus_transpose 8 in
   let tr = Valiant.route tc rng tp in
   check Alcotest.bool "torus transpose valid" true (Routing.is_valid torus tp tr);
   let cube = Generators.hypercube 6 in
-  let cc = Csr.snapshot cube in
+  let cc = Graph.snapshot cube in
   let bp = Valiant.hypercube_bit_reversal 6 in
   let br = Valiant.route cc rng bp in
   check Alcotest.bool "bit reversal valid" true (Routing.is_valid cube bp br)
@@ -166,7 +166,7 @@ let test_packet_star_contention () =
 
 let test_packet_bounds () =
   let g = Generators.torus 6 6 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   for seed = 1 to 6 do
     let rng = Prng.create seed in
     let problem = Problems.random_pairs rng g ~k:40 in
@@ -196,7 +196,7 @@ let test_packet_lower_congestion_lower_latency () =
   (* the motivating monotonicity: an optimized (lower-congestion) routing of
      the same problem should not simulate slower *)
   let g = Generators.torus 7 7 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let rng = Prng.create 31 in
   let problem = Problems.random_pairs rng g ~k:80 in
   let naive = Sp_routing.route c problem in
@@ -216,7 +216,7 @@ let prop_packet_bounds =
     QCheck.(pair small_int (int_range 2 50))
     (fun (seed, k) ->
       let g = Generators.torus 5 5 in
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       let rng = Prng.create seed in
       let problem = Problems.random_pairs rng g ~k in
       let routing = Sp_routing.route_random c rng problem in
@@ -237,7 +237,7 @@ let prop_valiant_endpoints =
     QCheck.(pair small_int (int_range 2 30))
     (fun (seed, k) ->
       let g = Generators.torus 6 6 in
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       let rng = Prng.create seed in
       let problem = Problems.random_pairs rng g ~k in
       let routing = Valiant.route c rng problem in

@@ -132,7 +132,7 @@ let is_shortest_path h u v p =
   && p.(0) = u
   && p.(len - 1) = v
   && List.for_all (fun i -> Graph.mem_edge h p.(i) p.(i + 1)) (List.init (len - 1) Fun.id)
-  && len - 1 = Bfs.distance (Csr.snapshot h) u v
+  && len - 1 = Bfs.distance (Graph.snapshot h) u v
 
 let in_support h (u, v) dist p =
   match dist with

@@ -154,7 +154,7 @@ let test_neighborhood_matching_lemma4 () =
   let rng = Prng.create 23 in
   let n = 120 and d = 40 in
   let g = Generators.random_regular rng n d in
-  let lam = Spectral.lambda (Csr.snapshot g) in
+  let lam = Spectral.lambda (Graph.snapshot g) in
   let bound =
     float_of_int d *. (1.0 -. (lam *. float_of_int n /. float_of_int (d * d)))
   in
@@ -367,7 +367,7 @@ let test_problem_generators () =
 let test_sp_routing () =
   let rng = Prng.create 6 in
   let g = Generators.torus 6 6 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let problem = Problems.random_pairs rng g ~k:30 in
   let det = Sp_routing.route c problem in
   check Alcotest.bool "valid routing" true (Routing.is_valid g problem det);
@@ -382,7 +382,7 @@ let test_sp_routing () =
 
 let test_sp_routing_disconnected () =
   let g = Graph.of_edges 4 [ (0, 1); (2, 3) ] in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   Alcotest.check_raises "disconnected"
     (Invalid_argument "Sp_routing: request endpoints are disconnected") (fun () ->
       ignore (Sp_routing.route c [| { Routing.src = 0; dst = 3 } |]))
@@ -404,7 +404,7 @@ let multiset_of_path_edges routing =
 let test_level_matchings_cover () =
   let rng = Prng.create 8 in
   let g = Generators.torus 6 6 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let problem = Problems.random_pairs rng g ~k:40 in
   let routing = Sp_routing.route_random c rng problem in
   let matchings = Decompose.level_matchings ~n:36 routing in
@@ -437,7 +437,7 @@ let test_decompose_identity_router () =
      routing exactly. *)
   let rng = Prng.create 9 in
   let g = Generators.torus 6 6 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let problem = Problems.random_pairs rng g ~k:50 in
   let routing = Sp_routing.route_random c rng problem in
   let { Decompose.substitute; stats } = Decompose.run ~n:36 ~router:identity_router routing in
@@ -453,7 +453,7 @@ let test_decompose_lemma21_bound () =
     (fun (n_side, k) ->
       let g = Generators.torus n_side n_side in
       let n = n_side * n_side in
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       let problem = Problems.random_pairs rng g ~k in
       let routing = Sp_routing.route_random c rng problem in
       let cong = Routing.congestion ~n routing in
@@ -469,7 +469,7 @@ let test_decompose_lemma23_matchings_bound () =
   let rng = Prng.create 11 in
   let g = Generators.torus 6 6 in
   let n = 36 in
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   let problem = Problems.random_pairs rng g ~k:100 in
   let routing = Sp_routing.route_random c rng problem in
   let { Decompose.stats; _ } = Decompose.run ~n ~router:identity_router routing in
@@ -481,12 +481,12 @@ let test_decompose_with_detour_router () =
   let rng = Prng.create 12 in
   let g = Generators.torus 6 6 in
   let n = 36 in
-  let gc = Csr.snapshot g in
+  let gc = Graph.snapshot g in
   (* spanner: remove a few edges whose endpoints stay close *)
   let h = Graph.copy g in
   ignore (Graph.remove_edge h 0 1);
   ignore (Graph.remove_edge h 7 8);
-  let hc = Csr.snapshot h in
+  let hc = Graph.snapshot h in
   let router pairs =
     Array.map
       (fun (u, v) ->
@@ -528,7 +528,7 @@ let prop_decompose_preserves_endpoints =
     (fun (seed, k) ->
       let rng = Prng.create seed in
       let g = Generators.torus 5 5 in
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       let problem = Problems.random_pairs rng g ~k in
       let routing = Sp_routing.route_random c rng problem in
       let { Decompose.substitute; _ } = Decompose.run ~n:25 ~router:identity_router routing in

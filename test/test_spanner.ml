@@ -12,8 +12,8 @@ let random_graph seed n p =
 
 let brute_force_stretch g h =
   (* max over all connected pairs of d_H / d_G; must equal max over edges. *)
-  let dg = Bfs.all_distances (Csr.snapshot g) in
-  let dh = Bfs.all_distances (Csr.snapshot h) in
+  let dg = Bfs.all_distances (Graph.snapshot g) in
+  let dh = Bfs.all_distances (Graph.snapshot h) in
   let n = Graph.n g in
   let worst = ref 1.0 in
   for u = 0 to n - 1 do
@@ -240,7 +240,7 @@ let test_alg1_general_routing () =
   let dc = Regular_dc.to_dc t g in
   let rng = Prng.create 3 in
   let problem = Problems.permutation rng g in
-  let base = Sp_routing.route_random (Csr.snapshot g) rng problem in
+  let base = Sp_routing.route_random (Graph.snapshot g) rng problem in
   let report = Dc.measure_general dc rng base in
   check Alcotest.bool "substitute congestion >= base is allowed but bounded" true
     (report.Dc.spanner_congestion >= 1);
@@ -374,7 +374,7 @@ let test_sparsify_spectral () =
     (float_of_int (Graph.m t.Sparsify.spanner) < 1.6 *. expected);
   (* expansion survives: ratio below 0.8 *)
   check Alcotest.bool "still an expander" true
-    (Spectral.expansion_ratio (Csr.snapshot t.Sparsify.spanner) < 0.8)
+    (Spectral.expansion_ratio (Graph.snapshot t.Sparsify.spanner) < 0.8)
 
 let test_sparsify_bounded_degree () =
   let rng = Prng.create 52 in
@@ -467,7 +467,7 @@ let ref_detour_repair g h =
   List.length !missing
 
 let ref_bfs_repair g ~sampled h ~bound =
-  let csr = Csr.snapshot sampled in
+  let csr = Graph.snapshot sampled in
   let count = ref 0 in
   Graph.iter_edges g (fun u v ->
       if (not (Graph.mem_edge h u v)) && Bfs.distance_bounded csr u v ~bound < 0 then begin

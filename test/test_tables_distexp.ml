@@ -8,7 +8,7 @@ let check = Alcotest.check
 let test_tables_shortest () =
   List.iter
     (fun g ->
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       let t = Route_tables.compile c in
       let n = Graph.n g in
       for src = 0 to n - 1 do
@@ -27,7 +27,7 @@ let test_tables_shortest () =
 
 let test_tables_disconnected () =
   let g = Graph.of_edges 4 [ (0, 1); (2, 3) ] in
-  let t = Route_tables.compile (Csr.snapshot g) in
+  let t = Route_tables.compile (Graph.snapshot g) in
   check Alcotest.(option int) "cross-component" None (Route_tables.next_hop t ~src:0 ~dst:3);
   check Alcotest.(option (array int)) "no path" None (Route_tables.forward t ~src:0 ~dst:3);
   (* entries: only within components: 2 ordered pairs per component *)
@@ -35,7 +35,7 @@ let test_tables_disconnected () =
 
 let test_tables_counts () =
   let g = Generators.torus 6 6 in
-  let t = Route_tables.compile (Csr.snapshot g) in
+  let t = Route_tables.compile (Graph.snapshot g) in
   check Alcotest.int "entries = n(n-1)" (36 * 35) (Route_tables.entries t);
   check Alcotest.int "ports = 2m" (2 * Graph.m g) (Route_tables.ports t)
 
@@ -44,14 +44,14 @@ let test_tables_spanner_state_reduction () =
      with strictly less port state *)
   let g = Generators.random_regular (Prng.create 1) 100 30 in
   let t = Regular_dc.build (Prng.create 2) g in
-  let full = Route_tables.compile (Csr.snapshot g) in
-  let sparse = Route_tables.compile (Csr.snapshot t.Regular_dc.spanner) in
+  let full = Route_tables.compile (Graph.snapshot g) in
+  let sparse = Route_tables.compile (Graph.snapshot t.Regular_dc.spanner) in
   check Alcotest.int "same reachability" (Route_tables.entries full) (Route_tables.entries sparse);
   check Alcotest.bool "less port state" true (Route_tables.ports sparse < Route_tables.ports full)
 
 let test_tables_self () =
   let g = Generators.cycle 4 in
-  let t = Route_tables.compile (Csr.snapshot g) in
+  let t = Route_tables.compile (Graph.snapshot g) in
   check Alcotest.(option int) "no self hop" None (Route_tables.next_hop t ~src:2 ~dst:2);
   check Alcotest.(option (array int)) "self path" (Some [| 2 |]) (Route_tables.forward t ~src:2 ~dst:2)
 
@@ -124,7 +124,7 @@ let prop_tables_match_bfs =
     QCheck.(pair small_int (int_range 4 30))
     (fun (seed, n) ->
       let g = Generators.erdos_renyi (Prng.create seed) n 0.3 in
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       let t = Route_tables.compile c in
       let ok = ref true in
       for src = 0 to n - 1 do

@@ -101,7 +101,7 @@ let prop_max_weight =
         !m
       in
       let g = random_weighted_graph seed n 0.3 ~w_max:(1 + (seed mod 9)) in
-      Csr.max_weight c = heaviest c && Csr.max_weight (Csr.snapshot g) = heaviest (Csr.snapshot g))
+      Csr.max_weight c = heaviest c && Csr.max_weight (Graph.snapshot g) = heaviest (Graph.snapshot g))
 
 let test_csr_unweighted_reports_one () =
   let c = Csr.of_stream ~n:3 (fun emit -> emit 0 1; emit 1 2) in
@@ -114,18 +114,18 @@ let test_graph_weight_roundtrip () =
   let g = Graph.of_weighted_edges 4 [ (0, 1, 3); (1, 2, 5); (2, 3, 1) ] in
   check Alcotest.bool "weighted flag" true (Graph.is_weighted g);
   check Alcotest.int "edge_weight" 5 (Graph.edge_weight g 1 2);
-  let c = Csr.snapshot g in
+  let c = Graph.snapshot g in
   check Alcotest.int "snapshot carries weights" 5 (Csr.edge_weight c 1 2);
   (* delta on top of a weighted base *)
   ignore (Graph.add_edge ~weight:9 g 0 3);
   check Alcotest.int "delta edge weight" 9 (Graph.edge_weight g 0 3);
-  check Alcotest.int "snapshot after delta" 9 (Csr.edge_weight (Csr.snapshot g) 0 3);
+  check Alcotest.int "snapshot after delta" 9 (Csr.edge_weight (Graph.snapshot g) 0 3);
   (* resurrect-reweight: delete a base edge, re-add it with a new weight *)
   ignore (Graph.remove_edge g 1 2);
   check Alcotest.bool "deleted" false (Graph.mem_edge g 1 2);
   ignore (Graph.add_edge ~weight:2 g 1 2);
   check Alcotest.int "reweighted after resurrect" 2 (Graph.edge_weight g 1 2);
-  check Alcotest.int "snapshot sees reweight" 2 (Csr.edge_weight (Csr.snapshot g) 1 2);
+  check Alcotest.int "snapshot sees reweight" 2 (Csr.edge_weight (Graph.snapshot g) 1 2);
   (* re-add with the original weight must restore the plain base edge *)
   ignore (Graph.remove_edge g 2 3);
   ignore (Graph.add_edge ~weight:1 g 2 3);
@@ -138,7 +138,7 @@ let test_unit_weights_stay_unweighted () =
   ignore (Graph.add_edge ~weight:1 g 0 1);
   ignore (Graph.add_edge g 1 2);
   check Alcotest.bool "all-1 graph is unweighted" false (Graph.is_weighted g);
-  check Alcotest.bool "snapshot unweighted" false (Csr.is_weighted (Csr.snapshot g))
+  check Alcotest.bool "snapshot unweighted" false (Csr.is_weighted (Graph.snapshot g))
 
 let prop_is_weighted_is_exact =
   QCheck.Test.make ~name:"is_weighted = some live edge weighs <> 1" ~count:60
@@ -157,7 +157,7 @@ let prop_is_weighted_is_exact =
         (match Prng.int rng 3 with
         | 0 -> ignore (Graph.add_edge ~weight:(1 + Prng.int rng 2) g u v)
         | 1 -> ignore (Graph.remove_edge g u v)
-        | _ -> ignore (Csr.snapshot g));
+        | _ -> ignore (Graph.snapshot g));
         if Graph.is_weighted g <> live_nonunit () then ok := false
       done;
       !ok)
@@ -182,7 +182,7 @@ let prop_copy_and_survivor_preserve_weights =
         !ok
       in
       let ok_csr =
-        let c = Csr.snapshot g in
+        let c = Graph.snapshot g in
         let ok = ref true in
         Graph.iter_edges_w g (fun u v w -> if Csr.edge_weight c u v <> w then ok := false);
         !ok
@@ -206,7 +206,7 @@ let prop_dijkstra_eq_bfs_on_unit_weights =
     QCheck.(pair small_int (int_range 0 1000))
     (fun (seed, pick) ->
       let g = unit_families.(pick mod Array.length unit_families) seed in
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       let n = Csr.n c in
       let s = seed mod n in
       Dijkstra.distances c s = Bfs.distances c s
@@ -217,7 +217,7 @@ let prop_dijkstra_eq_floyd_warshall =
     QCheck.(triple small_int (int_range 2 25) (int_range 1 9))
     (fun (seed, n, w_max) ->
       let g = random_weighted_graph seed n 0.25 ~w_max in
-      let c = Csr.snapshot g in
+      let c = Graph.snapshot g in
       let d = floyd_warshall g in
       let s = seed mod n in
       let row = fw_row d s in
@@ -242,7 +242,7 @@ let prop_dijkstra_to_targets =
     QCheck.(quad small_int (int_range 1 30) (int_range 1 1000) (int_range 0 3))
     (fun (seed, n, w_max, bi) ->
       let bound = [| 0; 1; 5; max_int |].(bi) in
-      let c = Csr.snapshot (random_weighted_graph seed n 0.25 ~w_max) in
+      let c = Graph.snapshot (random_weighted_graph seed n 0.25 ~w_max) in
       let rng = Prng.create (seed + 3) in
       let s = Prng.int rng n in
       (* duplicates, the source itself, sometimes no targets at all *)
@@ -413,7 +413,7 @@ let bs_agrees ~k seed g =
   let version = Graph.version g and order = edges_w g in
   let h = Baswana_sen_weighted.build ~k (Prng.create seed) g in
   let r = bs_reference ~k (Prng.create seed) g in
-  let a = Csr.snapshot h and b = Csr.snapshot r in
+  let a = Graph.snapshot h and b = Graph.snapshot r in
   a.Csr.n = b.Csr.n
   && a.Csr.xadj = b.Csr.xadj
   && a.Csr.adjncy = b.Csr.adjncy
@@ -431,7 +431,7 @@ let prop_weighted_bs_matches_reference =
       let fam = max 0 (min 6 fam) and k = max 1 (min 4 k) in
       let g = bs_families.(fam) (Prng.create seed) in
       (* a prior snapshot commits G's delta, so its rows read sorted *)
-      if snap then ignore (Csr.snapshot g);
+      if snap then ignore (Graph.snapshot g);
       bs_agrees ~k (seed + 1) g)
 
 let test_weighted_bs_tiny () =
@@ -525,8 +525,8 @@ let test_weighted_bs_allocation () =
     Fun.protect
       ~finally:(fun () -> Obs.set_metrics false)
       (fun () ->
-        let first = Csr.snapshot h in
-        (first, Csr.snapshot h))
+        let first = Graph.snapshot h in
+        (first, Graph.snapshot h))
   in
   check Alcotest.bool "snapshot is the cached store" true (first == second);
   check Alcotest.int "no CSR rebuilt" 0
@@ -609,7 +609,7 @@ let prop_heavy_weights_match_reference =
         ignore (Graph.add_edge ~weight:w_max h 0 1)
       end;
       let bound = [| 1; 3; 7; max_int / 2; max_int |].(bi) in
-      let hc = Csr.snapshot h in
+      let hc = Graph.snapshot h in
       let violates u v w =
         let d = Dijkstra.distance hc u v in
         d < 0 || ratio_ceil d w > bound
