@@ -44,10 +44,11 @@ let draw_add scratch rng =
   end
 
 (* A uniform edge of [scratch] by rank: the [k]-th in ascending [(u, v)]
-   order for one draw [k] ([Graph.iter_edges] order is unspecified, so a
-   seeded draw must not follow it).  Sources are walked in ascending order
-   counting their neighbours [v > u]; only the row holding the [k]-th edge
-   is sorted. *)
+   order for one draw [k].  [Graph.iter_edges] follows storage order, which
+   a commit re-sorts, so a seeded draw that followed it would depend on when
+   [scratch] last committed.  Sources are walked in ascending order counting
+   their neighbours [v > u]; only the row holding the [k]-th edge is
+   sorted. *)
 let draw_del scratch rng =
   let m = Graph.m scratch in
   if m = 0 then None

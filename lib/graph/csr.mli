@@ -13,9 +13,10 @@
     equal.
 
     {!Graph.t} is a delta log over one of these; {!Graph.snapshot} commits
-    the log and returns it.  {!of_stream} builds one in O(n + m) time by
-    counting sort from an arbitrary edge stream (no per-node hash tables, no
-    comparison sort), which keeps 10^6-node builds at memory bandwidth. *)
+    the log by a row {!merge} and returns the new store.  {!of_stream}
+    builds one in O(n + m) time by counting sort from an arbitrary edge
+    stream (no per-node hash tables, no comparison sort), which keeps
+    10^6-node builds at memory bandwidth. *)
 
 type ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Off-heap [int] array; element [i] reads as [a.{i}]. *)
@@ -96,3 +97,40 @@ val iter_edges : t -> (int -> int -> unit) -> unit
 
 val iter_edges_w : t -> (int -> int -> int -> unit) -> unit
 (** Like {!iter_edges} but passing each edge's weight (1 when unweighted). *)
+
+(** {2 Tombstoned rows}
+
+    {!Graph.t} hides a deleted base edge by marking its two arcs in a byte
+    array with one byte per arc of [adjncy] (nonzero = deleted), indexed by
+    {!find_arc}.  The scans below skip marked arcs in place, and {!merge}
+    commits the marks and the graph's additions into a new store. *)
+
+val find_arc : t -> int -> int -> int
+(** [find_arc t u v] is the index into [adjncy] of [v] in [u]'s row, by the
+    binary search of {!mem_edge}, or [-1] if the edge is absent.  Raises
+    [Invalid_argument] out of range. *)
+
+val iter_live_neighbors : t -> dead:Bytes.t -> int -> (int -> unit) -> unit
+(** [iter_live_neighbors t ~dead v f] is {!iter_neighbors} skipping every
+    arc [i] with [Bytes.get dead i <> '\000']: the row in ascending order
+    minus its marked arcs.  Raises [Invalid_argument] out of range or unless
+    [dead] holds one byte per arc. *)
+
+val iter_live_neighbors_w : t -> dead:Bytes.t -> int -> (int -> int -> unit) -> unit
+(** Like {!iter_live_neighbors} but passing each weight, as
+    {!iter_neighbors_w}. *)
+
+val merge : t -> dead:Bytes.t -> adds:(int * int) list array -> weighted:bool -> t
+(** [merge t ~dead ~adds ~weighted] is the store whose row [v] is [t]'s row
+    minus its marked arcs, merged in ascending order with the
+    [(neighbour, weight)] pairs of [adds.(v)], which may come in any order.
+    [dead] is either empty (no arc marked) or one byte per arc.  The result
+    carries a weight lane exactly when [weighted], and its [max_weight] is
+    the heaviest weight written.  It costs O(n + m) plus a sort of each
+    row's additions, and allocates only the new store.  On a canonical
+    input — no addition repeats a live arc or another addition, and each
+    edge appears in both of its endpoints' rows with one weight — it is
+    element for element the store {!of_stream} (or, when [weighted],
+    {!of_weighted_stream}) builds from the same edge set.  Raises
+    [Invalid_argument] unless [adds] has one list per node and [dead] is
+    empty or matches the arc count. *)

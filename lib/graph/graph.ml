@@ -1,21 +1,28 @@
 (* Delta-log graph over an immutable Bigarray CSR base.
 
-   The committed edge set lives in [base] (a Csr.t); mutations are
-   recorded in a small delta — [added] / [dels] keyed by normalized edge,
-   plus per-node [adds] lists so added neighbors can be iterated — and the
-   delta is replayed into a fresh base (an O(m) counting-sort rebuild) once
-   it reaches half the base size.  The growth policy is geometric, so a
-   build-by-add_edge of m edges costs O(m) total, while reads stay flat-array
-   speed: a neighbor scan is the sorted base row (skipping deleted edges only
-   when deletions exist) plus the node's few delta additions. *)
+   The committed edge set lives in [base] (a Csr.t); mutations are recorded
+   in a small delta: [added] keyed by normalized edge plus per-node [adds]
+   lists so added neighbors can be iterated, and, while deletions are
+   pending, one tombstone byte per arc of the base ([dead], found through
+   Csr.find_arc).  Once the delta reaches half the base size it is committed
+   by an O(n + m) row merge that allocates only the new store: each base row
+   minus its tombstoned arcs, merged with the node's sorted additions.  The
+   growth policy is geometric, so a build-by-add_edge of m edges costs O(m)
+   total, while reads stay flat-array speed: a neighbor scan is the sorted
+   base row (skipping tombstoned arcs in place) plus the node's few
+   additions. *)
 
 type csr = Csr.t
 
 type t = {
   mutable base : csr;  (* committed snapshot of the edge set *)
   added : (int, int) Hashtbl.t;  (* delta: edges present but not in base, with weight *)
-  dels : (int, unit) Hashtbl.t;  (* delta: base edges currently absent *)
-  adds : (int * int) list array;  (* delta: added (neighbor, weight), per node *)
+  adds : (int * int) list array;  (* delta: added (neighbor, weight), per node, newest first *)
+  mutable dead : Bytes.t;
+      (* delta: a nonzero byte per hidden base arc, both arcs of an edge;
+         one byte per arc of [base] while [ndead > 0], allocated at the first
+         deletion and empty again after a commit *)
+  mutable ndead : int;  (* base edges currently hidden *)
   deg : int array;  (* maintained degrees *)
   mutable m : int;
   mutable nonunit : int;  (* live edges whose weight is not 1 *)
@@ -30,8 +37,9 @@ let create size =
   {
     base = Csr.empty size;
     added = Hashtbl.create 16;
-    dels = Hashtbl.create 16;
     adds = Array.make size [];
+    dead = Bytes.empty;
+    ndead = 0;
     deg = Array.make size 0;
     m = 0;
     nonunit = 0;
@@ -49,46 +57,57 @@ let check_node g v =
 (* Normalized edge key; n <= 10^7 keeps the product far below max_int. *)
 let key g u v = if u < v then (u * n g) + v else (v * n g) + u
 
+let arc_weight g i = match g.base.Csr.weights with None -> 1 | Some w -> w.{i}
+
+let is_dead g i = g.ndead > 0 && Bytes.get g.dead i <> '\000'
+
+(* index of u's base arc to v, or -1 when the edge is absent from the base
+   or tombstoned *)
+let live_arc g u v =
+  let i = Csr.find_arc g.base u v in
+  if i >= 0 && is_dead g i then -1 else i
+
 let mem_edge g u v =
   check_node g u;
   check_node g v;
   u <> v
-  &&
-  let k = key g u v in
-  Hashtbl.mem g.added k
-  || (Csr.mem_edge g.base u v && not (Hashtbl.mem g.dels k))
+  && (live_arc g u v >= 0 || (Hashtbl.length g.added > 0 && Hashtbl.mem g.added (key g u v)))
 
 let degree g v =
   check_node g v;
   g.deg.(v)
 
+(* the committed row of v minus its tombstoned arcs *)
+let iter_base g v f =
+  if g.ndead = 0 then Csr.iter_neighbors g.base v f
+  else Csr.iter_live_neighbors g.base ~dead:g.dead v f
+
+let iter_base_w g v f =
+  if g.ndead = 0 then Csr.iter_neighbors_w g.base v f
+  else Csr.iter_live_neighbors_w g.base ~dead:g.dead v f
+
 let iter_neighbors g v f =
   check_node g v;
-  if Hashtbl.length g.dels = 0 then Csr.iter_neighbors g.base v f
-  else Csr.iter_neighbors g.base v (fun u -> if not (Hashtbl.mem g.dels (key g u v)) then f u);
+  iter_base g v f;
   List.iter (fun (u, _) -> f u) g.adds.(v)
 
 let is_weighted g = g.nonunit > 0
 
 let iter_neighbors_w g v f =
   check_node g v;
-  if Hashtbl.length g.dels = 0 then Csr.iter_neighbors_w g.base v f
-  else
-    Csr.iter_neighbors_w g.base v (fun u w ->
-        if not (Hashtbl.mem g.dels (key g u v)) then f u w);
+  iter_base_w g v f;
   List.iter (fun (u, w) -> f u w) g.adds.(v)
 
 let edge_weight g u v =
   check_node g u;
   check_node g v;
   if u = v then invalid_arg "Graph.edge_weight: no such edge";
-  let k = key g u v in
-  match Hashtbl.find_opt g.added k with
-  | Some w -> w
-  | None ->
-      if Hashtbl.mem g.dels k || not (Csr.mem_edge g.base u v) then
-        invalid_arg "Graph.edge_weight: no such edge"
-      else Csr.edge_weight g.base u v
+  let i = live_arc g u v in
+  if i >= 0 then arc_weight g i
+  else
+    match Hashtbl.find_opt g.added (key g u v) with
+    | Some w -> w
+    | None -> invalid_arg "Graph.edge_weight: no such edge"
 
 let neighbors g v =
   let acc = ref [] in
@@ -102,18 +121,14 @@ let fold_neighbors g v f init =
   !acc
 
 let iter_edges g f =
-  let no_dels = Hashtbl.length g.dels = 0 in
   for u = 0 to n g - 1 do
-    Csr.iter_neighbors g.base u (fun v ->
-        if u < v && (no_dels || not (Hashtbl.mem g.dels (key g u v))) then f u v);
+    iter_base g u (fun v -> if u < v then f u v);
     List.iter (fun (v, _) -> if u < v then f u v) g.adds.(u)
   done
 
 let iter_edges_w g f =
-  let no_dels = Hashtbl.length g.dels = 0 in
   for u = 0 to n g - 1 do
-    Csr.iter_neighbors_w g.base u (fun v w ->
-        if u < v && (no_dels || not (Hashtbl.mem g.dels (key g u v))) then f u v w);
+    iter_base_w g u (fun v w -> if u < v then f u v w);
     List.iter (fun (v, w) -> if u < v then f u v w) g.adds.(u)
   done
 
@@ -135,43 +150,51 @@ let to_csr g =
     Csr.of_weighted_stream ~m_hint:g.m ~n:(n g) (fun emit -> iter_edges_w g emit)
   else Csr.of_stream ~m_hint:g.m ~n:(n g) (fun emit -> iter_edges g emit)
 
-(* Replay the delta into a fresh base.  Does not bump [version]: the edge set
-   is unchanged, only its physical layout. *)
+(* Merge the delta into a fresh base and drop it, tombstones included.  Does
+   not bump [version]: the edge set is unchanged, only its physical
+   layout. *)
 let commit g =
-  if Hashtbl.length g.added > 0 || Hashtbl.length g.dels > 0 then begin
-    g.base <- to_csr g;
+  if Hashtbl.length g.added > 0 || g.ndead > 0 then begin
+    let dead = if g.ndead > 0 then g.dead else Bytes.empty in
+    g.base <- Csr.merge g.base ~dead ~adds:g.adds ~weighted:(is_weighted g);
     Hashtbl.reset g.added;
-    Hashtbl.reset g.dels;
+    g.dead <- Bytes.empty;
+    g.ndead <- 0;
     Array.fill g.adds 0 (Array.length g.adds) []
   end
 
-(* Commit once the delta reaches half the base: replay cost is O(m), and the
-   base grows geometrically, so total replay work over any op sequence is
-   O(total edges) amortized. *)
+(* Commit once the delta reaches half the base: the merge costs O(n + m),
+   and the base grows geometrically, so total merge work over any op
+   sequence is O(total edges) amortized. *)
 let maybe_commit g =
-  let d = Hashtbl.length g.added + Hashtbl.length g.dels in
+  let d = Hashtbl.length g.added + g.ndead in
   if d >= 64 && 2 * d >= Csr.m g.base then commit g
+
+(* mark or clear both arcs of the base edge whose u-side arc is [i] *)
+let set_tombstone g u v i mark =
+  if Bytes.length g.dead = 0 then
+    g.dead <- Bytes.make (Bigarray.Array1.dim g.base.Csr.adjncy) '\000';
+  let c = if mark then '\001' else '\000' in
+  Bytes.set g.dead i c;
+  Bytes.set g.dead (Csr.find_arc g.base v u) c;
+  g.ndead <- (if mark then g.ndead + 1 else g.ndead - 1)
 
 let add_edge ?(weight = 1) g u v =
   check_node g u;
   check_node g v;
   if weight < 1 then invalid_arg "Graph.add_edge: weight must be positive";
-  if u = v || mem_edge g u v then false
+  let i = Csr.find_arc g.base u v and k = key g u v in
+  if u = v || (i >= 0 && not (is_dead g i)) || Hashtbl.mem g.added k then false
   else begin
-    let k = key g u v in
-    let record_delta () =
+    (* A base edge here is tombstoned: re-added at the base copy's weight it
+       reappears in place; at any other weight the base copy stays hidden
+       and the re-weighted edge joins the additions. *)
+    if i >= 0 && weight = arc_weight g i then set_tombstone g u v i false
+    else begin
       Hashtbl.replace g.added k weight;
       g.adds.(u) <- (v, weight) :: g.adds.(u);
       g.adds.(v) <- (u, weight) :: g.adds.(v)
-    in
-    if Hashtbl.mem g.dels k then begin
-      (* Resurrected base edge.  If the weight matches the base copy, just
-         drop the deletion marker; otherwise keep the marker (the base copy
-         stays hidden) and record the re-weighted edge in the delta. *)
-      if weight = Csr.edge_weight g.base u v then Hashtbl.remove g.dels k
-      else record_delta ()
-    end
-    else record_delta ();
+    end;
     g.deg.(u) <- g.deg.(u) + 1;
     g.deg.(v) <- g.deg.(v) + 1;
     g.m <- g.m + 1;
@@ -184,19 +207,25 @@ let add_edge ?(weight = 1) g u v =
 let remove_edge g u v =
   check_node g u;
   check_node g v;
-  if u <> v && mem_edge g u v then begin
-    let k = key g u v in
-    let weight =
+  let i = live_arc g u v and k = key g u v in
+  (* the removed edge's weight, or 0 when there is no edge (weights are
+     positive, and a store has no self-loop arc) *)
+  let weight =
+    if i >= 0 then begin
+      set_tombstone g u v i true;
+      arc_weight g i
+    end
+    else
       match Hashtbl.find_opt g.added k with
       | Some w ->
           Hashtbl.remove g.added k;
           g.adds.(u) <- List.filter (fun (x, _) -> x <> v) g.adds.(u);
           g.adds.(v) <- List.filter (fun (x, _) -> x <> u) g.adds.(v);
           w
-      | None ->
-          Hashtbl.replace g.dels k ();
-          if is_weighted g then Csr.edge_weight g.base u v else 1
-    in
+      | None -> 0
+  in
+  if weight = 0 then false
+  else begin
     if weight <> 1 then g.nonunit <- g.nonunit - 1;
     g.deg.(u) <- g.deg.(u) - 1;
     g.deg.(v) <- g.deg.(v) - 1;
@@ -205,7 +234,6 @@ let remove_edge g u v =
     maybe_commit g;
     true
   end
-  else false
 
 (* the base and snapshot are immutable and version-tagged, so sharing them is
    safe: either copy mutating stops sharing the delta it changes *)
@@ -213,8 +241,9 @@ let copy g =
   {
     base = g.base;
     added = Hashtbl.copy g.added;
-    dels = Hashtbl.copy g.dels;
     adds = Array.copy g.adds;
+    dead = (if g.ndead > 0 then Bytes.copy g.dead else Bytes.empty);
+    ndead = g.ndead;
     deg = Array.copy g.deg;
     m = g.m;
     nonunit = g.nonunit;
@@ -241,8 +270,9 @@ let of_csr c =
   {
     base = c;
     added = Hashtbl.create 16;
-    dels = Hashtbl.create 16;
     adds = Array.make size [];
+    dead = Bytes.empty;
+    ndead = 0;
     deg;
     m = Csr.m c;
     nonunit = !nonunit;

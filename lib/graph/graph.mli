@@ -2,12 +2,15 @@
 
     This is the central mutable representation used while *constructing*
     graphs and spanners.  Storage is a delta log over an immutable
-    Bigarray-backed CSR base ({!Csr.t}): reads scan the flat base rows plus
-    a small per-node delta, and mutations are O(1) amortized — once the
-    delta reaches half the base size it is replayed into a fresh base by an
-    O(m) counting-sort rebuild.  Algorithms that only traverse a fixed graph
-    should take a {!Csr.t} snapshot (see {!snapshot}) for zero-overhead
-    iteration.
+    Bigarray-backed CSR base ({!Csr.t}).  The delta is the added edges
+    (per-node lists) plus, while deletions are pending, one tombstone byte
+    per base arc.  Reads scan the flat base rows, skipping tombstoned arcs
+    in place, then a node's few additions.  A mutation costs a binary search
+    in a base row plus O(1) amortized: once the delta reaches half the base
+    size it is committed by an O(n + m) row merge ({!Csr.merge}) that
+    allocates only the new store.  Algorithms that only traverse a fixed
+    graph should take a {!Csr.t} snapshot (see {!snapshot}) for
+    zero-overhead iteration.
 
     Edges are unordered pairs of distinct nodes; self-loops and parallel edges
     are rejected/ignored.  In printed form and in edge lists, an edge is
@@ -41,7 +44,8 @@ val remove_edge : t -> int -> int -> bool
 (** [remove_edge g u v] deletes the edge; returns [false] if absent. *)
 
 val mem_edge : t -> int -> int -> bool
-(** Edge membership test. *)
+(** Edge membership test: a binary search in the base row plus a tombstone
+    byte test, and a hash probe only while the graph has additions. *)
 
 val degree : t -> int -> int
 (** Number of neighbors of a node. *)
@@ -63,10 +67,10 @@ val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 (** Fold over neighbors. *)
 
 val edges : t -> edge list
-(** All edges, normalized, in unspecified order. *)
+(** All edges, normalized, in the reverse of the {!iter_edges} order. *)
 
 val edge_array : t -> edge array
-(** All edges as an array (normalized; unspecified order). *)
+(** All edges as an array, normalized, in {!iter_edges} order. *)
 
 val iter_edges : t -> (int -> int -> unit) -> unit
 (** Iterate each edge exactly once as [(u, v)] with [u < v]: [u]
@@ -146,15 +150,19 @@ val version : t -> int
     the same value bracket a window in which the graph was not mutated. *)
 
 val to_csr : t -> csr
-(** Build a fresh CSR snapshot, bypassing the cache and leaving the graph's
-    delta uncommitted.  Neighbor lists are sorted ascending, so the snapshot
-    is canonical for a given edge set.  Prefer {!snapshot} unless you
-    specifically need a new physical copy. *)
+(** Build a fresh CSR snapshot by counting sort ({!Csr.of_stream} or
+    {!Csr.of_weighted_stream} over {!iter_edges}), bypassing the cache and
+    leaving the graph's delta uncommitted.  Neighbor lists are sorted
+    ascending, so the snapshot is canonical for a given edge set.  No
+    library code calls it: it is the independent build that the tests hold
+    {!snapshot}'s row merge to.  Prefer {!snapshot} unless you specifically
+    need a new physical copy. *)
 
 val snapshot : t -> csr
 (** The memoized CSR snapshot: rebuilt only when {!version} has moved since
     the previous call, otherwise the cached (physically equal) snapshot is
-    returned.  Taking a snapshot commits any outstanding delta into the base,
+    returned.  Taking a snapshot commits any outstanding delta into the base
+    (the row merge of {!Csr.merge}, element for element equal to {!to_csr}),
     so the returned store doubles as the graph's primary storage until the
     next mutation.  Cache behavior is observable through the
     [csr.snapshot_hits] / [csr.snapshot_builds] metrics.  The result is

@@ -5,8 +5,8 @@
    The central property is the oracle: a CSR built from an edge stream must
    be element-for-element identical to a naive per-node sorted-list model,
    for any interleaving of add_edge / remove_edge / isolate — both through
-   the pure [Graph.to_csr] path and the delta-replaying [Graph.snapshot]
-   path. *)
+   the pure [Graph.to_csr] path and the row-merging [Graph.snapshot] path,
+   which must also equal each other. *)
 
 let check = Alcotest.check
 
@@ -240,7 +240,7 @@ let prop_csr_matches_model =
     (fun (n, ops, extra) ->
       let ops = List.map (fun (k, a, b) -> (k, a, b)) ops in
       let g, md = apply_ops n ops in
-      (* of_graph: pure O(m) rebuild; snapshot: delta-log commit + cache *)
+      (* to_csr: counting-sort rebuild; snapshot: row-merge commit + cache *)
       let pure = Graph.to_csr g in
       let snap = Graph.snapshot g in
       let ok1 = csr_matches_model md pure && csr_matches_model md snap in
@@ -407,6 +407,91 @@ let prop_uncommitted_order =
         ops;
       !ok && List.for_all (fun (g, md) -> order_matches g md) !frozen)
 
+(* ---- qcheck oracle: a commit's row merge = a fresh counting-sort build ---- *)
+
+let same_store (a : Csr.t) (b : Csr.t) =
+  ints a.Csr.xadj = ints b.Csr.xadj
+  && ints a.Csr.adjncy = ints b.Csr.adjncy
+  && (match (a.Csr.weights, b.Csr.weights) with
+     | None, None -> true
+     | Some x, Some y -> ints x = ints y
+     | _ -> false)
+  && Csr.max_weight a = Csr.max_weight b
+
+(* snapshot (which merges any pending delta into a new base) against the
+   to_csr build taken just before it; the lane is there exactly when the
+   graph is weighted *)
+let commit_matches g =
+  let expected = Graph.to_csr g in
+  let weighted = Graph.is_weighted g in
+  let got = Graph.snapshot g in
+  same_store got expected && (got.Csr.weights <> None) = weighted
+
+(* the start graph, by [src]: empty, a committed unit or weighted store, or
+   a random_regular graph as generated, which carries the switch repair's
+   pending deletions.  The weighted store is mostly unit weights, so
+   removals can leave it unweighted; its weights are fixed per pair, so
+   duplicate emits agree, and (0, 1) is always heavy, so the adopted store
+   is the one to_csr builds. *)
+let commit_start src n seed =
+  let weight u v = if (u + v) mod 4 = 1 then 2 + (u * v mod 3) else 1 in
+  let edges emit =
+    emit 0 1 (weight 0 1);
+    let st = Random.State.make [| seed |] in
+    for _ = 1 to 2 * n do
+      let u = Random.State.int st n and v = Random.State.int st n in
+      emit u v (weight u v)
+    done
+  in
+  match src mod 4 with
+  | 0 -> Graph.create n
+  | 1 -> Graph.of_csr (Csr.of_stream ~n (fun emit -> edges (fun u v _ -> emit u v)))
+  | 2 -> Graph.of_csr (Csr.of_weighted_stream ~n edges)
+  | _ ->
+      let n = 2 * (8 + (n mod 17)) in
+      Generators.random_regular (Prng.create seed) n (4 + (seed mod 7))
+
+(* ops as (kind, a, b): add at weight 1–3, remove, isolate, resurrect at the
+   same and at another weight, copy (the original is kept and re-checked at
+   the end), snapshot, and stripping every non-unit edge *)
+let prop_commit_is_to_csr =
+  QCheck.Test.make ~name:"commit (row merge) = Graph.to_csr" ~count:300
+    QCheck.(
+      quad (int_range 0 3) (int_range 2 30) small_nat
+        (small_list (triple small_nat small_nat small_nat)))
+    (fun (src, n, seed, ops) ->
+      let g = ref (commit_start src (max 2 n) seed) in
+      let n = Graph.n !g in
+      let kept = ref [ Graph.copy !g ] and ok = ref true in
+      let resurrect u v reweight =
+        if Graph.mem_edge !g u v then begin
+          let w0 = Graph.edge_weight !g u v in
+          ignore (Graph.remove_edge !g u v);
+          ignore (Graph.add_edge ~weight:(if reweight then 1 + (w0 mod 3) else w0) !g u v)
+        end
+      in
+      List.iter
+        (fun (kind, a, b) ->
+          let u = a mod n and v = b mod n in
+          match kind mod 9 with
+          | 0 | 1 -> ignore (Graph.add_edge ~weight:(1 + (kind / 9 mod 3)) !g u v)
+          | 2 -> ignore (Graph.remove_edge !g u v)
+          | 3 -> ignore (Graph.isolate !g u)
+          | 4 -> resurrect u v false
+          | 5 -> resurrect u v true
+          | 6 ->
+              kept := !g :: !kept;
+              g := Graph.copy !g
+          | 7 -> if not (commit_matches !g) then ok := false
+          | _ ->
+              List.iter
+                (fun (x, y, w) -> if w <> 1 then ignore (Graph.remove_edge !g x y))
+                (let acc = ref [] in
+                 Graph.iter_edges_w !g (fun x y w -> acc := (x, y, w) :: !acc);
+                 !acc))
+        ops;
+      !ok && List.for_all commit_matches (!g :: !kept))
+
 (* ---- expander generator ---- *)
 
 let test_expander_shape () =
@@ -562,6 +647,7 @@ let () =
                prop_snapshot_accessors_match_graph;
                prop_uncommitted_order;
                prop_stream_builders;
+               prop_commit_is_to_csr;
              ] );
       ( "expander",
         [

@@ -133,6 +133,61 @@ let test_graph_weight_roundtrip () =
   check Alcotest.bool "invalid weight rejected" true
     (try ignore (Graph.add_edge ~weight:0 g 0 2); false with Invalid_argument _ -> true)
 
+(* Deleted base edges are tombstone bytes over the committed arcs: private to
+   each copy, hiding the base copy of a re-weighted edge, and dropped at a
+   commit, whose new base renumbers every arc. *)
+let test_tombstones () =
+  let g =
+    Graph.of_csr
+      (Csr.of_weighted_stream ~n:5 (fun emit ->
+           emit 0 1 2;
+           emit 1 2 1;
+           emit 2 3 3;
+           emit 3 4 1;
+           emit 0 4 5))
+  in
+  let row g v =
+    let acc = ref [] in
+    Graph.iter_neighbors_w g v (fun u w -> acc := (u, w) :: !acc);
+    List.rev !acc
+  in
+  let row_t = Alcotest.(list (pair int int)) in
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  (* copy while a deletion is pending, so the copy starts with marks *)
+  check Alcotest.bool "delete 3-4" true (Graph.remove_edge g 3 4);
+  let c = Graph.copy g in
+  check Alcotest.bool "copy deletes 1-2" true (Graph.remove_edge c 1 2);
+  check Alcotest.bool "copy lost 1-2" false (Graph.mem_edge c 1 2);
+  check Alcotest.bool "original keeps 1-2" true (Graph.mem_edge g 1 2);
+  check row_t "original row 1" [ (0, 2); (2, 1) ] (row g 1);
+  check Alcotest.(list int) "original iter_neighbors 2" [ 1; 3 ]
+    (let acc = ref [] in
+     Graph.iter_neighbors g 2 (fun u -> acc := u :: !acc);
+     List.rev !acc);
+  check Alcotest.int "original weight 1-2" 1 (Graph.edge_weight g 1 2);
+  check Alcotest.bool "original deletes 2-3" true (Graph.remove_edge g 2 3);
+  check Alcotest.bool "copy keeps 2-3" true (Graph.mem_edge c 2 3);
+  check row_t "copy row 2" [ (3, 3) ] (row c 2);
+  check Alcotest.int "copy weight 2-3" 3 (Graph.edge_weight c 2 3);
+  check Alcotest.bool "edge_weight on a tombstoned base edge" true
+    (raises (fun () -> Graph.edge_weight g 2 3));
+  (* re-added at another weight: the addition answers, the base arc stays
+     hidden, and the row reads base minus tombstones, then additions *)
+  check Alcotest.bool "re-weighted resurrection" true (Graph.add_edge ~weight:7 g 2 3);
+  check Alcotest.int "new weight" 7 (Graph.edge_weight g 2 3);
+  check row_t "row 2 hides the base arc" [ (1, 1); (3, 7) ] (row g 2);
+  check row_t "row 3 hides the base arcs" [ (2, 7) ] (row g 3);
+  check Alcotest.int "m" 4 (Graph.m g);
+  (* after a commit the old marks are gone: deleting one edge of the new
+     base hides exactly that edge *)
+  ignore (Graph.snapshot g);
+  check Alcotest.bool "delete on the new base" true (Graph.remove_edge g 0 1);
+  check Alcotest.(list (pair int int)) "edges after snapshot + delete"
+    [ (0, 4); (1, 2); (2, 3) ]
+    (List.sort compare (Graph.edges g));
+  check Alcotest.int "committed re-weight" 7 (Graph.edge_weight g 2 3);
+  check Alcotest.bool "0-1 hidden" true (raises (fun () -> Graph.edge_weight g 0 1))
+
 let test_unit_weights_stay_unweighted () =
   let g = Graph.create 3 in
   ignore (Graph.add_edge ~weight:1 g 0 1);
@@ -792,6 +847,7 @@ let () =
             test_unit_weights_stay_unweighted;
           Alcotest.test_case "is_weighted tracks live edges" `Quick
             test_is_weighted_tracks_live_edges;
+          Alcotest.test_case "tombstones" `Quick test_tombstones;
           qt prop_is_weighted_is_exact;
           qt prop_copy_and_survivor_preserve_weights;
         ] );
