@@ -38,10 +38,9 @@ let () =
   Printf.printf "lambda=%.6f\n" lam;
   let dist = Dist_spanner.run ~seed:6 g in
   Printf.printf "dist m=%d messages=%d\n" (Graph.m dist.Dist_spanner.spanner) dist.Dist_spanner.messages;
-  (* test_golden's route digests: per registry entry, each on a fresh G *)
+  (* test_golden's route digests: per registry entry, all on the same G *)
   List.iter
     (fun c ->
-      let g = Generators.random_regular (Prng.create 1) 60 20 in
       let dc = Construction.build c (Prng.create 2) g in
       let rng = Prng.create 4 in
       let two = ref 0 and three = ref 0 and inner = ref 0 in

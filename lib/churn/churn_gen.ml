@@ -44,11 +44,9 @@ let draw_add scratch rng =
   end
 
 (* A uniform edge of [scratch] by rank: the [k]-th in ascending [(u, v)]
-   order for one draw [k].  [Graph.iter_edges] follows storage order, which
-   a commit re-sorts, so a seeded draw that followed it would depend on when
-   [scratch] last committed.  Sources are walked in ascending order counting
-   their neighbours [v > u]; only the row holding the [k]-th edge is
-   sorted. *)
+   order for one draw [k].  Sources are walked in ascending order counting
+   their neighbours [v > u], then the row holding the [k]-th edge is walked,
+   ascending, to its [k]-th neighbour above [u]. *)
 let draw_del scratch rng =
   let m = Graph.m scratch in
   if m = 0 then None
@@ -61,10 +59,10 @@ let draw_del scratch rng =
       incr u;
       c := count !u
     done;
-    let u = !u in
-    let row = Array.of_list (List.filter (fun v -> v > u) (Graph.neighbors scratch u)) in
-    Array.sort Int.compare row;
-    Some (u, row.(!k))
+    let u = !u and picked = ref (-1) in
+    Graph.iter_neighbors scratch u (fun v ->
+        if v > u && !picked < 0 then if !k = 0 then picked := v else decr k);
+    Some (u, !picked)
   end
 
 let draw_isolate scratch rng =
@@ -75,8 +73,7 @@ let draw_isolate scratch rng =
   done;
   match !live with [] -> None | l -> Some (Prng.pick rng (Array.of_list l))
 
-(* the score-maximizing edge of [scratch]; ties keep the first edge in
-   iteration order, which is deterministic for a given mutation history *)
+(* the score-maximizing edge of [scratch]; ties keep the smallest [(u, v)] *)
 let hottest_edge scratch score =
   let best = ref None in
   Graph.iter_edges scratch (fun u v ->

@@ -23,7 +23,6 @@ let run g ~rounds ~init ~step =
         Graph.iter_neighbors g v (fun x ->
             ns.(!i) <- x;
             incr i);
-        Array.sort compare ns;
         ns)
   in
   let states = Array.init n init in

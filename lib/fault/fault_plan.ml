@@ -44,10 +44,8 @@ let uniform_nodes ?(round = 1) rng g ~p =
   schedule ~n [ (round, List.rev !acc) ]
 
 let uniform_edges ?(round = 1) rng g ~p =
-  let edges = Graph.edge_array g in
-  Array.sort compare edges;
   let acc = ref [] in
-  Array.iter (fun (u, v) -> if Prng.bool rng p then acc := Fail_edge (u, v) :: !acc) edges;
+  Graph.iter_edges g (fun u v -> if Prng.bool rng p then acc := Fail_edge (u, v) :: !acc);
   schedule ~n:(Graph.n g) [ (round, List.rev !acc) ]
 
 let adversarial_load ?(round = 1) ~n routing ~k =

@@ -26,18 +26,14 @@ let run ?(alpha = 3) damaged ~within =
       Metrics.incr m_added
     end
   in
-  (* phase 1: connectivity — canonical edge order so the repair is a pure
-     function of the damaged/survivor edge sets *)
+  (* phase 1: connectivity — in ascending edge order, so the repair is a
+     pure function of the damaged/survivor edge sets *)
   let connectivity_added =
     Trace.with_span ~name:"repair.connectivity" @@ fun () ->
     let uf = Union_find.create (Graph.n h) in
     Graph.iter_edges h (fun u v -> ignore (Union_find.union uf u v));
-    let candidates = Graph.edge_array within in
-    Array.sort compare candidates;
     let before = List.length !added in
-    Array.iter
-      (fun (u, v) -> if Union_find.union uf u v then add u v)
-      candidates;
+    Graph.iter_edges within (fun u v -> if Union_find.union uf u v then add u v);
     List.length !added - before
   in
   (* phase 2: stretch — every surviving edge must have a detour <= alpha;

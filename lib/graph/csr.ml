@@ -97,7 +97,7 @@ let iter_edges_w t f =
     iter_neighbors_w t u (fun v w -> if u < v then f u v w)
   done
 
-(* ---- tombstoned rows: the reads and the commit of Graph's delta log ---- *)
+(* ---- tombstoned rows and the commit builder of Graph's delta log ---- *)
 
 let check_dead t dead =
   if Bytes.length dead <> Bigarray.Array1.dim t.adjncy then
@@ -135,63 +135,39 @@ let iter_live_neighbors_w t ~dead v f =
           f (Bigarray.Array1.unsafe_get t.adjncy i) (Bigarray.Array1.unsafe_get w i)
       done
 
-(* One pass sizes every row (its live base arcs plus its additions) into the
-   new xadj; a second writes each row as the ascending merge of the live
-   base arcs with the additions sorted by neighbour.  Only the new store is
-   allocated, and [max_weight] is counted as the weights are written. *)
-let merge t ~dead ~adds ~weighted =
-  let size = t.n in
-  if Array.length adds <> size then invalid_arg "Csr.merge: additions do not match the node count";
-  let marked = Bytes.length dead > 0 in
-  if marked then check_dead t dead;
+(* Row offsets are the prefix sums of [deg]; row v is then written as
+   [row v] emits it.  The emit checks each arc against its row's end, and
+   each row is checked to fill its row exactly, so every write lands inside
+   the row it belongs to. *)
+let of_rows ~weighted deg row =
+  let size = Array.length deg in
   let xadj = make_ba (size + 1) in
   xadj.{0} <- 0;
-  for v = 0 to size - 1 do
-    let lo = t.xadj.{v} and hi = t.xadj.{v + 1} in
-    let live = ref (hi - lo) in
-    if marked then
-      for i = lo to hi - 1 do
-        (* SAFETY: xadj.{v} <= i < xadj.{v+1} <= dim adjncy = Bytes.length
-           dead, checked above. *)
-        if Bytes.unsafe_get dead i <> '\000' then decr live
-      done;
-    xadj.{v + 1} <- xadj.{v} + !live + List.length adds.(v)
-  done;
+  Array.iteri
+    (fun v d ->
+      if d < 0 then invalid_arg "Csr.of_rows: negative degree";
+      xadj.{v + 1} <- xadj.{v} + d)
+    deg;
   let total = xadj.{size} in
   let adjncy = make_ba total and weights = if weighted then Some (make_ba total) else None in
-  let p = ref 0 and heaviest = ref 1 in
+  let p = ref 0 and hi = ref 0 and heaviest = ref 1 in
   let emit u w =
-    (* SAFETY: rows are written in order, each with exactly the arcs the
-       sizing pass counted for it, so p runs from 0 to total - 1 = dim
-       adjncy - 1; the weight lane has dim total too. *)
+    if !p >= !hi then invalid_arg "Csr.of_rows: a row is longer than its degree";
+    (* SAFETY: 0 <= p < hi = xadj.{v+1} <= total = dim adjncy: offsets are
+       non-decreasing prefix sums of non-negative degrees. *)
     Bigarray.Array1.unsafe_set adjncy !p u;
     (match weights with
     | Some lane ->
+        (* SAFETY: p < total as above, and the lane has dim total. *)
         Bigarray.Array1.unsafe_set lane !p w;
         if w > !heaviest then heaviest := w
     | None -> ());
     incr p
   in
   for v = 0 to size - 1 do
-    let rest = ref (List.sort (fun (x, _) (y, _) -> Int.compare x y) adds.(v)) in
-    for i = t.xadj.{v} to t.xadj.{v + 1} - 1 do
-      (* SAFETY: xadj.{v} <= i < xadj.{v+1} <= dim adjncy = Bytes.length
-         dead when marked, and a weight lane has dim adjncy. *)
-      if (not marked) || Bytes.unsafe_get dead i = '\000' then begin
-        let u = Bigarray.Array1.unsafe_get t.adjncy i
-        and w = match t.weights with Some w when weighted -> Bigarray.Array1.unsafe_get w i | _ -> 1 in
-        let below = ref true in
-        while !below do
-          match !rest with
-          | (x, wx) :: tl when x < u ->
-              emit x wx;
-              rest := tl
-          | _ -> below := false
-        done;
-        emit u w
-      end
-    done;
-    List.iter (fun (x, w) -> emit x w) !rest
+    hi := xadj.{v + 1};
+    row v emit;
+    if !p <> !hi then invalid_arg "Csr.of_rows: a row is shorter than its degree"
   done;
   { n = size; xadj; adjncy; weights; max_weight = !heaviest }
 

@@ -13,7 +13,8 @@
     equal.
 
     {!Graph.t} is a delta log over one of these; {!Graph.snapshot} commits
-    the log by a row {!merge} and returns the new store.  {!of_stream}
+    the log by writing each row as it reads ({!of_rows}) and returns the
+    new store.  {!of_stream}
     builds one in O(n + m) time by counting sort from an arbitrary edge
     stream (no per-node hash tables, no comparison sort), which keeps
     10^6-node builds at memory bandwidth. *)
@@ -102,8 +103,8 @@ val iter_edges_w : t -> (int -> int -> int -> unit) -> unit
 
     {!Graph.t} hides a deleted base edge by marking its two arcs in a byte
     array with one byte per arc of [adjncy] (nonzero = deleted), indexed by
-    {!find_arc}.  The scans below skip marked arcs in place, and {!merge}
-    commits the marks and the graph's additions into a new store. *)
+    {!find_arc}.  The scans below skip marked arcs in place, and {!of_rows}
+    builds the store a commit writes. *)
 
 val find_arc : t -> int -> int -> int
 (** [find_arc t u v] is the index into [adjncy] of [v] in [u]'s row, by the
@@ -120,17 +121,12 @@ val iter_live_neighbors_w : t -> dead:Bytes.t -> int -> (int -> int -> unit) -> 
 (** Like {!iter_live_neighbors} but passing each weight, as
     {!iter_neighbors_w}. *)
 
-val merge : t -> dead:Bytes.t -> adds:(int * int) list array -> weighted:bool -> t
-(** [merge t ~dead ~adds ~weighted] is the store whose row [v] is [t]'s row
-    minus its marked arcs, merged in ascending order with the
-    [(neighbour, weight)] pairs of [adds.(v)], which may come in any order.
-    [dead] is either empty (no arc marked) or one byte per arc.  The result
-    carries a weight lane exactly when [weighted], and its [max_weight] is
-    the heaviest weight written.  It costs O(n + m) plus a sort of each
-    row's additions, and allocates only the new store.  On a canonical
-    input — no addition repeats a live arc or another addition, and each
-    edge appears in both of its endpoints' rows with one weight — it is
-    element for element the store {!of_stream} (or, when [weighted],
-    {!of_weighted_stream}) builds from the same edge set.  Raises
-    [Invalid_argument] unless [adds] has one list per node and [dead] is
-    empty or matches the arc count. *)
+val of_rows : weighted:bool -> int array -> (int -> (int -> int -> unit) -> unit) -> t
+(** [of_rows ~weighted deg row] is the store on [Array.length deg] nodes
+    whose row [v] holds the [deg.(v)] arcs that [row v emit] passes to
+    [emit neighbour weight], in the order given, which must be ascending;
+    this is how {!Graph.snapshot} writes a graph's rows as its reads return
+    them.  The result carries a weight lane exactly when [weighted], and its
+    [max_weight] is the heaviest weight written.  It costs O(n + m) and
+    allocates only the new store.  Raises [Invalid_argument] if a degree is
+    negative or a row emits more or fewer arcs than its degree. *)

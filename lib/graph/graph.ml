@@ -1,23 +1,27 @@
 (* Delta-log graph over an immutable Bigarray CSR base.
 
    The committed edge set lives in [base] (a Csr.t); mutations are recorded
-   in a small delta: [added] keyed by normalized edge plus per-node [adds]
-   lists so added neighbors can be iterated, and, while deletions are
-   pending, one tombstone byte per arc of the base ([dead], found through
-   Csr.find_arc).  Once the delta reaches half the base size it is committed
-   by an O(n + m) row merge that allocates only the new store: each base row
-   minus its tombstoned arcs, merged with the node's sorted additions.  The
-   growth policy is geometric, so a build-by-add_edge of m edges costs O(m)
-   total, while reads stay flat-array speed: a neighbor scan is the sorted
-   base row (skipping tombstoned arcs in place) plus the node's few
-   additions. *)
+   in a small delta: per node, one flat buffer of the node's added
+   (neighbour, weight) pairs, ascending by neighbour, and, while deletions
+   are pending, one tombstone byte per arc of the base ([dead], found
+   through Csr.find_arc).  A row reads as the ascending merge of the base
+   row minus its tombstoned arcs with the node's buffer, so every read is
+   ascending whatever the commit history.  Once the delta reaches half the
+   base size it is committed: Csr.of_rows writes each row through that same
+   read into a new store, which changes the layout and nothing a read
+   returns.  The growth policy is geometric, so a build-by-add_edge of m
+   edges costs O(m) total. *)
 
 type csr = Csr.t
 
 type t = {
   mutable base : csr;  (* committed snapshot of the edge set *)
-  added : (int, int) Hashtbl.t;  (* delta: edges present but not in base, with weight *)
-  adds : (int * int) list array;  (* delta: added (neighbor, weight), per node, newest first *)
+  mutable adds : int array array;
+      (* delta: per node, the added edges as (neighbour, weight) pairs
+         ascending by neighbour, pair i at [2i] and [2i + 1]; like [dead],
+         allocated at the first addition and empty again after a commit *)
+  mutable adds_len : int array;  (* delta: pairs in use in each node's buffer *)
+  mutable nadded : int;  (* delta: edges present but not in base *)
   mutable dead : Bytes.t;
       (* delta: a nonzero byte per hidden base arc, both arcs of an edge;
          one byte per arc of [base] while [ndead > 0], allocated at the first
@@ -36,8 +40,9 @@ let create size =
   if size < 0 then invalid_arg "Graph.create: negative size";
   {
     base = Csr.empty size;
-    added = Hashtbl.create 16;
-    adds = Array.make size [];
+    adds = [||];
+    adds_len = [||];
+    nadded = 0;
     dead = Bytes.empty;
     ndead = 0;
     deg = Array.make size 0;
@@ -54,9 +59,6 @@ let m g = g.m
 let check_node g v =
   if v < 0 || v >= n g then invalid_arg "Graph: node out of range"
 
-(* Normalized edge key; n <= 10^7 keeps the product far below max_int. *)
-let key g u v = if u < v then (u * n g) + v else (v * n g) + u
-
 let arc_weight g i = match g.base.Csr.weights with None -> 1 | Some w -> w.{i}
 
 let is_dead g i = g.ndead > 0 && Bytes.get g.dead i <> '\000'
@@ -67,11 +69,33 @@ let live_arc g u v =
   let i = Csr.find_arc g.base u v in
   if i >= 0 && is_dead g i then -1 else i
 
+(* pairs in v's buffer *)
+let adds_at g v = if Array.length g.adds_len = 0 then 0 else g.adds_len.(v)
+
+(* the first pair of v's buffer whose neighbour is >= x: the pair count when
+   x exceeds them all, which makes an ascending pass of additions appends *)
+let add_slot g v x =
+  let k = adds_at g v in
+  if k = 0 || g.adds.(v).(2 * (k - 1)) < x then k
+  else begin
+    let a = g.adds.(v) and lo = ref 0 and hi = ref (k - 1) in
+    (* pairs below lo are < x, pair hi is >= x *)
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if a.(2 * mid) < x then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  end
+
+(* the pair of v's buffer holding neighbour x, or -1 *)
+let find_add g v x =
+  let i = add_slot g v x in
+  if i < adds_at g v && g.adds.(v).(2 * i) = x then i else -1
+
 let mem_edge g u v =
   check_node g u;
   check_node g v;
-  u <> v
-  && (live_arc g u v >= 0 || (Hashtbl.length g.added > 0 && Hashtbl.mem g.added (key g u v)))
+  u <> v && (live_arc g u v >= 0 || find_add g u v >= 0)
 
 let degree g v =
   check_node g v;
@@ -86,17 +110,31 @@ let iter_base_w g v f =
   if g.ndead = 0 then Csr.iter_neighbors_w g.base v f
   else Csr.iter_live_neighbors_w g.base ~dead:g.dead v f
 
-let iter_neighbors g v f =
-  check_node g v;
-  iter_base g v f;
-  List.iter (fun (u, _) -> f u) g.adds.(v)
-
-let is_weighted g = g.nonunit > 0
-
+(* the live base row merged with v's buffer; an addition never repeats a
+   live base arc *)
 let iter_neighbors_w g v f =
   check_node g v;
-  iter_base_w g v f;
-  List.iter (fun (u, w) -> f u w) g.adds.(v)
+  let k = adds_at g v in
+  if k = 0 then iter_base_w g v f
+  else begin
+    let a = g.adds.(v) and j = ref 0 in
+    let below u =
+      while !j < k && a.(2 * !j) < u do
+        f a.(2 * !j) a.((2 * !j) + 1);
+        incr j
+      done
+    in
+    iter_base_w g v (fun u w ->
+        below u;
+        f u w);
+    below max_int
+  end
+
+let iter_neighbors g v f =
+  check_node g v;
+  if adds_at g v = 0 then iter_base g v f else iter_neighbors_w g v (fun u _ -> f u)
+
+let is_weighted g = g.nonunit > 0
 
 let edge_weight g u v =
   check_node g u;
@@ -105,9 +143,8 @@ let edge_weight g u v =
   let i = live_arc g u v in
   if i >= 0 then arc_weight g i
   else
-    match Hashtbl.find_opt g.added (key g u v) with
-    | Some w -> w
-    | None -> invalid_arg "Graph.edge_weight: no such edge"
+    let j = find_add g u v in
+    if j >= 0 then g.adds.(u).((2 * j) + 1) else invalid_arg "Graph.edge_weight: no such edge"
 
 let neighbors g v =
   let acc = ref [] in
@@ -122,14 +159,12 @@ let fold_neighbors g v f init =
 
 let iter_edges g f =
   for u = 0 to n g - 1 do
-    iter_base g u (fun v -> if u < v then f u v);
-    List.iter (fun (v, _) -> if u < v then f u v) g.adds.(u)
+    iter_neighbors g u (fun v -> if u < v then f u v)
   done
 
 let iter_edges_w g f =
   for u = 0 to n g - 1 do
-    iter_base_w g u (fun v w -> if u < v then f u v w);
-    List.iter (fun (v, w) -> if u < v then f u v w) g.adds.(u)
+    iter_neighbors_w g u (fun v w -> if u < v then f u v w)
   done
 
 let edges g =
@@ -150,24 +185,24 @@ let to_csr g =
     Csr.of_weighted_stream ~m_hint:g.m ~n:(n g) (fun emit -> iter_edges_w g emit)
   else Csr.of_stream ~m_hint:g.m ~n:(n g) (fun emit -> iter_edges g emit)
 
-(* Merge the delta into a fresh base and drop it, tombstones included.  Does
-   not bump [version]: the edge set is unchanged, only its physical
-   layout. *)
+(* Write every row, as a read returns it, into a fresh base and drop the
+   delta, tombstones included.  Does not bump [version]: the edge set is
+   unchanged, only its physical layout. *)
 let commit g =
-  if Hashtbl.length g.added > 0 || g.ndead > 0 then begin
-    let dead = if g.ndead > 0 then g.dead else Bytes.empty in
-    g.base <- Csr.merge g.base ~dead ~adds:g.adds ~weighted:(is_weighted g);
-    Hashtbl.reset g.added;
+  if g.nadded > 0 || g.ndead > 0 then begin
+    g.base <- Csr.of_rows ~weighted:(is_weighted g) g.deg (iter_neighbors_w g);
+    g.adds <- [||];
+    g.adds_len <- [||];
+    g.nadded <- 0;
     g.dead <- Bytes.empty;
-    g.ndead <- 0;
-    Array.fill g.adds 0 (Array.length g.adds) []
+    g.ndead <- 0
   end
 
-(* Commit once the delta reaches half the base: the merge costs O(n + m),
-   and the base grows geometrically, so total merge work over any op
+(* Commit once the delta reaches half the base: the commit costs O(n + m),
+   and the base grows geometrically, so total commit work over any op
    sequence is O(total edges) amortized. *)
 let maybe_commit g =
-  let d = Hashtbl.length g.added + g.ndead in
+  let d = g.nadded + g.ndead in
   if d >= 64 && 2 * d >= Csr.m g.base then commit g
 
 (* mark or clear both arcs of the base edge whose u-side arc is [i] *)
@@ -179,21 +214,44 @@ let set_tombstone g u v i mark =
   Bytes.set g.dead (Csr.find_arc g.base v u) c;
   g.ndead <- (if mark then g.ndead + 1 else g.ndead - 1)
 
+(* put (x, w) into v's buffer at its ascending place, doubling a full one *)
+let insert_add g v x w =
+  if Array.length g.adds_len = 0 then begin
+    g.adds <- Array.make (n g) [||];
+    g.adds_len <- Array.make (n g) 0
+  end;
+  let k = g.adds_len.(v) and i = add_slot g v x in
+  if 2 * k = Array.length g.adds.(v) then begin
+    let b = Array.make (max 8 (4 * k)) 0 in
+    Array.blit g.adds.(v) 0 b 0 (2 * k);
+    g.adds.(v) <- b
+  end;
+  let a = g.adds.(v) in
+  Array.blit a (2 * i) a ((2 * i) + 2) (2 * (k - i));
+  a.(2 * i) <- x;
+  a.((2 * i) + 1) <- w;
+  g.adds_len.(v) <- k + 1
+
+let remove_add g v i =
+  let a = g.adds.(v) and k = g.adds_len.(v) in
+  Array.blit a ((2 * i) + 2) a (2 * i) (2 * (k - i - 1));
+  g.adds_len.(v) <- k - 1
+
 let add_edge ?(weight = 1) g u v =
   check_node g u;
   check_node g v;
   if weight < 1 then invalid_arg "Graph.add_edge: weight must be positive";
-  let i = Csr.find_arc g.base u v and k = key g u v in
-  if u = v || (i >= 0 && not (is_dead g i)) || Hashtbl.mem g.added k then false
+  let i = Csr.find_arc g.base u v in
+  if u = v || (i >= 0 && not (is_dead g i)) || find_add g u v >= 0 then false
   else begin
     (* A base edge here is tombstoned: re-added at the base copy's weight it
        reappears in place; at any other weight the base copy stays hidden
        and the re-weighted edge joins the additions. *)
     if i >= 0 && weight = arc_weight g i then set_tombstone g u v i false
     else begin
-      Hashtbl.replace g.added k weight;
-      g.adds.(u) <- (v, weight) :: g.adds.(u);
-      g.adds.(v) <- (u, weight) :: g.adds.(v)
+      insert_add g u v weight;
+      insert_add g v u weight;
+      g.nadded <- g.nadded + 1
     end;
     g.deg.(u) <- g.deg.(u) + 1;
     g.deg.(v) <- g.deg.(v) + 1;
@@ -207,22 +265,24 @@ let add_edge ?(weight = 1) g u v =
 let remove_edge g u v =
   check_node g u;
   check_node g v;
-  let i = live_arc g u v and k = key g u v in
+  let i = live_arc g u v in
   (* the removed edge's weight, or 0 when there is no edge (weights are
-     positive, and a store has no self-loop arc) *)
+     positive, and neither a store nor a buffer holds a self-loop) *)
   let weight =
     if i >= 0 then begin
       set_tombstone g u v i true;
       arc_weight g i
     end
     else
-      match Hashtbl.find_opt g.added k with
-      | Some w ->
-          Hashtbl.remove g.added k;
-          g.adds.(u) <- List.filter (fun (x, _) -> x <> v) g.adds.(u);
-          g.adds.(v) <- List.filter (fun (x, _) -> x <> u) g.adds.(v);
-          w
-      | None -> 0
+      let j = find_add g u v in
+      if j < 0 then 0
+      else begin
+        let w = g.adds.(u).((2 * j) + 1) in
+        remove_add g u j;
+        remove_add g v (find_add g v u);
+        g.nadded <- g.nadded - 1;
+        w
+      end
   in
   if weight = 0 then false
   else begin
@@ -236,19 +296,18 @@ let remove_edge g u v =
   end
 
 (* the base and snapshot are immutable and version-tagged, so sharing them is
-   safe: either copy mutating stops sharing the delta it changes *)
+   safe; the buffers, marks and degrees are copied, so either copy mutating
+   leaves the other as it was *)
 let copy g =
+  let pending = g.nadded > 0 in
   {
-    base = g.base;
-    added = Hashtbl.copy g.added;
-    adds = Array.copy g.adds;
+    g with
+    adds =
+      (if pending then Array.mapi (fun v a -> Array.sub a 0 (2 * g.adds_len.(v))) g.adds
+       else [||]);
+    adds_len = (if pending then Array.copy g.adds_len else [||]);
     dead = (if g.ndead > 0 then Bytes.copy g.dead else Bytes.empty);
-    ndead = g.ndead;
     deg = Array.copy g.deg;
-    m = g.m;
-    nonunit = g.nonunit;
-    version = g.version;
-    snap = g.snap;
   }
 
 let of_edges size es =
@@ -261,16 +320,24 @@ let of_weighted_edges size es =
   List.iter (fun (u, v, w) -> ignore (add_edge ~weight:w g u v)) es;
   g
 
+(* a weighted store whose weights are all 1 is adopted without its lane, so
+   the snapshot agrees with [is_weighted] from the start *)
 let of_csr c =
   let size = Csr.n c in
   let deg = Array.init size (fun v -> Csr.degree c v) in
   let nonunit = ref 0 in
   if Csr.is_weighted c then
     Csr.iter_edges_w c (fun _ _ w -> if w <> 1 then incr nonunit);
+  let c =
+    if Csr.is_weighted c && !nonunit = 0 then
+      Csr.of_rows ~weighted:false deg (Csr.iter_neighbors_w c)
+    else c
+  in
   {
     base = c;
-    added = Hashtbl.create 16;
-    adds = Array.make size [];
+    adds = [||];
+    adds_len = [||];
+    nadded = 0;
     dead = Bytes.empty;
     ndead = 0;
     deg;
@@ -348,6 +415,6 @@ let pp fmt g =
   Format.fprintf fmt "graph(n=%d, m=%d)" (n g) (m g);
   if n g <= 16 then
     for v = 0 to n g - 1 do
-      let ns = List.sort compare (neighbors g v) in
+      let ns = List.rev (neighbors g v) in
       Format.fprintf fmt "@\n  %d: %s" v (String.concat " " (List.map string_of_int ns))
     done

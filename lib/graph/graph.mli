@@ -2,15 +2,20 @@
 
     This is the central mutable representation used while *constructing*
     graphs and spanners.  Storage is a delta log over an immutable
-    Bigarray-backed CSR base ({!Csr.t}).  The delta is the added edges
-    (per-node lists) plus, while deletions are pending, one tombstone byte
-    per base arc.  Reads scan the flat base rows, skipping tombstoned arcs
-    in place, then a node's few additions.  A mutation costs a binary search
-    in a base row plus O(1) amortized: once the delta reaches half the base
-    size it is committed by an O(n + m) row merge ({!Csr.merge}) that
-    allocates only the new store.  Algorithms that only traverse a fixed
-    graph should take a {!Csr.t} snapshot (see {!snapshot}) for
-    zero-overhead iteration.
+    Bigarray-backed CSR base ({!Csr.t}).  The delta is each node's added
+    edges, in one flat buffer ascending by neighbour, plus, while deletions
+    are pending, one tombstone byte per base arc.  A row reads as the
+    ascending merge of the base row, skipping tombstoned arcs in place, with
+    the node's buffer.  So every row reads ascending at every point, and
+    everything read from a graph is a function of its edge set alone.  A
+    mutation costs binary searches in a base row and a buffer, plus an
+    insertion that is an append when additions arrive ascending (as in a
+    pass over {!iter_edges}).  Once the delta reaches half the base size it
+    is committed: the rows, as read, are written into a new store
+    ({!Csr.of_rows}) in O(n + m).  A commit changes the layout only, never
+    what a read returns.  Algorithms that only traverse a fixed graph should
+    take a {!Csr.t} snapshot (see {!snapshot}) for zero-overhead
+    iteration.
 
     Edges are unordered pairs of distinct nodes; self-loops and parallel edges
     are rejected/ignored.  In printed form and in edge lists, an edge is
@@ -45,23 +50,18 @@ val remove_edge : t -> int -> int -> bool
 
 val mem_edge : t -> int -> int -> bool
 (** Edge membership test: a binary search in the base row plus a tombstone
-    byte test, and a hash probe only while the graph has additions. *)
+    byte test, and a binary search in the node's additions. *)
 
 val degree : t -> int -> int
 (** Number of neighbors of a node. *)
 
 val neighbors : t -> int -> int list
-(** Neighbor list of a node, in the reverse of the {!iter_neighbors}
-    order. *)
+(** Neighbor list of a node, descending (the reverse of the
+    {!iter_neighbors} order). *)
 
 val iter_neighbors : t -> int -> (int -> unit) -> unit
-(** Iterate over neighbors without materializing a list.  The order is the
-    storage order: the committed base row, ascending, minus its deleted
-    arcs, then the node's uncommitted additions, newest first.  A commit
-    ({!snapshot}, or the automatic one once the delta reaches half the
-    base) sorts every row.  The order is fixed while the graph is not
-    mutated, so a flat scan may number a node's arcs by their position in
-    it. *)
+(** Iterate over neighbors without materializing a list, ascending, whatever
+    the graph's commit history: the same order as a {!Csr.t} row. *)
 
 val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 (** Fold over neighbors. *)
@@ -73,8 +73,8 @@ val edge_array : t -> edge array
 (** All edges as an array, normalized, in {!iter_edges} order. *)
 
 val iter_edges : t -> (int -> int -> unit) -> unit
-(** Iterate each edge exactly once as [(u, v)] with [u < v]: [u]
-    ascending, and each [u]'s edges in {!iter_neighbors} order. *)
+(** Iterate each edge exactly once as [(u, v)] with [u < v], ascending
+    lexicographically. *)
 
 val is_weighted : t -> bool
 (** Whether some live edge carries a weight [<> 1].  Exact at every point:
@@ -110,9 +110,11 @@ val of_weighted_edges : int -> (int * int * int) list -> t
 val of_csr : csr -> t
 (** [of_csr c] adopts a CSR store as the committed base of a new graph in
     O(n): no edges are copied, the delta starts empty, and the store is also
-    installed as the cached {!snapshot}.  This is the bridge from streaming
-    builders ({!Csr.of_stream}, {!Generators.expander}) into the mutable
-    API. *)
+    installed as the cached {!snapshot}.  A weighted store whose weights are
+    all 1 is adopted as an unweighted copy, so the snapshot has a weight
+    array exactly when {!is_weighted} holds.  This is the bridge from
+    streaming builders ({!Csr.of_stream}, {!Generators.expander}) into the
+    mutable API. *)
 
 val empty_like : t -> t
 (** Graph with the same node set and no edges. *)
@@ -155,16 +157,16 @@ val to_csr : t -> csr
     leaving the graph's delta uncommitted.  Neighbor lists are sorted
     ascending, so the snapshot is canonical for a given edge set.  No
     library code calls it: it is the independent build that the tests hold
-    {!snapshot}'s row merge to.  Prefer {!snapshot} unless you specifically
-    need a new physical copy. *)
+    {!snapshot} and every read to.  Prefer {!snapshot} unless you
+    specifically need a new physical copy. *)
 
 val snapshot : t -> csr
 (** The memoized CSR snapshot: rebuilt only when {!version} has moved since
     the previous call, otherwise the cached (physically equal) snapshot is
     returned.  Taking a snapshot commits any outstanding delta into the base
-    (the row merge of {!Csr.merge}, element for element equal to {!to_csr}),
-    so the returned store doubles as the graph's primary storage until the
-    next mutation.  Cache behavior is observable through the
+    (each row written as it reads, by {!Csr.of_rows}: element for element
+    {!to_csr}), so the returned store doubles as the graph's primary
+    storage until the next mutation; no read of the graph changes.  Cache behavior is observable through the
     [csr.snapshot_hits] / [csr.snapshot_builds] metrics.  The result is
     immutable and remains valid after further mutations (they simply stop
     sharing). *)

@@ -1,17 +1,7 @@
 let to_channel g oc =
   Printf.fprintf oc "n %d %d\n" (Graph.n g) (Graph.m g);
-  if Graph.is_weighted g then begin
-    let edges = ref [] in
-    Graph.iter_edges_w g (fun u v w -> edges := (u, v, w) :: !edges);
-    let edges = Array.of_list !edges in
-    Array.sort compare edges;
-    Array.iter (fun (u, v, w) -> Printf.fprintf oc "%d %d %d\n" u v w) edges
-  end
-  else begin
-    let edges = Graph.edge_array g in
-    Array.sort compare edges;
-    Array.iter (fun (u, v) -> Printf.fprintf oc "%d %d\n" u v) edges
-  end
+  if Graph.is_weighted g then Graph.iter_edges_w g (Printf.fprintf oc "%d %d %d\n")
+  else Graph.iter_edges g (Printf.fprintf oc "%d %d\n")
 
 let write g path =
   let oc = open_out path in

@@ -56,7 +56,6 @@ let min_congestion g problem ~max_len =
 
 let all_three_spanners g =
   let edges = Graph.edge_array g in
-  Array.sort compare edges;
   let m = Array.length edges in
   if m > 20 then invalid_arg "Brute.all_three_spanners: graph too large for enumeration";
   let out = ref [] in

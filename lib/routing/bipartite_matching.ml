@@ -115,9 +115,9 @@ let maximum ~left ~right ~adj =
   done;
   matched_pairs ~left ~right (hopcroft_karp ~l ~r rows)
 
-(* Sorted neighbor arrays make the result canonical: it depends only on the
-   edge set, not on adjacency-hashtable iteration order.  The distributed
-   router relies on this to reproduce the centralized choice from local
+(* Sorted neighbor arrays (every Graph row reads ascending) make the result
+   canonical: it depends only on the edge set.  The distributed router
+   relies on this to reproduce the centralized choice from local
    knowledge. *)
 let sorted_neighbors g u =
   let a = Array.make (Graph.degree g u) 0 in
@@ -125,7 +125,6 @@ let sorted_neighbors g u =
   Graph.iter_neighbors g u (fun x ->
       a.(!i) <- x;
       incr i);
-  Array.sort Int.compare a;
   a
 
 (* Per-domain node arenas, zero between calls: [side] tags N(u) / N(v)

@@ -25,9 +25,7 @@ let maximal_over_edges edges n =
   Array.of_list (List.rev !out)
 
 let greedy_maximal g =
-  let edges = Graph.edge_array g in
-  Array.sort compare edges;
-  maximal_over_edges edges (Graph.n g)
+  maximal_over_edges (Graph.edge_array g) (Graph.n g)
 
 let random_maximal rng g =
   let edges = Graph.edge_array g in

@@ -20,8 +20,8 @@
    round-start degrees.
 
    Flat layout, O(k·m) time with no hashing.  G is read in place through
-   [Graph.iter_neighbors_w] and never copied, committed or mutated: arc [a]
-   of v's row is [off.(v)] plus its position in that iteration, and the
+   [Graph.iter_neighbors_w] and never copied or mutated: arc [a] of v's row
+   is [off.(v)] plus its position in that (ascending) iteration, and the
    residual graph is one alive byte per arc plus live degrees.  A vertex's
    per-cluster minima live in arrays indexed by cluster id, valid where
    [mark] holds the current epoch.  At round end the queued drops are

@@ -10,9 +10,9 @@
     (randomness only affects the size).  No congestion guarantee.
 
     A build costs [O(k · m)] with no hashing.  [G] is read in place and
-    never copied, committed or mutated, so its edge order is what it was.
-    It allocates one byte per arc of [G] plus [O(n + m(H))] words and the
-    round's dropped edges, and keeps none of it past the call.
+    never copied or mutated.  It allocates one byte per arc of [G] plus
+    [O(n + m(H))] words and the round's dropped edges, and keeps none of it
+    past the call.
 
     On an unweighted graph this is simply Baswana–Sen with all weights 1;
     the registry entry [baswana-sen-weighted] (alias [bsw]) uses [k = 2] for

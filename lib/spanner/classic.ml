@@ -33,7 +33,6 @@ let greedy g ~k =
   let bound = (2 * k) - 1 in
   let h = Graph.empty_like g in
   let edges = Graph.edge_array g in
-  Array.sort compare edges;
   Array.iter
     (fun (u, v) ->
       let d = distance_bounded_mut h u v ~bound in

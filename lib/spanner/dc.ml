@@ -10,9 +10,9 @@ type t = {
 
 let reverse p = Array.init (Array.length p) (fun i -> p.(Array.length p - 1 - i))
 
-(* The one sampler: [csr] is H's snapshot, forced only by a draw that walks
-   H, since a snapshot commits H and reorders the rows detours are read from. *)
-let sampler ~name ~graph ~spanner ~csr paths =
+(* The one sampler: a walk in H reads H's snapshot, taken here. *)
+let make ~name ~graph ~spanner paths =
+  let csr = Graph.snapshot spanner in
   let found = function
     | Some p -> p
     | None -> invalid_arg (name ^ ": spanner disconnects a routed pair")
@@ -20,19 +20,15 @@ let sampler ~name ~graph ~spanner ~csr paths =
   let draw rng (u, v) =
     match paths u v with
     | Direct -> [| u; v |]
-    | Uniform [||] -> found (Bfs.shortest_path (Lazy.force csr) u v)
+    | Uniform [||] -> found (Bfs.shortest_path csr u v)
     | Uniform ps ->
         let p = Prng.pick rng ps in
         if p.(0) = u then p else reverse p
-    | Shortest -> found (Bfs.random_shortest_path (Lazy.force csr) rng u v)
+    | Shortest -> found (Bfs.random_shortest_path csr rng u v)
   in
   { name; graph; spanner; paths; route_matching = (fun rng pairs -> Array.map (draw rng) pairs) }
 
-let make ~name ~graph ~spanner paths =
-  sampler ~name ~graph ~spanner ~csr:(lazy (Graph.snapshot spanner)) paths
-
-let of_sp_router ~name ~graph ~spanner =
-  sampler ~name ~graph ~spanner ~csr:(Lazy.from_val (Graph.snapshot spanner)) (fun _ _ -> Shortest)
+let of_sp_router ~name ~graph ~spanner = make ~name ~graph ~spanner (fun _ _ -> Shortest)
 
 let route_general t rng routing =
   Decompose.run ~n:(Graph.n t.graph) ~router:(t.route_matching rng) routing

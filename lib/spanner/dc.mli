@@ -43,17 +43,15 @@ type t = {
 
 val make : name:string -> graph:Graph.t -> spanner:Graph.t -> (int -> int -> paths) -> t
 (** The matching router that samples every request from the given
-    distribution.  [H]'s CSR snapshot is taken at the first draw that walks
-    [H] ([Shortest] or [Uniform [||]]), no earlier: a snapshot commits [H],
-    which reorders the rows that detour enumeration reads.  [H] must not
+    distribution.  It takes [H]'s CSR snapshot when it is made, for the
+    draws that walk [H] ([Shortest] and [Uniform [||]]), so [H] must not
     change once the router exists.  Raises [Invalid_argument] on a request
     that [H] disconnects. *)
 
 val of_sp_router : name:string -> graph:Graph.t -> spanner:Graph.t -> t
-(** Wrap a plain spanner with the randomized-shortest-path matching router
-    ([Shortest] on every request) — the router used for the distance-spanner
-    baselines and the [5]/[16]-substitutes.  Unlike [make], it snapshots
-    [H] at creation. *)
+(** Wrap a plain spanner with the randomized-shortest-path matching router:
+    {!make} with [Shortest] on every request, the router used for the
+    distance-spanner baselines and the [5]/[16]-substitutes. *)
 
 val route_general : t -> Prng.t -> Routing.routing -> Decompose.result
 (** Theorem 1: decompose the routing into matchings, route each on [H], and

@@ -26,7 +26,6 @@ let build ?rho ~k rng g =
     let reinserted =
       Trace.with_span ~name:"spanner.repair" (fun () ->
           let bad = Stretch.violations g sampled ~bound:((2 * k) - 1) in
-          let bad = Support.in_edge_order g bad in
           List.iter (fun (u, v) -> ignore (Graph.add_edge spanner u v)) bad;
           List.length bad)
     in

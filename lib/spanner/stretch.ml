@@ -50,11 +50,9 @@ let fresh_stamp a =
 
 (* Source [u]'s removed edges: its G-neighbours [v > u] that H lacks, as
    [(targets, weights)] with [weights = [||]] on a unit-weight pair.  G is
-   read through {!Graph.iter_neighbors_w}, never snapshotted (a snapshot
-   would commit g's delta and reorder [Graph.iter_edges g], which
-   [Support.in_edge_order] and [Churn_gen.hottest_edge] depend on); H's
-   membership is one stamp of its snapshot row, not a hashed probe per
-   G edge. *)
+   read in place through {!Graph.iter_neighbors_w}, so certifying never
+   pays for committing g's delta; H's membership is one stamp of its
+   snapshot row, not a hashed probe per G edge. *)
 let group_of a g hc ~weighted u =
   let s = fresh_stamp a in
   let mark = a.mark in

@@ -56,32 +56,9 @@ let reinsert_unsupported g h ~a ~b =
       end);
   !reinserted
 
-let in_edge_order g es =
-  let mark = Array.make (Graph.n g) (-1) in
-  let rest = ref es and out = ref [] in
-  (* [es] is sorted and [Graph.iter_edges] visits sources ascending, so the
-     entries of source u are at the head of [rest] when u's edges start *)
-  let rec mark_source u =
-    match !rest with
-    | (x, y) :: tl when x = u ->
-        mark.(y) <- u;
-        rest := tl;
-        mark_source u
-    | _ -> ()
-  in
-  (match es with
-  | [] -> ()
-  | _ :: _ ->
-      Graph.iter_edges g (fun u v ->
-          mark_source u;
-          if mark.(v) = u then out := (u, v) :: !out));
-  List.rev !out
-
 let repair g h =
-  (* sweep a copy: the sweep's [Graph.snapshot] commits the delta it is given,
-     which would reorder [h]'s neighbour lists *)
-  let bad = Stretch.violations g (Graph.copy h) ~bound:3 in
-  List.iter (fun (u, v) -> ignore (Graph.add_edge h u v)) (List.rev (in_edge_order g bad));
+  let bad = Stretch.violations g h ~bound:3 in
+  List.iter (fun (u, v) -> ignore (Graph.add_edge h u v)) bad;
   List.length bad
 
 let three_detours h ~u ~v ~cap =

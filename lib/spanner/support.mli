@@ -43,23 +43,12 @@ val reinsert_unsupported : Graph.t -> Graph.t -> a:int -> b:(int -> int -> int) 
     decisions are those of {!is_ab_supported}; the base test toward [v] is
     memoized per source [u], so each base [{u, z}] is counted once. *)
 
-val in_edge_order : Graph.t -> (int * int) list -> (int * int) list
-(** [in_edge_order g es] lists [es] — edges of [g] sorted ascending, as
-    {!Stretch.violations} returns them — in {!Graph.iter_edges}[ g] order.
-    Adding edges in that order gives a spanner the same neighbour lists as a
-    per-edge pass over [g] that adds them as it finds them. *)
-
 val repair : Graph.t -> Graph.t -> int
 (** [repair g h] is Algorithm 1's repair pass: it adds back to [h] every
     edge of [g] that [h] lacks and that has no 2- or 3-detour in [h], and
     returns how many.  Those are exactly the edges with [d_H(u, v) > 3],
     i.e. {!Stretch.violations}[ g h ~bound:3] (on a weighted [g], Stretch's
-    weighted rule [d_H > 3·w]).  The sweep runs on a copy of [h]: a
-    snapshot commits the delta it is given, and [h]'s neighbour lists,
-    which the Lemma 17 router enumerates, must not be reordered.  The edges
-    are added in reverse {!Graph.iter_edges}[ g] order — the order of a
-    per-edge scan that conses them onto a list — which fixes the neighbour
-    order they leave behind. *)
+    weighted rule [d_H > 3·w]). *)
 
 val three_detours : Graph.t -> u:int -> v:int -> cap:int -> (int * int) list
 (** [three_detours h ~u ~v ~cap] enumerates up to [cap] pairs [(x, z)] such

@@ -54,9 +54,9 @@ let event_string = function
   | Churn_gen.Isolate v -> Printf.sprintf "i%d" v
 
 let test_gen_pinned_digest () =
-  (* g carries uncommitted deletions, so Graph.iter_edges order is not the
-     sorted edge order; the digest of every kind's events at seeds 1-3 was
-     recorded with the draws made from a sorted copy of the edge array *)
+  (* g0 carries uncommitted deletions; the digest of every kind's events at
+     seeds 1-3 was recorded with the draws made from a sorted copy of the
+     edge array *)
   let g0 = Generators.random_regular (Prng.create 21) 80 10 in
   let g = Graph.of_csr (Graph.snapshot g0) in
   let h = Classic.greedy g0 ~k:2 in

@@ -5,8 +5,9 @@
    The central property is the oracle: a CSR built from an edge stream must
    be element-for-element identical to a naive per-node sorted-list model,
    for any interleaving of add_edge / remove_edge / isolate — both through
-   the pure [Graph.to_csr] path and the row-merging [Graph.snapshot] path,
-   which must also equal each other. *)
+   the pure [Graph.to_csr] path and the committing [Graph.snapshot] path,
+   which must also equal each other, and every read of a graph must return
+   the rows of that store whatever the graph's commit history. *)
 
 let check = Alcotest.check
 
@@ -240,7 +241,7 @@ let prop_csr_matches_model =
     (fun (n, ops, extra) ->
       let ops = List.map (fun (k, a, b) -> (k, a, b)) ops in
       let g, md = apply_ops n ops in
-      (* to_csr: counting-sort rebuild; snapshot: row-merge commit + cache *)
+      (* to_csr: counting-sort rebuild; snapshot: commit + cache *)
       let pure = Graph.to_csr g in
       let snap = Graph.snapshot g in
       let ok1 = csr_matches_model md pure && csr_matches_model md snap in
@@ -267,118 +268,76 @@ let prop_snapshot_accessors_match_graph =
                   (Seq.init n Fun.id))
            (Seq.init n Fun.id))
 
-(* ---- neighbour order of uncommitted graphs ---- *)
+(* ---- start graphs for the mutation properties ---- *)
 
-(* A list model of Graph's delta log, order included.  [base] holds each
-   row as of the last commit, ascending, with weights; [dels] the hidden
-   base edges; [adds] each node's added (neighbour, weight) pairs, newest
-   first.  A row reads as the base row minus its deleted arcs, then the
-   additions — the order that numbers arcs in flat scans over G. *)
-type order_model = {
-  base : (int * int) list array;
-  mutable base_m : int;
-  mutable dels : (int * int) list;
-  adds : (int * int) list array;
-}
-
-let om_create n = { base = Array.make n []; base_m = 0; dels = []; adds = Array.make n [] }
-
-let om_copy md = { md with base = Array.copy md.base; adds = Array.copy md.adds }
-
-let norm u v = (min u v, max u v)
-
-let om_row md v =
-  List.filter (fun (u, _) -> not (List.mem (norm u v) md.dels)) md.base.(v) @ md.adds.(v)
-
-let om_mem md u v = List.exists (fun (x, _) -> x = v) (om_row md u)
-
-(* the delta's size as Graph counts it: added edges plus hidden base edges *)
-let om_delta md =
-  (Array.fold_left (fun acc l -> acc + List.length l) 0 md.adds / 2) + List.length md.dels
-
-let om_commit md =
-  if om_delta md > 0 then begin
-    let rows = Array.init (Array.length md.base) (fun v -> List.sort compare (om_row md v)) in
-    Array.blit rows 0 md.base 0 (Array.length rows);
-    md.base_m <- Array.fold_left (fun acc l -> acc + List.length l) 0 rows / 2;
-    md.dels <- [];
-    Array.fill md.adds 0 (Array.length md.adds) []
-  end
-
-(* the automatic commit: a delta of d >= 64 with 2d >= m(base) *)
-let om_maybe_commit md =
-  let d = om_delta md in
-  if d >= 64 && 2 * d >= md.base_m then om_commit md
-
-let om_add md u v w =
-  if u <> v && not (om_mem md u v) then begin
-    (* a base edge re-added at its base weight reappears in place; at any
-       other weight it stays hidden and the new copy is an addition *)
-    if List.mem (norm u v) md.dels && List.assoc v md.base.(u) = w then
-      md.dels <- List.filter (fun e -> e <> norm u v) md.dels
-    else begin
-      md.adds.(u) <- (v, w) :: md.adds.(u);
-      md.adds.(v) <- (u, w) :: md.adds.(v)
-    end;
-    om_maybe_commit md
-  end
-
-let om_remove md u v =
-  if u <> v && om_mem md u v then begin
-    if List.exists (fun (x, _) -> x = v) md.adds.(u) then begin
-      md.adds.(u) <- List.filter (fun (x, _) -> x <> v) md.adds.(u);
-      md.adds.(v) <- List.filter (fun (x, _) -> x <> u) md.adds.(v)
-    end
-    else md.dels <- norm u v :: md.dels;
-    om_maybe_commit md
-  end
-
-let order_matches g md =
-  let n = Graph.n g in
-  let collect iter =
-    let acc = ref [] in
-    iter (fun x -> acc := x :: !acc);
-    List.rev !acc
+(* the start graph, by [src]: empty, a committed unit, weighted or
+   unit-weighted store, or a random_regular graph as generated, which
+   carries the switch repair's pending deletions.  The weighted store is
+   mostly unit weights, so removals can leave it unweighted; its weights are
+   fixed per pair, so duplicate emits agree, and (0, 1) is always heavy.
+   The unit-weighted store carries a lane of 1s, which adoption drops. *)
+let commit_start src n seed =
+  let weight u v = if (u + v) mod 4 = 1 then 2 + (u * v mod 3) else 1 in
+  let edges emit =
+    emit 0 1 (weight 0 1);
+    let st = Random.State.make [| seed |] in
+    for _ = 1 to 2 * n do
+      let u = Random.State.int st n and v = Random.State.int st n in
+      emit u v (weight u v)
+    done
   in
-  let rows_ok =
-    Seq.for_all
-      (fun v ->
-        let row = om_row md v in
-        collect (fun f -> Graph.iter_neighbors_w g v (fun u w -> f (u, w))) = row
-        && collect (Graph.iter_neighbors g v) = List.map fst row
-        && Graph.neighbors g v = List.rev_map fst row
-        && Graph.degree g v = List.length row)
-      (Seq.init n Fun.id)
-  in
-  let edges =
-    List.concat_map
-      (fun u -> List.filter_map (fun (v, w) -> if u < v then Some (u, v, w) else None) (om_row md u))
-      (List.init n Fun.id)
-  in
-  rows_ok
+  match src mod 5 with
+  | 0 -> Graph.create n
+  | 1 -> Graph.of_csr (Csr.of_stream ~n (fun emit -> edges (fun u v _ -> emit u v)))
+  | 2 -> Graph.of_csr (Csr.of_weighted_stream ~n edges)
+  | 3 -> Graph.of_csr (Csr.of_weighted_stream ~n (fun emit -> edges (fun u v _ -> emit u v 1)))
+  | _ ->
+      let n = 2 * (8 + (n mod 17)) in
+      Generators.random_regular (Prng.create seed) n (4 + (seed mod 7))
+
+(* ---- every read is a row of the canonical store ---- *)
+
+let collect iter =
+  let acc = ref [] in
+  iter (fun x -> acc := x :: !acc);
+  List.rev !acc
+
+(* every read of [g] against the rows of [c], a [Graph.to_csr]: rows read
+   ascending whatever the commit history *)
+let reads_match g (c : Csr.t) =
+  let edges = collect (fun f -> Csr.iter_edges_w c (fun u v w -> f (u, v, w))) in
+  let pairs = List.map (fun (u, v, _) -> (u, v)) edges in
+  Seq.for_all
+    (fun v ->
+      let row = collect (fun f -> Csr.iter_neighbors_w c v (fun u w -> f (u, w))) in
+      let nbrs = List.map fst row in
+      collect (fun f -> Graph.iter_neighbors_w g v (fun u w -> f (u, w))) = row
+      && collect (Graph.iter_neighbors g v) = nbrs
+      && Graph.neighbors g v = List.rev nbrs
+      && Graph.fold_neighbors g v (fun acc u -> u :: acc) [] = List.rev nbrs
+      && Graph.degree g v = List.length row)
+    (Seq.init (Graph.n g) Fun.id)
+  && Csr.n c = Graph.n g
   && collect (fun f -> Graph.iter_edges_w g (fun u v w -> f (u, v, w))) = edges
-  && collect (fun f -> Graph.iter_edges g (fun u v -> f (u, v)))
-     = List.map (fun (u, v, _) -> (u, v)) edges
+  && collect (fun f -> Graph.iter_edges g (fun u v -> f (u, v))) = pairs
+  && Graph.edges g = List.rev pairs
+  && Array.to_list (Graph.edge_array g) = pairs
 
 (* ops as (kind, a, b): add, remove, resurrect at the same or at another
-   weight, copy (the original is frozen and re-checked at the end),
-   snapshot, and a burst of 40 adds and removes that can reach the
+   weight, copy (the original is frozen with its rows and re-checked at the
+   end), snapshot, and a burst of 40 adds and removes that can reach the
    automatic commit *)
-let prop_uncommitted_order =
-  QCheck.Test.make ~name:"uncommitted rows: base minus deletions, then additions newest first"
-    ~count:150
-    QCheck.(pair (int_range 2 24) (small_list (triple small_nat small_nat small_nat)))
-    (fun (n, ops) ->
-      let n = max 2 n in
-      let g = ref (Graph.create n) and md = ref (om_create n) in
-      let frozen = ref [] and ok = ref true in
-      let add u v w =
-        ignore (Graph.add_edge ~weight:w !g u v);
-        om_add !md u v w
-      and remove u v =
-        ignore (Graph.remove_edge !g u v);
-        om_remove !md u v
-      in
+let prop_reads_are_rows =
+  QCheck.Test.make ~name:"every read = Graph.to_csr rows" ~count:150
+    QCheck.(
+      quad (int_range 0 4) (int_range 2 24) small_nat
+        (small_list (triple small_nat small_nat small_nat)))
+    (fun (src, n, seed, ops) ->
+      let g = ref (commit_start src n seed) in
+      let n = Graph.n !g in
+      let frozen = ref [] and ok = ref (reads_match !g (Graph.to_csr !g)) in
+      let add u v w = ignore (Graph.add_edge ~weight:w !g u v) in
+      let remove u v = ignore (Graph.remove_edge !g u v) in
       List.iter
         (fun (kind, a, b) ->
           let u = a mod n and v = b mod n and w = 1 + (kind / 8 mod 3) in
@@ -392,22 +351,19 @@ let prop_uncommitted_order =
                 add u v (if kind mod 8 = 3 then w0 else 1 + (w0 mod 3))
               end
           | 5 ->
-              frozen := (!g, om_copy !md) :: !frozen;
-              g := Graph.copy !g;
-              md := om_copy !md
-          | 6 ->
-              ignore (Graph.snapshot !g);
-              om_commit !md
+              frozen := (!g, Graph.to_csr !g) :: !frozen;
+              g := Graph.copy !g
+          | 6 -> ignore (Graph.snapshot !g)
           | _ ->
               for i = 0 to 39 do
                 let x = (u + i) mod n and y = (v + (3 * i) + 1) mod n in
                 if i mod 3 = 2 then remove x y else add x y (1 + (i mod 2))
               done);
-          if not (order_matches !g !md) then ok := false)
+          if not (reads_match !g (Graph.to_csr !g)) then ok := false)
         ops;
-      !ok && List.for_all (fun (g, md) -> order_matches g md) !frozen)
+      !ok && List.for_all (fun (g, c) -> reads_match g c) !frozen)
 
-(* ---- qcheck oracle: a commit's row merge = a fresh counting-sort build ---- *)
+(* ---- qcheck oracle: a commit = a fresh counting-sort build ---- *)
 
 let same_store (a : Csr.t) (b : Csr.t) =
   ints a.Csr.xadj = ints b.Csr.xadj
@@ -418,7 +374,7 @@ let same_store (a : Csr.t) (b : Csr.t) =
      | _ -> false)
   && Csr.max_weight a = Csr.max_weight b
 
-(* snapshot (which merges any pending delta into a new base) against the
+(* snapshot (which writes any pending delta into a new base) against the
    to_csr build taken just before it; the lane is there exactly when the
    graph is weighted *)
 let commit_matches g =
@@ -427,42 +383,20 @@ let commit_matches g =
   let got = Graph.snapshot g in
   same_store got expected && (got.Csr.weights <> None) = weighted
 
-(* the start graph, by [src]: empty, a committed unit or weighted store, or
-   a random_regular graph as generated, which carries the switch repair's
-   pending deletions.  The weighted store is mostly unit weights, so
-   removals can leave it unweighted; its weights are fixed per pair, so
-   duplicate emits agree, and (0, 1) is always heavy, so the adopted store
-   is the one to_csr builds. *)
-let commit_start src n seed =
-  let weight u v = if (u + v) mod 4 = 1 then 2 + (u * v mod 3) else 1 in
-  let edges emit =
-    emit 0 1 (weight 0 1);
-    let st = Random.State.make [| seed |] in
-    for _ = 1 to 2 * n do
-      let u = Random.State.int st n and v = Random.State.int st n in
-      emit u v (weight u v)
-    done
-  in
-  match src mod 4 with
-  | 0 -> Graph.create n
-  | 1 -> Graph.of_csr (Csr.of_stream ~n (fun emit -> edges (fun u v _ -> emit u v)))
-  | 2 -> Graph.of_csr (Csr.of_weighted_stream ~n edges)
-  | _ ->
-      let n = 2 * (8 + (n mod 17)) in
-      Generators.random_regular (Prng.create seed) n (4 + (seed mod 7))
-
 (* ops as (kind, a, b): add at weight 1–3, remove, isolate, resurrect at the
    same and at another weight, copy (the original is kept and re-checked at
    the end), snapshot, and stripping every non-unit edge *)
 let prop_commit_is_to_csr =
   QCheck.Test.make ~name:"commit (row merge) = Graph.to_csr" ~count:300
     QCheck.(
-      quad (int_range 0 3) (int_range 2 30) small_nat
+      quad (int_range 0 4) (int_range 2 30) small_nat
         (small_list (triple small_nat small_nat small_nat)))
     (fun (src, n, seed, ops) ->
       let g = ref (commit_start src (max 2 n) seed) in
       let n = Graph.n !g in
-      let kept = ref [ Graph.copy !g ] and ok = ref true in
+      (* the start as adopted or generated, on a copy so the ops still see
+         its pending deletions *)
+      let kept = ref [ Graph.copy !g ] and ok = ref (commit_matches (Graph.copy !g)) in
       let resurrect u v reweight =
         if Graph.mem_edge !g u v then begin
           let w0 = Graph.edge_weight !g u v in
@@ -645,7 +579,7 @@ let () =
              [
                prop_csr_matches_model;
                prop_snapshot_accessors_match_graph;
-               prop_uncommitted_order;
+               prop_reads_are_rows;
                prop_stream_builders;
                prop_commit_is_to_csr;
              ] );

@@ -22,10 +22,10 @@ let test_graph_golden () =
 let test_algorithm1_golden () =
   let g = base_graph () in
   let t = Regular_dc.build (Prng.create 2) g in
-  check Alcotest.int "m(H)" 226 (Graph.m t.Regular_dc.spanner);
+  check Alcotest.int "m(H)" 243 (Graph.m t.Regular_dc.spanner);
   check Alcotest.int "m(G')" 141 (Graph.m t.Regular_dc.sampled);
   check Alcotest.int "reinserted" 0 t.Regular_dc.reinserted;
-  check Alcotest.int "repaired" 85 t.Regular_dc.repaired
+  check Alcotest.int "repaired" 102 t.Regular_dc.repaired
 
 let test_theorem2_golden () =
   let g = base_graph () in
@@ -39,9 +39,9 @@ let test_theorem2_routes_golden () =
   let g = base_graph () in
   let e = Expander_dc.build (Prng.create 3) g in
   let r = Dc.measure_matching (Expander_dc.to_dc e g) (Prng.create 4) ~trials:3 in
-  check (Alcotest.float 1e-6) "mean congestion" 3.000000 r.Dc.mean_congestion;
+  check (Alcotest.float 1e-6) "mean congestion" 2.666667 r.Dc.mean_congestion;
   check Alcotest.int "max congestion" 3 r.Dc.max_congestion;
-  check (Alcotest.float 1e-6) "mean path length" 1.420455 r.Dc.mean_path_len;
+  check (Alcotest.float 1e-6) "mean path length" 1.397727 r.Dc.mean_path_len;
   check Alcotest.int "max path length" 3 r.Dc.max_path_len;
   (* the same three matchings again, route by route *)
   let route = (Expander_dc.to_dc e g).Dc.route_matching in
@@ -58,33 +58,31 @@ let test_theorem2_routes_golden () =
         done)
       (route rng m)
   done;
-  check Alcotest.int "two-hop routes" 5 !two;
-  check Alcotest.int "three-hop routes" 16 !three;
-  check Alcotest.int "sum of intermediate nodes" 1184 !inner
+  check Alcotest.int "two-hop routes" 7 !two;
+  check Alcotest.int "three-hop routes" 14 !three;
+  check Alcotest.int "sum of intermediate nodes" 1032 !inner
 
 (* Per registry entry: m(H); then, over three random maximal matchings routed
    in turn, the 2-hop and 3-hop route counts and the sum of the routes'
    intermediate nodes; then the routing generator's next draw, which pins how
-   many draws the router made.  Each entry builds on a freshly generated G:
-   some builds commit G, which reorders the rows later builds read.  A new
+   many draws the router made.  Every entry builds on the same G.  A new
    registry entry needs its row here. *)
 let route_digests =
   [
-    ("theorem2", (470, 7, 9, 531, 148688));
-    ("bounded-degree", (483, 14, 0, 353, 969811));
-    ("spectral", (600, 0, 0, 0, 968625));
-    ("algorithm1", (226, 6, 50, 3387, 22896));
-    ("greedy", (121, 23, 45, 1053, 773024));
-    ("baswana-sen", (402, 27, 2, 794, 470266));
-    ("baswana-sen-weighted", (573, 9, 0, 248, 940105));
+    ("theorem2", (470, 8, 12, 940, 536822));
+    ("bounded-degree", (483, 12, 0, 341, 136913));
+    ("spectral", (600, 0, 0, 0, 593260));
+    ("algorithm1", (243, 9, 39, 2586, 424278));
+    ("greedy", (121, 21, 46, 1298, 239525));
+    ("baswana-sen", (403, 35, 2, 1072, 989574));
+    ("baswana-sen-weighted", (573, 5, 0, 161, 948209));
     ("elkin-neiman", (387, 14, 16, 1239, 847099));
-    ("khop-5", (275, 41, 10, 1610, 974557));
-    ("khop-7", (316, 32, 11, 1544, 767449));
-    ("irregular", (276, 4, 43, 2621, 659496));
+    ("khop-5", (266, 32, 19, 1885, 727503));
+    ("khop-7", (325, 27, 11, 1142, 593260));
+    ("irregular", (286, 8, 37, 2415, 728010));
   ]
 
-let route_digest c =
-  let g = base_graph () in
+let route_digest g c =
   let dc = Construction.build c (Prng.create 2) g in
   let rng = Prng.create 4 in
   let two = ref 0 and three = ref 0 and inner = ref 0 in
@@ -104,12 +102,13 @@ let route_digest c =
 let test_route_digests_golden () =
   let digest = Alcotest.(pair int (pair int (pair int (pair int int)))) in
   let nest (m, two, three, inner, next) = (m, (two, (three, (inner, next)))) in
+  let g = base_graph () in
   List.iter
     (fun c ->
       let name = c.Construction.name in
       match List.assoc_opt name route_digests with
       | None -> Alcotest.failf "%s: no pinned route digest" name
-      | Some want -> check digest name (nest want) (nest (route_digest c)))
+      | Some want -> check digest name (nest want) (nest (route_digest g c)))
     Construction.all;
   check Alcotest.int "one row per entry" (List.length Construction.all) (List.length route_digests)
 
@@ -123,7 +122,7 @@ let test_matching_congestion_golden () =
 
 let test_classic_golden () =
   let g = base_graph () in
-  check Alcotest.int "baswana-sen size" 326 (Graph.m (Classic.baswana_sen_3 (Prng.create 5) g));
+  check Alcotest.int "baswana-sen size" 316 (Graph.m (Classic.baswana_sen_3 (Prng.create 5) g));
   check Alcotest.int "greedy size" 121 (Graph.m (Classic.greedy g ~k:2))
 
 let test_distributed_golden () =

@@ -142,9 +142,7 @@ let in_support h (u, v) dist p =
 
 (* Every route [route_matching] draws lies in the support of [Dc.paths] for
    its request, and a spanner-edge request draws once under the
-   shortest-path walk and never under [Direct].  Each distribution is read
-   just before its request is routed: a BFS draw snapshots H, which reorders
-   the rows the next detour enumeration reads. *)
+   shortest-path walk and never under [Direct]. *)
 let prop_sampler_contract =
   QCheck.Test.make ~name:"routes lie in Dc.paths" ~count:10
     QCheck.(triple small_int (int_range 16 60) (int_range 3 24))
@@ -186,6 +184,78 @@ let prop_sampler_contract =
           true)
         Construction.all)
 
+(* ---- a build is a function of G's edge set and the seed ---- *)
+
+(* test_golden's route digest: over three random maximal matchings of G
+   routed in turn, the 2-hop and 3-hop route counts and the sum of the
+   routes' intermediate nodes, then the routing generator's next draw *)
+let route_digest g (dc : Dc.t) =
+  let rng = Prng.create 4 in
+  let two = ref 0 and three = ref 0 and inner = ref 0 in
+  for _ = 1 to 3 do
+    Array.iter
+      (fun p ->
+        let len = Routing.length p in
+        if len = 2 then incr two else if len = 3 then incr three;
+        for i = 1 to len - 1 do
+          inner := !inner + p.(i)
+        done)
+      (dc.Dc.route_matching rng (Matching.random_maximal rng g))
+  done;
+  (!two, !three, !inner, Prng.int rng 1_000_000)
+
+(* a copy of [g] that reaches the same edge set through another history:
+   rounds of removing random edges and adding them back in reverse, with
+   snapshots in between *)
+let rehearsed st g =
+  let h = Graph.copy g in
+  for _ = 1 to 3 do
+    let batch = List.filter (fun _ -> Random.State.bool st) (Graph.edges h) in
+    List.iter (fun (u, v) -> ignore (Graph.remove_edge h u v)) batch;
+    if Random.State.bool st then ignore (Graph.snapshot h);
+    List.iter (fun (u, v) -> ignore (Graph.add_edge h u v)) (List.rev batch);
+    if Random.State.bool st then ignore (Graph.snapshot h)
+  done;
+  h
+
+(* Every entry gives the same spanner, route digest and evaluation row on G
+   as generated (a random_regular graph carries pending deletions; the
+   other input is built by add_edge in shuffled order), on a copy of G with
+   another commit history, and on G read back from its canonical store. *)
+let prop_order_free =
+  QCheck.Test.make ~name:"builds depend only on G's edge set" ~count:6
+    QCheck.(pair small_int (int_range 16 40))
+    (fun (seed, n) ->
+      let d = min 12 (n - 1) in
+      let d = if n * d mod 2 = 1 then d - 1 else d in
+      let input shuffled =
+        let g = Generators.random_regular (Prng.create seed) n d in
+        if not shuffled then g
+        else begin
+          let es = Array.of_list (Graph.edges g) in
+          Prng.shuffle (Prng.create (seed + 7)) es;
+          Graph.of_edges n (Array.to_list es)
+        end
+      in
+      List.for_all
+        (fun (c, shuffled) ->
+          let outcome g =
+            let dc = Construction.build c (Prng.create (seed + 1)) g in
+            let edges = List.sort compare (Graph.edges dc.Dc.spanner) in
+            let digest = route_digest g dc in
+            (edges, digest, Experiment.evaluate ~trials:2 ~with_lambda:false (Prng.create 9) dc)
+          in
+          let g = input shuffled in
+          let variants =
+            [ rehearsed (Random.State.make [| seed |]) g; Graph.of_csr (Graph.to_csr g) ]
+          in
+          let want = outcome g in
+          List.for_all (fun v -> outcome v = want) variants
+          || QCheck.Test.fail_reportf "%s: the output depends on G's history (%s input)"
+               c.Construction.name
+               (if shuffled then "add_edge" else "generated"))
+        (List.concat_map (fun c -> [ (c, false); (c, true) ]) Construction.all))
+
 let test_premise_warnings_any_empty () =
   let g = Generators.ring_of_cliques 4 10 in
   List.iter
@@ -218,5 +288,6 @@ let () =
           Alcotest.test_case "every entry builds" `Quick test_build_smoke;
           Alcotest.test_case "Any premises never warn" `Quick test_premise_warnings_any_empty;
           QCheck_alcotest.to_alcotest prop_sampler_contract;
+          QCheck_alcotest.to_alcotest prop_order_free;
         ] );
     ]

@@ -485,7 +485,7 @@ let prop_weighted_bs_matches_reference =
     (fun (seed, fam, k, snap) ->
       let fam = max 0 (min 6 fam) and k = max 1 (min 4 k) in
       let g = bs_families.(fam) (Prng.create seed) in
-      (* a prior snapshot commits G's delta, so its rows read sorted *)
+      (* a prior snapshot commits G's delta, which must not matter *)
       if snap then ignore (Graph.snapshot g);
       bs_agrees ~k (seed + 1) g)
 
@@ -518,8 +518,10 @@ let test_weighted_bs_tiny () =
      with Invalid_argument msg -> msg = "Baswana_sen_weighted.build: k < 1")
 
 (* The sampling and tie-break decisions, pinned: per input, k and seed,
-   m(H) and a digest of H's sorted weighted edge list.  The values were
-   computed with the hashed construction, before the flat rewrite. *)
+   m(H) and a digest of H's sorted weighted edge list.  The expander values
+   were computed with the hashed construction, before the flat rewrite; the
+   regular ones, whose input is built by add_edge, moved when a graph's rows
+   came to read ascending before a commit too. *)
 let test_weighted_bs_pinned () =
   let inputs =
     [
@@ -539,12 +541,12 @@ let test_weighted_bs_pinned () =
       ("expander", 3, 1, 4331, "cc7a948190ca1061f873a3184087dfbe");
       ("expander", 3, 2, 4271, "d7dfcd72745b125fb52b531451e6a54b");
       ("expander", 3, 3, 4235, "6fb8461cf111a056073e7ab297309273");
-      ("regular", 2, 1, 951, "caf0c45ac5056d2885bd5a4da3abde49");
-      ("regular", 2, 2, 939, "1fdd00b45b3ba7975e0d474202156860");
-      ("regular", 2, 3, 936, "cf8d97a5f6b8b06b51cdeaab9465936a");
-      ("regular", 3, 1, 903, "c5983147712d64216d5db8a907fb7b2b");
-      ("regular", 3, 2, 872, "80f3e4f4c4e2e2ff38b5c09520d65beb");
-      ("regular", 3, 3, 855, "ce35a231e0c835e1d5c5730018dbed8c");
+      ("regular", 2, 1, 948, "a15fc5a352ea7243d008071dcc347daf");
+      ("regular", 2, 2, 944, "b13c66ea3cafe4911b9364ce78850106");
+      ("regular", 2, 3, 936, "0a3792257b1823722daa26b8b0f0a913");
+      ("regular", 3, 1, 893, "8fc6bf65ef19682e6151d13cd6aa2599");
+      ("regular", 3, 2, 883, "f2657f6cb5424bf4ad4cb2fb705be0f2");
+      ("regular", 3, 3, 844, "0c1d858d90d4423e6ad831a46fb0ca3a");
     ]
   in
   List.iter
