@@ -1271,7 +1271,7 @@ let run_timing br =
       ("algorithm1-build", fun () -> ignore (Regular_dc.build (Prng.create 1) g));
       ("theorem2-build", fun () -> ignore (Expander_dc.build (Prng.create 2) g));
       ("greedy-3-spanner", fun () -> ignore (Classic.greedy g ~k:2));
-      ("baswana-sen", fun () -> ignore (Classic.baswana_sen_3 (Prng.create 3) g));
+      ("baswana-sen", fun () -> ignore (Baswana_sen_weighted.build ~k:2 (Prng.create 3) g));
       ("spectral-sparsify", fun () -> ignore (Sparsify.spectral (Prng.create 4) g));
       ("misra-gries-coloring", fun () -> ignore (Edge_coloring.misra_gries g));
       ( "decompose-levels",
@@ -1602,21 +1602,21 @@ let run_engine br =
 
 (* ------------------------------------------------------------------ *)
 (* Weighted: integer edge weights end to end — weighted generators,    *)
-(* the weight-aware Baswana–Sen entry, weighted certification on the   *)
+(* the Baswana–Sen entry, weighted certification on the               *)
 (* batched kernel's ring of pending levels                             *)
 (* ------------------------------------------------------------------ *)
 
 let run_weighted br =
   Report.section "WEIGHTED (integer edge weights: generators, Baswana-Sen, weighted certification)";
   Printf.printf
-    "weighted families -> baswana-sen-weighted (k = 2) -> exact weighted stretch via\n";
+    "weighted families -> baswana-sen (k = 2) -> exact weighted stretch via\n";
   Printf.printf "batched ring sweeps; certificate bound is (2k-1) = 3 per edge weight\n\n";
   let w_max = 8 in
   let table =
     Report.create ~title:(Printf.sprintf "weighted spanner pipeline (w_max = %d)" w_max)
       ~columns:[ "case"; "n"; "m(G)"; "m(H)"; "kept %"; "stretch"; "certified"; "build ms"; "certify ms" ]
   in
-  let ctor = Construction.find_exn "baswana-sen-weighted" in
+  let ctor = Construction.find_exn "baswana-sen" in
   let cases =
     [
       (* degree ~3 sqrt(n): above the n^{3/2} crossover, so the clustering

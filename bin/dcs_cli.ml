@@ -110,15 +110,43 @@ let catch_parse f =
    an uncaught exception (exit 125). *)
 let generated f = try f () with Invalid_argument msg -> Error msg
 
+(* The generator flags' values when absent.  The flags themselves are
+   [None] when absent, so [make_graph] can tell which ones [--input]
+   overrides. *)
+let default_family = "regular"
+let default_n = 343
+let default_degree = 60
+
 (* Unknown names and sizes a family cannot take return [Error] (surfaced
    through [Term.term_result'] as a proper error message + usage), never an
-   uncaught exception. *)
-let make_graph ?input ?(w_max = 0) ~family ~n ~degree ~p ~seed () =
-  if w_max < 0 then Error "w-max must be >= 0"
+   uncaught exception.  With [--input] the file is the graph: each generator
+   flag given next to it is named in a warning on stderr, and stdout and the
+   exit status stay as they are. *)
+let make_graph ?input ?w_max ?family ?n ?degree ?p ~seed () =
+  if Option.value w_max ~default:0 < 0 then Error "w-max must be >= 0"
   else
     match input with
-    | Some path -> catch_parse (fun () -> Graph_io.read path)
+    | Some path ->
+        let given =
+          List.filter_map
+            (fun (flag, set) -> if set then Some flag else None)
+            [
+              ("--family", Option.is_some family);
+              ("--n", Option.is_some n);
+              ("--degree", Option.is_some degree);
+              ("--prob", Option.is_some p);
+              ("--w-max", Option.is_some w_max);
+            ]
+        in
+        if given <> [] then
+          Printf.eprintf "warning: --input %s ignores %s\n%!" path (String.concat ", " given);
+        catch_parse (fun () -> Graph_io.read path)
     | None ->
+        let family = Option.value family ~default:default_family
+        and n = Option.value n ~default:default_n
+        and degree = Option.value degree ~default:default_degree
+        and p = Option.value p ~default:0.1
+        and w_max = Option.value w_max ~default:0 in
         let rng = Prng.create seed in
         (* w_max > 0 turns any family weighted: torus and expander have native
            weighted generators, everything else redraws weights on its edge set *)
@@ -160,21 +188,35 @@ let family_arg =
     "Graph family: regular | margulis | torus | hypercube | erdos | expander | complete | \
      two-cliques | ring."
   in
-  Arg.(value & opt string "regular" & info [ "family"; "f" ] ~docv:"FAMILY" ~doc)
+  Arg.(
+    value
+    & opt (some' ~none:default_family string) None
+    & info [ "family"; "f" ] ~docv:"FAMILY" ~doc)
 
-let n_arg = Arg.(value & opt int 343 & info [ "nodes"; "n" ] ~docv:"N" ~doc:"Number of nodes.")
+let n_arg =
+  Arg.(
+    value
+    & opt (some' ~none:default_n int) None
+    & info [ "nodes"; "n" ] ~docv:"N" ~doc:"Number of nodes.")
 
 let degree_arg =
-  Arg.(value & opt int 60 & info [ "degree"; "d" ] ~docv:"D" ~doc:"Degree for regular families.")
+  Arg.(
+    value
+    & opt (some' ~none:default_degree int) None
+    & info [ "degree"; "d" ] ~docv:"D" ~doc:"Degree for regular families.")
 
 let p_arg =
-  Arg.(value & opt float 0.1 & info [ "prob"; "p" ] ~docv:"P" ~doc:"Edge probability (erdos family).")
+  Arg.(
+    value
+    & opt (some' ~none:0.1 float) None
+    & info [ "prob"; "p" ] ~docv:"P" ~doc:"Edge probability (erdos family).")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed"; "s" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
 let w_max_arg =
   Arg.(
-    value & opt int 0
+    value
+    & opt (some' ~none:0 int) None
     & info [ "w-max" ] ~docv:"W"
         ~doc:
           "Draw integer edge weights uniformly from [1, $(docv)] (0 = unweighted).  Distances \
@@ -204,11 +246,13 @@ let output_arg =
 
 let graph_cmd =
   let run () family n degree p seed w_max input output =
-    let* g = make_graph ?input ~w_max ~family ~n ~degree ~p ~seed () in
+    let* g = make_graph ?input ?w_max ?family ?n ?degree ?p ~seed () in
     (match output with None -> () | Some path -> Graph_io.write g path);
     let c = Graph.snapshot g in
     let rng = Prng.create (seed + 1) in
-    Printf.printf "family:      %s\n" family;
+    (match input with
+    | Some path -> Printf.printf "input:       %s\n" path
+    | None -> Printf.printf "family:      %s\n" (Option.value family ~default:default_family));
     Printf.printf "nodes:       %d\n" (Graph.n g);
     Printf.printf "edges:       %d\n" (Graph.m g);
     if Graph.is_weighted g then
@@ -249,7 +293,7 @@ let general_arg =
 let spanner_cmd =
   let run () family n degree p seed w_max algorithm trials general input output =
     let* () = check_trials trials in
-    let* g = make_graph ?input ~w_max ~family ~n ~degree ~p ~seed () in
+    let* g = make_graph ?input ?w_max ?family ?n ?degree ?p ~seed () in
     let* ctor = Construction.find algorithm in
     let rng = Prng.create (seed + 1) in
     let dc = Construction.build ctor rng g in
@@ -386,7 +430,7 @@ let check_cmd =
         Error "rho (Definition 4) needs at least one sampled routing (--trials >= 1)"
       else Ok ()
     in
-    let* g = make_graph ?input ~w_max ~family ~n ~degree ~p ~seed () in
+    let* g = make_graph ?input ?w_max ?family ?n ?degree ?p ~seed () in
     let* ctor = Construction.find algorithm in
     let rng = Prng.create (seed + 1) in
     let dc = Construction.build ctor rng g in
@@ -444,7 +488,7 @@ let route_cmd =
       & info [ "problem" ] ~docv:"FILE" ~doc:"Read the routing problem from a file (see Routing_io).")
   in
   let run () family n degree p seed strategy requests input problem_file =
-    let* g = make_graph ?input ~family ~n ~degree ~p ~seed () in
+    let* g = make_graph ?input ?family ?n ?degree ?p ~seed () in
     let c = Graph.snapshot g in
     let rng = Prng.create (seed + 1) in
     let* problem =
@@ -468,7 +512,8 @@ let route_cmd =
     in
     let nn = Graph.n g in
     let max_len = Array.fold_left (fun acc pth -> max acc (Routing.length pth)) 0 routing in
-    Printf.printf "graph:      n=%d m=%d (%s)\n" nn (Graph.m g) family;
+    Printf.printf "graph:      n=%d m=%d (%s)\n" nn (Graph.m g)
+      (match input with Some path -> path | None -> Option.value family ~default:default_family);
     Printf.printf "problem:    %d requests\n" (Array.length problem);
     Printf.printf "strategy:   %s\n" strategy;
     Printf.printf "congestion: %d (node), %d (edge)\n"
@@ -588,7 +633,7 @@ let faults_cmd =
   in
   let run () family n degree p seed algorithm rate mode round kill requests timeout attempts json
       input =
-    let* g = make_graph ?input ~family ~n ~degree ~p ~seed () in
+    let* g = make_graph ?input ?family ?n ?degree ?p ~seed () in
     let* ctor = Construction.find algorithm in
     let* () =
       if rate < 0.0 || rate > 1.0 then Error "fail-rate must lie in [0, 1]"
@@ -735,7 +780,7 @@ let soak_cmd =
   in
   let run () family n degree p seed algorithm events batch plan alpha requests timeout attempts
       json input =
-    let* g = make_graph ?input ~family ~n ~degree ~p ~seed () in
+    let* g = make_graph ?input ?family ?n ?degree ?p ~seed () in
     let* ctor = Construction.find algorithm in
     let* kind =
       match Churn_gen.kind_of_string plan with
@@ -820,6 +865,8 @@ let soak_cmd =
 
 let distributed_cmd =
   let run () n degree seed =
+    let n = Option.value n ~default:default_n
+    and degree = Option.value degree ~default:default_degree in
     let d = if n * degree mod 2 = 1 then degree + 1 else degree in
     let* g = generated (fun () -> Ok (Generators.random_regular (Prng.create seed) n d)) in
     let r = Dist_spanner.run ~seed g in

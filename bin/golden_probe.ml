@@ -30,7 +30,7 @@ let () =
   let dc = Regular_dc.to_dc t g in
   let r = Dc.measure_matching dc (Prng.create 4) ~trials:3 in
   Printf.printf "match mean=%.6f max=%d\n" r.Dc.mean_congestion r.Dc.max_congestion;
-  let h = Classic.baswana_sen_3 (Prng.create 5) g in
+  let h = Baswana_sen_weighted.build ~k:2 (Prng.create 5) g in
   Printf.printf "bs m=%d\n" (Graph.m h);
   let gr = Classic.greedy g ~k:2 in
   Printf.printf "greedy m=%d\n" (Graph.m gr);

@@ -114,7 +114,7 @@ let heal cert g h ~touched =
         let ends =
           List.fold_left
             (fun acc (u, v) ->
-              ignore (Graph.add_edge h u v);
+              ignore (Graph.add_edge ~weight:(Graph.edge_weight g u v) h u v);
               incr readded;
               u :: v :: acc)
             [] viols
@@ -202,7 +202,7 @@ let run ?(on_batch = fun (_ : batch_stats) -> ()) config ~graph ~spanner =
             let ends =
               List.fold_left
                 (fun acc (u, v) ->
-                  ignore (Graph.add_edge h u v);
+                  ignore (Graph.add_edge ~weight:(Graph.edge_weight g u v) h u v);
                   u :: v :: acc)
                 [] viols
             in
@@ -302,9 +302,10 @@ let run ?(on_batch = fun (_ : batch_stats) -> ()) config ~graph ~spanner =
         batches := stats :: !batches;
         on_batch stats
       done;
-      (* closing audit: a full non-incremental certificate of the end state *)
+      (* closing audit: a full non-incremental certificate of the end state,
+         and H still a subgraph of G at G's weights *)
       let final_stretch = Stretch.exact g h in
-      let final_certified = final_stretch <= config.alpha in
+      let final_certified = final_stretch <= config.alpha && Graph.is_subgraph h ~of_:g in
       {
         r_kind = Churn_gen.kind_name config.kind;
         r_seed = config.seed;

@@ -86,7 +86,10 @@ type report = {
   r_final_stretch : int;
       (** closing audit: full non-incremental {!Stretch.exact} of the end
           state ([max_int] on a disconnected removed edge) *)
-  r_final_certified : bool;  (** [r_final_stretch <= alpha] *)
+  r_final_certified : bool;
+      (** [r_final_stretch <= alpha] and the end spanner is a subgraph of
+          the end graph at its weights ({!Graph.is_subgraph}): the healer
+          re-adds every edge at its weight in [g] *)
   r_m_graph_start : int;
   r_m_graph_end : int;
   r_m_spanner_start : int;
@@ -99,7 +102,8 @@ val run :
     are not mutated); [on_batch] fires after each batch, in order.  An
     uncertified input spanner is healed before the first batch.  Raises
     [Invalid_argument] on bad config bounds, node-count mismatch, or a
-    [spanner] that is not a subgraph of [graph]. *)
+    [spanner] that is not a subgraph of [graph] ({!Graph.is_subgraph}, so
+    weights must agree). *)
 
 val to_json : report -> string
 (** Deterministic [dcs-soak/1] JSON document (trailing newline): config

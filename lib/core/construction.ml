@@ -50,16 +50,12 @@ let all =
       ~params:[ ("k", "2") ]
       ~guarantee:"(3, unbounded) with O(n^{1+1/2}) edges"
       (shortest_paths "greedy-3" (fun _ g -> Classic.greedy g ~k:2));
-    entry ~name:"baswana-sen"
+    entry ~name:"baswana-sen" ~aliases:[ "baswana-sen-weighted"; "bsw" ]
       ~reference:"baseline [BS07] (distance-only)" ~premise:Premise.Any ~alpha:3.0
-      ~edge_exponent:1.5 ~guarantee:"(3, unbounded) with O(n^{3/2}) edges"
-      (shortest_paths "baswana-sen" Classic.baswana_sen_3);
-    entry ~name:"baswana-sen-weighted" ~aliases:[ "bsw" ]
-      ~reference:"baseline [BS07] (weighted, distance-only)" ~premise:Premise.Weighted ~alpha:3.0
       ~edge_exponent:1.5
       ~params:[ ("k", "2") ]
       ~guarantee:"(3, unbounded) with O(n^{3/2}) edges; weighted: d_H <= 3*w per edge"
-      (shortest_paths "baswana-sen-weighted" (Baswana_sen_weighted.build ~k:2));
+      (shortest_paths "baswana-sen" (Baswana_sen_weighted.build ~k:2));
     entry ~name:"elkin-neiman" ~aliases:[ "en" ]
       ~reference:"baseline [EN17] (distance-only, O(m) expected time)" ~premise:Premise.Any
       ~alpha:3.0 ~edge_exponent:1.5

@@ -35,10 +35,10 @@ let repair h ~within:g =
   let uf = Union_find.create (Graph.n h) in
   Graph.iter_edges h (fun u v -> ignore (Union_find.union uf u v));
   let added = ref 0 in
-  Graph.iter_edges g (fun u v ->
+  Graph.iter_edges_w g (fun u v w ->
       if not (Union_find.same uf u v) then begin
         ignore (Union_find.union uf u v);
-        ignore (Graph.add_edge h u v);
+        ignore (Graph.add_edge ~weight:w h u v);
         incr added
       end);
   !added

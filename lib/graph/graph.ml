@@ -353,7 +353,10 @@ let is_subgraph h ~of_:g =
   n h = n g
   &&
   let ok = ref true in
-  iter_edges h (fun u v -> if not (mem_edge g u v) then ok := false);
+  if is_weighted h || is_weighted g then
+    iter_edges_w h (fun u v w ->
+        if not (mem_edge g u v && edge_weight g u v = w) then ok := false)
+  else iter_edges h (fun u v -> if not (mem_edge g u v) then ok := false);
   !ok
 
 let max_degree g =
@@ -381,12 +384,14 @@ let isolate g v =
   List.iter (fun u -> ignore (remove_edge g v u)) ns;
   List.length ns
 
+let filter_edges g keep =
+  let h = empty_like g in
+  iter_edges_w g (fun u v w -> if keep u v then ignore (add_edge ~weight:w h u v));
+  h
+
 let survivor g ~alive =
   if Array.length alive <> n g then invalid_arg "Graph.survivor: alive array size mismatch";
-  let h = create (n g) in
-  iter_edges_w g (fun u v w ->
-      if alive.(u) && alive.(v) then ignore (add_edge ~weight:w h u v));
-  h
+  filter_edges g (fun u v -> alive.(u) && alive.(v))
 
 let common_neighbors g u v =
   check_node g u;

@@ -121,7 +121,10 @@ val empty_like : t -> t
 
 val is_subgraph : t -> of_:t -> bool
 (** [is_subgraph h ~of_:g] checks [V(h) = V(g)] and [E(h) ⊆ E(g)] — the
-    spanner well-formedness condition of the paper (Section 2). *)
+    spanner well-formedness condition of the paper (Section 2).  When
+    either graph is weighted ({!is_weighted}), every edge of [h] must also
+    carry its weight in [g]; two unit-weight graphs cost one {!mem_edge}
+    probe per edge of [h]. *)
 
 val max_degree : t -> int
 (** Largest node degree ([0] for the empty graph). *)
@@ -136,6 +139,12 @@ val isolate : t -> int -> int
 (** [isolate g v] removes every edge incident to [v] (the graph-side effect
     of a node failure: the node set is fixed, a failed node just loses its
     links).  Returns the number of edges removed. *)
+
+val filter_edges : t -> (int -> int -> bool) -> t
+(** [filter_edges g keep] is the subgraph on the same node set keeping, at
+    its weight, each edge [(u, v)] of [g] for which [keep u v] holds.
+    [keep] is called once per edge, in {!iter_edges} order, so a sampling
+    pass that draws its coins in [keep] draws them in that order. *)
 
 val survivor : t -> alive:bool array -> t
 (** [survivor g ~alive] is the subgraph on the same node set keeping exactly

@@ -5,19 +5,31 @@
    unsampled cluster looks at the lightest residual edge it has into every
    adjacent cluster and either (a) has no sampled neighbor cluster — keeps
    the lightest edge to EVERY adjacent cluster and retires from the residual
-   graph — or (b) joins the sampled cluster reachable by the lightest edge,
-   keeps that edge plus the lightest edge to every strictly lighter cluster,
-   and drops its residual edges into all the clusters so covered.  Phase 2
-   joins every surviving vertex to each adjacent cluster by its lightest
-   remaining edge.  Every dropped edge thus has a same-or-lighter spanner
-   edge into its endpoint's cluster, which is what drives the (2k−1)·w
-   detour bound (checked against a Floyd–Warshall reference in the tests).
+   graph — or (b) joins the sampled cluster c* reachable by the lightest
+   edge, of weight w*, keeps that edge plus the lightest edge to every
+   cluster whose lightest edge weighs strictly less than w*, and drops its
+   residual edges into all the clusters so covered.  At the end of the
+   round every residual edge whose endpoints now share a cluster is dropped
+   too.  Phase 2 joins every surviving vertex to each adjacent cluster by
+   its lightest remaining edge.
 
-   Ties are broken by (weight, neighbor) — and (weight, neighbor, center)
-   when choosing the cluster to join — so the construction is deterministic
-   given the sampling draws.  Drops are queued during a round and applied at
-   its end, so every vertex sees the same round-start residual graph and
-   round-start degrees.
+   Every dropped edge (v, u) of weight w leaves a spanner path of at most
+   2k−1 edges, none heavier than w: either v kept an edge of weight <= w
+   into u's cluster, or (v, u) lay inside one cluster, and a cluster's tree
+   path from a vertex to its center carries no edge heavier than that
+   vertex's residual edges (a vertex joins by its lightest edge into a
+   sampled cluster and keeps residual only edges at least as heavy).  That
+   is the (2k−1)·w detour bound, checked against a Floyd–Warshall
+   reference in the tests.  The cover test compares weights alone: an arc
+   into a cluster whose lightest edge weighs exactly w* is not covered, so
+   it stays residual and a later round or phase 2 keeps an edge of weight
+   <= w into that cluster.  (weight, neighbor) picks each
+   cluster's lightest edge and the cluster to join, so the construction is
+   deterministic given the sampling draws; breaking cover ties by neighbor
+   instead would keep, on unit weights, an edge to every unsampled neighbor
+   cluster below the joined one — about twice the edges.  Drops are queued
+   during a round and applied at its end, so every vertex sees the same
+   round-start residual graph and round-start degrees.
 
    Flat layout, O(k·m) time with no hashing.  G is read in place through
    [Graph.iter_neighbors_w] and never copied or mutated: arc [a] of v's row
@@ -26,10 +38,10 @@
    per-cluster minima live in arrays indexed by cluster id, valid where
    [mark] holds the current epoch.  At round end the queued drops are
    counting-sorted by tail in both orientations, and each tail stamps its
-   heads and clears them in one scan of its row.  Kept edges are buffered
-   and H is built once as a committed CSR, so its snapshot is cached.  A
-   build allocates one byte per arc of G plus O(n + m(H) + drops) words,
-   none of it kept past the call. *)
+   heads and clears them, with its intra-cluster arcs, in one scan of its
+   row.  Kept edges are buffered and H is built once as a committed CSR, so
+   its snapshot is cached.  A build allocates one byte per arc of G plus
+   O(n + m(H) + drops) words, none of it kept past the call. *)
 
 (* a growable int buffer *)
 type buf = { mutable data : int array; mutable len : int }
@@ -94,9 +106,10 @@ let build ?(k = 2) rng g =
   in
   (* queued drops as (v, u) pairs; entry i's partner is entry i lxor 1.
      Both orientations are grouped by tail, and each tail stamps its heads
-     in [mark] under a fresh epoch, then clears them in one row scan. *)
+     in [mark] under a fresh epoch, then clears them and every arc into its
+     own new cluster in one row scan. *)
   let kills = { data = [||]; len = 0 } in
-  let apply_kills () =
+  let end_round next =
     let q = kills.data and nq = kills.len in
     let first = Array.make (n + 1) 0 in
     for i = 0 to nq - 1 do
@@ -112,14 +125,15 @@ let build ?(k = 2) rng g =
       fill.(t) <- fill.(t) + 1
     done;
     for t = 0 to n - 1 do
-      if first.(t + 1) > first.(t) then begin
+      let c = next.(t) in
+      if deg.(t) > 0 && (first.(t + 1) > first.(t) || c >= 0) then begin
         incr epoch;
         let e = !epoch in
         for i = first.(t) to first.(t + 1) - 1 do
           mark.(heads.(i)) <- e
         done;
         scan t (fun a u _ ->
-            if mark.(u) = e then begin
+            if mark.(u) = e || (c >= 0 && next.(u) = c) then begin
               Bytes.set alive a '\000';
               deg.(t) <- deg.(t) - 1
             end)
@@ -161,12 +175,12 @@ let build ?(k = 2) rng g =
         if cs >= 0 then next.(v) <- cs;
         (* with no sampled neighbor cluster v covers every adjacent cluster
            and retires; otherwise it covers the joined cluster and every
-           strictly lighter one *)
+           cluster whose lightest edge weighs strictly less *)
         let covers =
           if cs < 0 then fun _ -> true
           else
-            let ws = best_w.(cs) and us = best_u.(cs) in
-            fun c -> c = cs || (c >= 0 && lighter best_w.(c) best_u.(c) ws us)
+            let ws = best_w.(cs) in
+            fun c -> c = cs || (c >= 0 && best_w.(c) < ws)
         in
         for i = 0 to nt - 1 do
           if covers touched.(i) then keep v touched.(i)
@@ -178,7 +192,7 @@ let build ?(k = 2) rng g =
             end)
       end
     done;
-    apply_kills ();
+    end_round next;
     cluster := next
   done;
   (* phase 2: vertex–cluster joining over the surviving residual edges *)

@@ -1,18 +1,15 @@
-(** Classic distance-spanner baselines.
+(** The greedy distance-spanner baseline (Baswana–Sen is
+    {!Baswana_sen_weighted}).
 
-    These constructions control {e only} the distance stretch; the paper's
-    motivation (Section 1, Figure 1) is precisely that they can blow up
-    congestion.  The benchmark harness runs them next to the DC constructions
+    It controls {e only} the distance stretch; the paper's motivation
+    (Section 1, Figure 1) is precisely that such spanners can blow up
+    congestion.  The benchmark harness runs it next to the DC constructions
     to exhibit that gap. *)
 
 val greedy : Graph.t -> k:int -> Graph.t
 (** Althöfer et al. greedy [(2k−1)]-spanner: scan the edges (normalized
-    order) and keep an edge iff the current spanner distance between its
-    endpoints exceeds [2k−1].  Size [O(n^{1+1/k})] by the girth argument;
-    stretch exactly certified by construction. *)
-
-val baswana_sen_3 : Prng.t -> Graph.t -> Graph.t
-(** Baswana–Sen randomized 3-spanner ([k = 2]): sample cluster centers with
-    probability [1/√n]; unclustered nodes keep all incident edges, clustered
-    nodes keep the edge to their center plus one edge into every adjacent
-    cluster.  Expected size [O(n^{3/2})], stretch 3. *)
+    order) and keep an edge, at its weight in [g], iff the current spanner
+    distance between its endpoints exceeds [2k−1] hops.  Size
+    [O(n^{1+1/k})] by the girth argument; on unit weights the stretch is
+    exactly certified by construction (the hop test does not bound a
+    weighted stretch). *)

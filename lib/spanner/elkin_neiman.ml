@@ -13,7 +13,7 @@
 
    The propagation variant trades the paper's w.h.p. guarantee for a
    deterministic safety net: with [repair] on (the default), one
-   Stretch.violations pass re-adds every edge whose detour exceeds 2k-1.
+   Support.repair pass re-adds every edge whose detour exceeds 2k-1.
    Adding edges only shrinks spanner distances, so a single pass makes the
    stretch bound unconditional. *)
 
@@ -68,28 +68,31 @@ let build ?(k = 2) ?(repair = true) rng g =
     Trace.with_span ~name:"en.keep" (fun () ->
         (* [kept.(o) = v + 1] iff origin [o] already has an edge kept at [v] *)
         let kept = Array.make len 0 in
-        Csr.of_stream ~m_hint:(Graph.m g) ~n:size (fun emit ->
-            for v = 0 to size - 1 do
-              let t = xk_val.(v) -. 1.0 in
-              Csr.iter_neighbors c v (fun w ->
-                  let a = xp_val.(w) -. 1.0 in
-                  if a >= t then begin
-                    let o = xp_org.(w) in
-                    if kept.(o) <> v + 1 then begin
-                      kept.(o) <- v + 1;
-                      emit v w
-                    end
-                  end)
-            done))
+        let keep emit =
+          for v = 0 to size - 1 do
+            let t = xk_val.(v) -. 1.0 in
+            Csr.iter_neighbors c v (fun w ->
+                let a = xp_val.(w) -. 1.0 in
+                if a >= t then begin
+                  let o = xp_org.(w) in
+                  if kept.(o) <> v + 1 then begin
+                    kept.(o) <- v + 1;
+                    emit v w
+                  end
+                end)
+          done
+        in
+        (* H keeps G's weights *)
+        if Csr.is_weighted c then
+          Csr.of_weighted_stream ~m_hint:(Graph.m g) ~n:size (fun emit ->
+              keep (fun v w -> emit v w (Csr.edge_weight c v w)))
+        else Csr.of_stream ~m_hint:(Graph.m g) ~n:size keep)
   in
   let h = Graph.of_csr h_csr in
   let removed = Graph.m g - Graph.m h in
   let repaired =
     if not repair then 0
     else
-      Trace.with_span ~name:"en.repair" (fun () ->
-          let viol = Stretch.violations g h ~bound:((2 * k) - 1) in
-          List.iter (fun (u, v) -> ignore (Graph.add_edge h u v)) viol;
-          List.length viol)
+      Trace.with_span ~name:"en.repair" (fun () -> Support.repair g h ~bound:((2 * k) - 1))
   in
   { spanner = h; removed; repaired }

@@ -19,9 +19,7 @@ let build ?p rng g =
   let p = match p with Some p -> min 1.0 (max 1e-9 p) | None -> default_p g in
   let spanner =
     Trace.with_span ~name:"spanner.sampling" (fun () ->
-        let spanner = Graph.empty_like g in
-        Graph.iter_edges g (fun u v -> if Prng.bool rng p then ignore (Graph.add_edge spanner u v));
-        spanner)
+        Graph.filter_edges g (fun _ _ -> Prng.bool rng p))
   in
   { spanner; p; fallbacks = ref 0; cache = Hashtbl.create 256 }
 

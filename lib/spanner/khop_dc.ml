@@ -13,21 +13,14 @@ let build ?rho ~k rng g =
   else begin
     let sampled =
       Trace.with_span ~name:"spanner.sampling" (fun () ->
-          let sampled = Graph.empty_like g in
-          Graph.iter_edges g (fun u v ->
-              if Prng.bool rng rho then ignore (Graph.add_edge sampled u v));
-          sampled)
+          Graph.filter_edges g (fun _ _ -> Prng.bool rng rho))
     in
+    (* Distance-repair: re-add every edge of G with no (2k-1)-detour in the
+       sampled graph. *)
     let spanner = Graph.copy sampled in
-    (* Distance-repair: reinsert removed edges with no (2k-1)-detour in the
-       sampled graph.  Reinserted edges only shorten distances, so checking
-       against the sampled graph rather than the growing spanner is
-       conservative (it may reinsert a few extra edges, never too few). *)
     let reinserted =
       Trace.with_span ~name:"spanner.repair" (fun () ->
-          let bad = Stretch.violations g sampled ~bound:((2 * k) - 1) in
-          List.iter (fun (u, v) -> ignore (Graph.add_edge spanner u v)) bad;
-          List.length bad)
+          Support.repair g spanner ~bound:((2 * k) - 1))
     in
     { spanner; sampled; k; rho; reinserted }
   end

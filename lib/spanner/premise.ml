@@ -8,7 +8,6 @@ type t = {
   lambda : float;
   lambda_budget : float;
   expander_ok : bool;
-  weighted : bool;
 }
 
 let check g =
@@ -30,18 +29,16 @@ let check g =
     lambda;
     lambda_budget;
     expander_ok = lambda <= lambda_budget /. 2.0;
-    weighted = Graph.is_weighted g;
   }
 
 let theorem3_ok t = t.delta_ok && t.degree_ratio <= 2.0
 
 let theorem2_ok t = theorem3_ok t && t.expander_ok
 
-type requirement = Any | Weighted | Expander | Theorem3 | Theorem2
+type requirement = Any | Expander | Theorem3 | Theorem2
 
 let requirement_text = function
   | Any -> "any graph"
-  | Weighted -> "weighted graph (some edge weight > 1)"
   | Expander -> "spectral expander (lambda <= Delta^2/2n)"
   | Theorem3 -> "near-regular, Delta >= n^{2/3}"
   | Theorem2 -> "near-regular expander, Delta >= n^{2/3}"
@@ -49,7 +46,6 @@ let requirement_text = function
 let satisfied req t =
   match req with
   | Any -> true
-  | Weighted -> t.weighted
   | Expander -> t.expander_ok
   | Theorem3 -> theorem3_ok t
   | Theorem2 -> theorem2_ok t
@@ -75,18 +71,9 @@ let expansion_warning t =
         t.lambda (t.lambda_budget /. 2.0);
     ]
 
-let weight_warning t =
-  if t.weighted then []
-  else
-    [
-      "all edge weights are 1: the weighted variant reduces to its unweighted \
-       counterpart here";
-    ]
-
 let violations req t =
   match req with
   | Any -> []
-  | Weighted -> weight_warning t
   | Expander -> expansion_warning t
   | Theorem3 -> density_warning t @ regularity_warning t
   | Theorem2 -> density_warning t @ regularity_warning t @ expansion_warning t

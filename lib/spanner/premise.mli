@@ -17,7 +17,6 @@ type t = {
   lambda : float;  (** measured spectral expansion (Lanczos) *)
   lambda_budget : float;  (** [Δ²/n] — the Theorem 2 expansion allowance *)
   expander_ok : bool;  (** [λ ≤ Δ²/(2n)]: safely inside the o(·) regime *)
-  weighted : bool;  (** some edge carries weight > 1 ({!Graph.is_weighted}) *)
 }
 
 val check : Graph.t -> t
@@ -31,11 +30,9 @@ val theorem2_ok : t -> bool
 (** Premises of Theorem 2: {!theorem3_ok} plus measured expansion within the
     allowance. *)
 
-type requirement = Any | Weighted | Expander | Theorem3 | Theorem2
-(** The premise a construction assumes of its input: nothing, a weighted
-    graph (weighted variants reduce to their unweighted counterparts on
-    unit-weight inputs, so sweeps skip them there), measured spectral
-    expansion, the Theorem 3 density/regularity regime, or the full
+type requirement = Any | Expander | Theorem3 | Theorem2
+(** The premise a construction assumes of its input: nothing, measured
+    spectral expansion, the Theorem 3 density/regularity regime, or the full
     Theorem 2 regime.  The construction registry ({!Construction}) stores one
     of these per entry so that every consumer checks premises the same way. *)
 

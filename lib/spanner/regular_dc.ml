@@ -38,10 +38,7 @@ let build ?(thresholds = Scaled) ?(repair = true) rng g =
   (* Line 3-5: keep each edge with probability ρ. *)
   let sampled =
     Trace.with_span ~name:"spanner.sampling" (fun () ->
-        let sampled = Graph.empty_like g in
-        Graph.iter_edges g (fun u v ->
-            if Prng.bool rng rho then ignore (Graph.add_edge sampled u v));
-        sampled)
+        Graph.filter_edges g (fun _ _ -> Prng.bool rng rho))
   in
   (* Line 8-9: reinsert edges that are not (a, b)-supported in any direction. *)
   let spanner, reinserted =
@@ -57,7 +54,8 @@ let build ?(thresholds = Scaled) ?(repair = true) rng g =
      3-detours survived the sampling (Corollary 2 makes failures rare but
      possible); reinserting the stragglers makes stretch 3 unconditional. *)
   let repaired =
-    if repair then Trace.with_span ~name:"spanner.repair" (fun () -> Support.repair g spanner)
+    if repair then
+      Trace.with_span ~name:"spanner.repair" (fun () -> Support.repair g spanner ~bound:3)
     else 0
   in
   Metrics.add m_repaired repaired;

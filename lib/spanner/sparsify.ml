@@ -1,8 +1,7 @@
 type t = { spanner : Graph.t; p : float; repair_edges : int }
 
 let sample_with rng g p =
-  let spanner = Graph.empty_like g in
-  Graph.iter_edges g (fun u v -> if Prng.bool rng p then ignore (Graph.add_edge spanner u v));
+  let spanner = Graph.filter_edges g (fun _ _ -> Prng.bool rng p) in
   let repair_edges = Connectivity.repair spanner ~within:g in
   { spanner; p; repair_edges }
 

@@ -30,7 +30,7 @@ let is_ab_supported g bm u v ~a ~b =
 
 let reinsert_unsupported g h ~a ~b =
   let bm = Bitmat.of_graph g in
-  (* [Graph.iter_edges] yields each source u's edges together, and the test
+  (* [Graph.iter_edges_w] yields each source u's edges together, and the test
      toward v only asks about bases {u, z}: [stamp.(z) = u] means
      [base.(z)] already holds the answer for {u, z} *)
   let stamp = Array.make (Graph.n g) (-1) and base = Array.make (Graph.n g) false in
@@ -42,7 +42,7 @@ let reinsert_unsupported g h ~a ~b =
     base.(z)
   in
   let reinserted = ref 0 in
-  Graph.iter_edges g (fun u v ->
+  Graph.iter_edges_w g (fun u v w ->
       if not (Graph.mem_edge h u v) then begin
         let b = b u v in
         if
@@ -50,15 +50,15 @@ let reinsert_unsupported g h ~a ~b =
             (count_extensions g ~u ~v ~limit:b (base_ok u) >= b
             || is_ab_supported_toward g bm ~u:v ~v:u ~a ~b)
         then begin
-          ignore (Graph.add_edge h u v);
+          ignore (Graph.add_edge ~weight:w h u v);
           incr reinserted
         end
       end);
   !reinserted
 
-let repair g h =
-  let bad = Stretch.violations g h ~bound:3 in
-  List.iter (fun (u, v) -> ignore (Graph.add_edge h u v)) bad;
+let repair g h ~bound =
+  let bad = Stretch.violations g h ~bound in
+  List.iter (fun (u, v) -> ignore (Graph.add_edge ~weight:(Graph.edge_weight g u v) h u v)) bad;
   List.length bad
 
 let three_detours h ~u ~v ~cap =

@@ -37,18 +37,21 @@ val is_ab_supported : Graph.t -> Bitmat.t -> int -> int -> a:int -> b:int -> boo
 
 val reinsert_unsupported : Graph.t -> Graph.t -> a:int -> b:(int -> int -> int) -> int
 (** [reinsert_unsupported g h ~a ~b] is Algorithm 1's line 9 (and
-    {!Irregular_dc}'s): it adds to [h], in {!Graph.iter_edges}[ g] order,
-    every edge [(u, v)] of [g] that [h] lacks and that is not
-    [(a, b u v)]-supported in either direction, and returns how many.  The
+    {!Irregular_dc}'s): it adds to [h], in {!Graph.iter_edges}[ g] order and
+    at its weight in [g], every edge [(u, v)] of [g] that [h] lacks and that
+    is not [(a, b u v)]-supported in either direction, and returns how
+    many.  The
     decisions are those of {!is_ab_supported}; the base test toward [v] is
     memoized per source [u], so each base [{u, z}] is counted once. *)
 
-val repair : Graph.t -> Graph.t -> int
-(** [repair g h] is Algorithm 1's repair pass: it adds back to [h] every
-    edge of [g] that [h] lacks and that has no 2- or 3-detour in [h], and
-    returns how many.  Those are exactly the edges with [d_H(u, v) > 3],
-    i.e. {!Stretch.violations}[ g h ~bound:3] (on a weighted [g], Stretch's
-    weighted rule [d_H > 3·w]). *)
+val repair : Graph.t -> Graph.t -> bound:int -> int
+(** [repair g h ~bound] adds back to [h], at its weight in [g], every edge
+    of [g] whose distance in [h] exceeds [bound] times its weight
+    ({!Stretch.violations}[ g h ~bound]), and returns how many.  Adding
+    edges only shortens distances, so afterwards every edge of [g] meets
+    the bound.  At [~bound:3] it is Algorithm 1's repair pass: on unit
+    weights the re-added edges are exactly those with no 2- or 3-detour in
+    [h].  {!Khop_dc} and {!Elkin_neiman} repair to [2k − 1]. *)
 
 val three_detours : Graph.t -> u:int -> v:int -> cap:int -> (int * int) list
 (** [three_detours h ~u ~v ~cap] enumerates up to [cap] pairs [(x, z)] such

@@ -327,6 +327,18 @@ let test_soak_certified_every_batch () =
   check Alcotest.bool "inputs not mutated" true
     (Graph.m g = 600 && Graph.is_subgraph h ~of_:g)
 
+(* The healer re-adds each edge at its weight in G.  On a weighted torus
+   whose spanner misses every fifth edge, ~200 edges are re-added; at weight
+   1 they would read certified batch after batch while H drifted lighter
+   than G, which the closing audit's subgraph test catches. *)
+let test_soak_weighted_heal () =
+  let g = Generators.weighted_torus (Prng.create 1) 20 20 ~w_max:3 in
+  let config = { Soak.default with events = 200; batch = 10; seed = 7 } in
+  let r = Soak.run config ~graph:g ~spanner:(every_fifth_removed g) in
+  check Alcotest.bool "edges re-added" true (r.Soak.r_edges_readded > 100);
+  check Alcotest.int "every batch certified" r.Soak.r_batch_count r.Soak.r_certified_batches;
+  check Alcotest.bool "final audit certified" true r.Soak.r_final_certified
+
 let test_soak_deterministic () =
   let run () =
     let g, h = soak_inputs 22 in
@@ -419,6 +431,7 @@ let () =
         [
           Alcotest.test_case "certified every batch (1000 events)" `Quick
             test_soak_certified_every_batch;
+          Alcotest.test_case "weighted heal keeps G's weights" `Quick test_soak_weighted_heal;
           Alcotest.test_case "deterministic" `Quick test_soak_deterministic;
           Alcotest.test_case "traffic accounting" `Quick test_soak_traffic_accounting;
           Alcotest.test_case "rejects invalid" `Quick test_soak_rejects;

@@ -192,6 +192,43 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* [--input] overrides the generator flags: each one given next to it is
+   named on stderr, while stdout and the exit status stay as they are, and
+   [graph] names the file where it would name a family *)
+let test_input_names_ignored_flags () =
+  with_temp_file "n 4 3\n0 1\n1 2\n2 3\n" (fun graph ->
+      let out = Filename.temp_file "dcs_cli_out" ".txt" in
+      let err = Filename.temp_file "dcs_cli_err" ".txt" in
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.remove out;
+          Sys.remove err)
+        (fun () ->
+          let spanner flags =
+            let code =
+              Sys.command
+                (Printf.sprintf "%s spanner --input %s -a greedy --seed 3%s >%s 2>%s" cli graph
+                   flags out err)
+            in
+            (code, read_file out, read_file err)
+          in
+          let code, plain, quiet = spanner "" in
+          check Alcotest.int "plain run exits 0" 0 code;
+          check Alcotest.string "plain run warns nothing" "" quiet;
+          let code', flagged, warning =
+            spanner " --family regular --n 999 --degree 3 --prob 0.5 --w-max 8"
+          in
+          check Alcotest.int "same exit status" code code';
+          check Alcotest.string "same stdout" plain flagged;
+          List.iter
+            (fun flag ->
+              check Alcotest.bool (flag ^ " named on stderr") true (body_contains warning flag))
+            [ "--family"; "--n"; "--degree"; "--prob"; "--w-max" ]);
+      let code, body = read_cli (Printf.sprintf "graph --input %s --family expander" graph) in
+      check Alcotest.int "graph --input exits 0" 0 code;
+      check Alcotest.bool "graph names the file" true (body_contains body ("input:       " ^ graph));
+      check Alcotest.bool "graph names no family" false (body_contains body "family:"))
+
 let test_profile_prints_breakdown () =
   let code, body =
     read_cli "faults --family regular -n 60 -d 8 --fail-rate 0.1 --seed 7 --profile"
@@ -311,6 +348,7 @@ let () =
             test_generator_preconditions_exit_123;
           Alcotest.test_case "negative trials" `Quick test_negative_trials_exit_123;
           Alcotest.test_case "zero trials" `Quick test_zero_trials;
+          Alcotest.test_case "--input names ignored flags" `Quick test_input_names_ignored_flags;
         ] );
       ( "weighted",
         [ Alcotest.test_case "graph/spanner/verify pipeline" `Quick test_weighted_pipeline_exits_0 ] );

@@ -176,7 +176,7 @@ let test_greedy_empty () =
 let test_baswana_sen_tiny () =
   let rng = Prng.create 5 in
   let g = Generators.cycle 3 in
-  let h = Classic.baswana_sen_3 rng g in
+  let h = Baswana_sen_weighted.build ~k:2 rng g in
   check Alcotest.bool "valid spanner" true
     (Graph.is_subgraph h ~of_:g && Stretch.exact g h <= 3)
 

@@ -74,8 +74,7 @@ let route_digests =
     ("spectral", (600, 0, 0, 0, 593260));
     ("algorithm1", (243, 9, 39, 2586, 424278));
     ("greedy", (121, 21, 46, 1298, 239525));
-    ("baswana-sen", (403, 35, 2, 1072, 989574));
-    ("baswana-sen-weighted", (573, 5, 0, 161, 948209));
+    ("baswana-sen", (397, 27, 0, 786, 85301));
     ("elkin-neiman", (387, 14, 16, 1239, 847099));
     ("khop-5", (266, 32, 19, 1885, 727503));
     ("khop-7", (325, 27, 11, 1142, 593260));
@@ -122,7 +121,8 @@ let test_matching_congestion_golden () =
 
 let test_classic_golden () =
   let g = base_graph () in
-  check Alcotest.int "baswana-sen size" 316 (Graph.m (Classic.baswana_sen_3 (Prng.create 5) g));
+  check Alcotest.int "baswana-sen size" 334
+    (Graph.m (Baswana_sen_weighted.build ~k:2 (Prng.create 5) g));
   check Alcotest.int "greedy size" 121 (Graph.m (Classic.greedy g ~k:2))
 
 let test_distributed_golden () =

@@ -256,6 +256,44 @@ let prop_order_free =
                (if shuffled then "add_edge" else "generated"))
         (List.concat_map (fun c -> [ (c, false); (c, true) ]) Construction.all))
 
+(* ---- G's weights ---- *)
+
+(* the entries whose repair pass or rule bounds the distance stretch *)
+let stretch_bounded =
+  [ "algorithm1"; "irregular"; "khop-5"; "khop-7"; "elkin-neiman"; "baswana-sen" ]
+
+(* On a weighted G, every entry's spanner is a subgraph of G at G's
+   weights, and the stretch-bounded entries meet their alpha under those
+   weights.  Small random graphs, often disconnected, weights in [1, 9]. *)
+let prop_keeps_weights =
+  QCheck.Test.make ~name:"every spanner keeps G's weights" ~count:20
+    QCheck.(triple small_int (int_range 6 40) (int_range 2 9))
+    (fun (seed, n, w_max) ->
+      let rng = Prng.create seed in
+      let g =
+        Generators.randomize_weights rng
+          (Generators.erdos_renyi rng n (0.1 +. Prng.float rng *. 0.4))
+          ~w_max
+      in
+      List.for_all
+        (fun c ->
+          let name = c.Construction.name in
+          let h = (Construction.build c (Prng.create (seed + 1)) g).Dc.spanner in
+          Graph.iter_edges_w h (fun u v w ->
+              if not (Graph.mem_edge g u v && Graph.edge_weight g u v = w) then
+                QCheck.Test.fail_reportf "%s: (%d, %d) weighs %d in H, not its weight in G" name
+                  u v w);
+          (Graph.is_subgraph h ~of_:g
+          || QCheck.Test.fail_reportf "%s: is_subgraph disagrees" name)
+          &&
+          match c.Construction.alpha with
+          | Some alpha when List.mem name stretch_bounded ->
+              let s = Stretch.exact g h in
+              float_of_int s <= alpha
+              || QCheck.Test.fail_reportf "%s: weighted stretch %d > %g" name s alpha
+          | _ -> true)
+        Construction.all)
+
 let test_premise_warnings_any_empty () =
   let g = Generators.ring_of_cliques 4 10 in
   List.iter
@@ -289,5 +327,6 @@ let () =
           Alcotest.test_case "Any premises never warn" `Quick test_premise_warnings_any_empty;
           QCheck_alcotest.to_alcotest prop_sampler_contract;
           QCheck_alcotest.to_alcotest prop_order_free;
+          QCheck_alcotest.to_alcotest prop_keeps_weights;
         ] );
     ]

@@ -344,7 +344,7 @@ let test_baswana_sen () =
   for seed = 1 to 8 do
     let rng = Prng.create seed in
     let g = random_graph (seed * 31) 60 0.3 in
-    let h = Classic.baswana_sen_3 rng g in
+    let h = Baswana_sen_weighted.build ~k:2 rng g in
     check Alcotest.bool "subgraph" true (Graph.is_subgraph h ~of_:g);
     let s = Stretch.exact g h in
     check Alcotest.bool (Printf.sprintf "stretch %d <= 3 (seed=%d)" s seed) true (s <= 3)
@@ -353,7 +353,7 @@ let test_baswana_sen () =
 let test_baswana_sen_sparsifies_dense () =
   let rng = Prng.create 41 in
   let g = Generators.complete 100 in
-  let h = Classic.baswana_sen_3 rng g in
+  let h = Baswana_sen_weighted.build ~k:2 rng g in
   (* O(n^{3/2}) = 1000; complete graph has 4950 edges. *)
   check Alcotest.bool
     (Printf.sprintf "sparse: %d" (Graph.m h))

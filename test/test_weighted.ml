@@ -325,12 +325,15 @@ let prop_weighted_bs_stretch =
           if d.(u).(v) > ((2 * k) - 1) * w then stretch_ok := false);
       !subgraph && !stretch_ok)
 
-(* ---- weighted Baswana–Sen pinned to the hashed construction ---- *)
+(* ---- Baswana–Sen pinned to a hashed BS07 reference ---- *)
 
-(* The construction before it moved onto flat arrays: a Hashtbl of
-   per-cluster minima per vertex, polymorphic tuple compares, and a residual
-   [Graph.copy] whose drops are committed at round end.  [build] must return
-   the same spanner for the same draws. *)
+(* BS07 on hashed structures: a Hashtbl of per-cluster minima per vertex,
+   polymorphic tuple compares, and a residual [Graph.copy] whose drops are
+   committed at round end, followed by the removal of every residual edge
+   inside one of the round's new clusters.  (weight, neighbor) picks each
+   cluster's lightest edge and the cluster to join; the cover test compares
+   weights alone.  [build] must return the same spanner for the same
+   draws. *)
 let bs_lightest_edges residual cluster v =
   let best = Hashtbl.create 8 in
   Graph.iter_neighbors_w residual v (fun u w ->
@@ -386,18 +389,21 @@ let bs_reference ?(k = 2) rng g =
               adds := (v, ustar, wstar) :: !adds;
               next.(v) <- cstar;
               Hashtbl.iter
-                (fun c (w, u) ->
-                  if c <> cstar && (w, u) < (wstar, ustar) then adds := (v, u, w) :: !adds)
+                (fun c (w, u) -> if c <> cstar && w < wstar then adds := (v, u, w) :: !adds)
                 best;
               Graph.iter_neighbors_w residual v (fun u _w ->
                   let c = cl.(u) in
-                  if c = cstar || (c >= 0 && Hashtbl.find best c < (wstar, ustar)) then
+                  if c = cstar || (c >= 0 && fst (Hashtbl.find best c) < wstar) then
                     drops := (v, u) :: !drops)
         end
       done;
       add_edges !adds;
       List.iter (fun (v, u) -> ignore (Graph.remove_edge residual v u)) !drops;
       List.iter (fun v -> ignore (Graph.isolate residual v)) !retired;
+      List.iter
+        (fun (u, v) ->
+          if next.(u) >= 0 && next.(u) = next.(v) then ignore (Graph.remove_edge residual u v))
+        (Graph.edges residual);
       cluster := next
     done;
     let cl = !cluster in
@@ -518,10 +524,9 @@ let test_weighted_bs_tiny () =
      with Invalid_argument msg -> msg = "Baswana_sen_weighted.build: k < 1")
 
 (* The sampling and tie-break decisions, pinned: per input, k and seed,
-   m(H) and a digest of H's sorted weighted edge list.  The expander values
-   were computed with the hashed construction, before the flat rewrite; the
-   regular ones, whose input is built by add_edge, moved when a graph's rows
-   came to read ascending before a commit too. *)
+   m(H) and a digest of H's sorted weighted edge list.  They moved once,
+   when the cover test came to compare weights alone and each round came to
+   discard its intra-cluster edges (BS07). *)
 let test_weighted_bs_pinned () =
   let inputs =
     [
@@ -535,18 +540,18 @@ let test_weighted_bs_pinned () =
   in
   let want =
     [
-      ("expander", 2, 1, 4602, "aeb7f9b155b8f61b3798af2996e64309");
-      ("expander", 2, 2, 4614, "6558e15f0eb31a2cc0734d87f15e6b50");
-      ("expander", 2, 3, 4630, "90149f84906bde4626d509b58df47c45");
-      ("expander", 3, 1, 4331, "cc7a948190ca1061f873a3184087dfbe");
-      ("expander", 3, 2, 4271, "d7dfcd72745b125fb52b531451e6a54b");
-      ("expander", 3, 3, 4235, "6fb8461cf111a056073e7ab297309273");
-      ("regular", 2, 1, 948, "a15fc5a352ea7243d008071dcc347daf");
-      ("regular", 2, 2, 944, "b13c66ea3cafe4911b9364ce78850106");
-      ("regular", 2, 3, 936, "0a3792257b1823722daa26b8b0f0a913");
-      ("regular", 3, 1, 893, "8fc6bf65ef19682e6151d13cd6aa2599");
-      ("regular", 3, 2, 883, "f2657f6cb5424bf4ad4cb2fb705be0f2");
-      ("regular", 3, 3, 844, "0c1d858d90d4423e6ad831a46fb0ca3a");
+      ("expander", 2, 1, 4537, "32e14a52d7761cdc8a395da9c2b27631");
+      ("expander", 2, 2, 4536, "e0ae0765f56e5f2aa61b5cdbb14a0e20");
+      ("expander", 2, 3, 4586, "5e92b846131a6785957662c2c78df47e");
+      ("expander", 3, 1, 4087, "140db0e6897cf75698e963ed0fdfb17f");
+      ("expander", 3, 2, 4038, "4b4bce1d0b6cef6d178122b9976c96ed");
+      ("expander", 3, 3, 3870, "ec87a16de1383c0a32f5d1c85987810b");
+      ("regular", 2, 1, 925, "d94c30826c71c1ca34909fda98178390");
+      ("regular", 2, 2, 915, "49fcdd664f653487a55e9dd2462a7436");
+      ("regular", 2, 3, 905, "b6ce9cf068f3319de733b8b874039334");
+      ("regular", 3, 1, 840, "a2f651861ede8d09af0d9cf9a6b8f429");
+      ("regular", 3, 2, 840, "7b8c90ad963db02cd2911f47852e02fe");
+      ("regular", 3, 3, 801, "e719d49258af676338635cc7cd44a1c2");
     ]
   in
   List.iter
@@ -562,6 +567,20 @@ let test_weighted_bs_pinned () =
         (m, digest)
         (Graph.m h, Digest.to_hex (Digest.string (String.concat "" lines))))
     want
+
+(* On unit weights the build is textbook BS07 in size too.  A cover test
+   that broke weight ties by neighbor kept 8,663–11,633 edges on these
+   inputs; BS07 keeps 3,903–5,108. *)
+let test_weighted_bs_unit_size () =
+  for gs = 1 to 2 do
+    let g = Generators.random_regular (Prng.create gs) 384 128 in
+    for bs = 101 to 105 do
+      let m = Graph.m (Baswana_sen_weighted.build ~k:2 (Prng.create bs) g) in
+      check Alcotest.bool
+        (Printf.sprintf "graph seed %d, build seed %d: %d edges <= 5,500" gs bs m)
+        true (m <= 5_500)
+    done
+  done
 
 (* One build on weighted-certify's input allocates well under the hashed
    construction's ~2.0M heap words, and H comes back committed: its snapshot
@@ -867,6 +886,7 @@ let () =
           Alcotest.test_case "pinned decisions" `Quick test_weighted_bs_pinned;
           Alcotest.test_case "allocation budget, cached snapshot" `Quick
             test_weighted_bs_allocation;
+          Alcotest.test_case "unit-weight size" `Quick test_weighted_bs_unit_size;
         ] );
       ( "stretch",
         [
