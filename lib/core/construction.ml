@@ -48,7 +48,7 @@ let all =
       ~reference:"baseline [ADDJS93] (distance-only)" ~premise:Premise.Any ~alpha:3.0
       ~edge_exponent:1.5
       ~params:[ ("k", "2") ]
-      ~guarantee:"(3, unbounded) with O(n^{1+1/2}) edges"
+      ~guarantee:"(3, unbounded) with O(n^{1+1/2}) edges; weighted: d_H <= 3*w per edge"
       (shortest_paths "greedy-3" (fun _ g -> Classic.greedy g ~k:2));
     entry ~name:"baswana-sen" ~aliases:[ "baswana-sen-weighted"; "bsw" ]
       ~reference:"baseline [BS07] (distance-only)" ~premise:Premise.Any ~alpha:3.0

@@ -25,13 +25,8 @@ let route_one view ~sampled ~seed (u, v) =
     else cands.(idx)
   end
 
-let sampling_p g =
-  let n = float_of_int (Graph.n g) in
-  let delta = float_of_int (max 1 (Graph.max_degree g)) in
-  min 1.0 ((n ** (2.0 /. 3.0)) /. delta)
-
 let reference ~seed g pairs =
-  let p = sampling_p g in
+  let p = Expander_dc.default_p g in
   let spanner = Graph.empty_like g in
   Graph.iter_edges g (fun u v ->
       if edge_coin ~seed ~p u v then ignore (Graph.add_edge spanner u v));
@@ -51,7 +46,7 @@ type result = { spanner : Graph.t; routing : Routing.routing; rounds : int; mess
 
 let run ~seed g pairs =
   let n = Graph.n g in
-  let p = sampling_p g in
+  let p = Expander_dc.default_p g in
   Array.iter
     (fun (u, v) ->
       if not (Graph.mem_edge g u v) then

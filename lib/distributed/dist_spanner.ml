@@ -1,186 +1,71 @@
 let norm u v = if u < v then (u, v) else (v, u)
 
-(* Per-edge coin shared by the distributed protocol and the centralized
-   reference: both endpoints (and the reference) can evaluate it without
-   communication, modelling shared randomness. *)
+(* Per-edge coin: a public function of (seed, u, v), so every node can
+   evaluate it for any edge it knows without communication, modelling
+   shared randomness. *)
 let edge_coin ~seed ~rho u v =
   let u, v = norm u v in
   let mix = (Hashtbl.hash (seed, u, v) lsl 31) lxor Hashtbl.hash (v, 0x5bd1e995, u, seed) in
   let rng = Prng.create mix in
   Prng.bool rng rho
 
-let default_thresholds g =
-  let n = Graph.n g in
-  let delta = Graph.max_degree g in
-  let a = max 2 (int_of_float (ceil (log (float_of_int (max 2 n))))) in
-  let b = max 1 (delta / 4) in
-  (a, b)
-
-(* A knowledge view: everything the decision rule reads.  The reference
-   instantiates it with the full graph, a node with its flooded local
-   knowledge; running the *same* rule over both is what makes the
-   equality assertion of Corollary 3 meaningful. *)
-type view = {
-  iter_nbrs : int -> (int -> unit) -> unit;  (* N_G as far as known *)
-  mem : int -> int -> bool;  (* edge of G known *)
-  sampled : int -> int -> bool;  (* known and survived into G' *)
-}
-
-(* [exists] over an iterator; all the decision-rule queries below are counts
-   or existence checks, so they never depend on the iteration order *)
-let exists_nbr view x p =
-  try
-    view.iter_nbrs x (fun z -> if p z then raise Exit);
-    false
-  with Exit -> true
-
-let common_count view x y limit =
-  let count = ref 0 in
-  (try
-     view.iter_nbrs x (fun z ->
-         if view.mem y z then begin
-           incr count;
-           if !count >= limit then raise Exit
-         end)
-   with Exit -> ());
-  !count
-
-let supported_toward view ~a ~b u v =
-  let count = ref 0 in
-  (try
-     view.iter_nbrs v (fun z ->
-         if z <> u && common_count view u z (a + 1) >= a + 1 then begin
-           incr count;
-           if !count >= b then raise Exit
-         end)
-   with Exit -> ());
-  !count >= b
-
-let has_surviving_detour view u v =
-  exists_nbr view u (fun x -> x <> v && view.sampled u x && view.sampled x v)
-  || exists_nbr view v (fun z ->
-         z <> u && z <> v && view.sampled v z
-         && exists_nbr view z (fun x ->
-                x <> u && x <> v && x <> z && view.sampled z x && view.sampled u x))
-
-(* Whether a *non-sampled* edge (u, v) belongs to H: reinserted when it is
-   not (a,b)-supported in either direction (Algorithm 1 line 9) or when all
-   its detours died in the sampling (repair rule). *)
-let removed_edge_in_h view ~a ~b u v =
-  let supported = supported_toward view ~a ~b u v || supported_toward view ~a ~b v u in
-  (not supported) || not (has_surviving_detour view u v)
-
-let reference ?thresholds ~seed g =
-  let a, b = match thresholds with Some t -> t | None -> default_thresholds g in
-  let delta = max 1 (Graph.max_degree g) in
-  let rho = float_of_int (max 1 (int_of_float (ceil (sqrt (float_of_int delta))))) /. float_of_int delta in
-  let sampled_tbl = Hashtbl.create (2 * Graph.m g) in
-  Graph.iter_edges g (fun u v -> Hashtbl.replace sampled_tbl (u, v) (edge_coin ~seed ~rho u v));
-  let view =
-    {
-      iter_nbrs = (fun x f -> Graph.iter_neighbors g x f);
-      mem = (fun x y -> Graph.mem_edge g x y);
-      sampled =
-        (fun x y -> match Hashtbl.find_opt sampled_tbl (norm x y) with Some f -> f | None -> false);
-    }
-  in
-  let h = Graph.empty_like g in
-  Graph.iter_edges g (fun u v ->
-      let in_h =
-        if view.sampled u v then true else removed_edge_in_h view ~a ~b u v
-      in
-      if in_h then ignore (Graph.add_edge h u v));
-  h
-
-(* ---- the LOCAL protocol ---- *)
-
 type msg =
-  | Entries of (int * int * bool) list  (* (u, v, sampled) knowledge records *)
+  | Edges of (int * int) list  (* edges of G, smaller endpoint first *)
   | Decision of int * int * bool  (* (u, v, in_h) from the deciding endpoint *)
 
 type state = {
-  know : (int * int, bool) Hashtbl.t;
-  adj : (int, int list) Hashtbl.t;  (* adjacency derived from [know] *)
-  mutable fresh : (int * int * bool) list;  (* learned last round, to flood *)
+  known : Graph.t;  (* the edges of G this node has learned *)
+  mutable fresh : (int * int) list;  (* learned last round, to flood *)
   mutable decisions : (int * int * bool) list;  (* for edges this node owns *)
   mutable heard : (int * int * bool) list;  (* decisions received from owners *)
   mutable entries_sent : int;
 }
 
-type result = { spanner : Graph.t; rounds : int; messages : int; entries : int }
+type result = { spanner : Graph.t; sampled : Graph.t; rounds : int; messages : int; entries : int }
 
-let add_adj st x y =
-  let cur = try Hashtbl.find st.adj x with Not_found -> [] in
-  Hashtbl.replace st.adj x (y :: cur)
+let learn st (u, v) = if Graph.add_edge st.known u v then st.fresh <- (u, v) :: st.fresh
 
-let learn st (u, v, flag) =
-  if not (Hashtbl.mem st.know (u, v)) then begin
-    Hashtbl.replace st.know (u, v) flag;
-    add_adj st u v;
-    add_adj st v u;
-    st.fresh <- (u, v, flag) :: st.fresh
-  end
+let send_fresh st neighbors =
+  let fresh = st.fresh in
+  st.fresh <- [];
+  st.entries_sent <- st.entries_sent + (List.length fresh * Array.length neighbors);
+  (st, Array.to_list (Array.map (fun v -> (v, Edges fresh)) neighbors))
 
-let view_of st =
-  {
-    iter_nbrs = (fun x f -> List.iter f (try Hashtbl.find st.adj x with Not_found -> []));
-    mem = (fun x y -> Hashtbl.mem st.know (norm x y));
-    sampled =
-      (fun x y -> match Hashtbl.find_opt st.know (norm x y) with Some f -> f | None -> false);
-  }
-
-let run ?thresholds ~seed g =
-  let a, b = match thresholds with Some t -> t | None -> default_thresholds g in
-  let delta = max 1 (Graph.max_degree g) in
-  let rho = float_of_int (max 1 (int_of_float (ceil (sqrt (float_of_int delta))))) /. float_of_int delta in
+let run ?(thresholds = Regular_dc.Scaled) ~seed g =
+  if Graph.is_weighted g then invalid_arg "Dist_spanner.run: the graph must be unweighted";
+  let n = Graph.n g in
+  (* n and Δ are global knowledge, as in Regular_dc.build *)
+  let rho = Regular_dc.sampling_rate g in
+  let a, b = Regular_dc.support_thresholds thresholds g in
+  let coin u v = edge_coin ~seed ~rho u v in
   let init _ =
-    {
-      know = Hashtbl.create 64;
-      adj = Hashtbl.create 64;
-      fresh = [];
-      decisions = [];
-      heard = [];
-      entries_sent = 0;
-    }
+    { known = Graph.create n; fresh = []; decisions = []; heard = []; entries_sent = 0 }
   in
   let step ~round ~me ~neighbors st inbox =
-    (* Integrate whatever arrived. *)
     List.iter
       (fun (_, msg) ->
         match msg with
-        | Entries entries -> List.iter (learn st) entries
+        | Edges edges -> List.iter (learn st) edges
         | Decision (u, v, in_h) -> st.heard <- (u, v, in_h) :: st.heard)
       inbox;
     match round with
     | 0 ->
-        (* Sample the edges this node owns (me < neighbor) and announce. *)
-        Array.iter
-          (fun v -> if me < v then learn st (me, v, edge_coin ~seed ~rho me v))
-          neighbors;
-        let fresh = st.fresh in
-        st.fresh <- [];
-        st.entries_sent <- st.entries_sent + (List.length fresh * Array.length neighbors);
-        (st, Array.to_list (Array.map (fun v -> (v, Entries fresh)) neighbors))
-    | 1 | 2 | 3 ->
-        (* Flood rounds: forward newly-learned records everywhere. *)
-        let fresh = st.fresh in
-        st.fresh <- [];
-        if fresh = [] then (st, [])
-        else begin
-          st.entries_sent <- st.entries_sent + (List.length fresh * Array.length neighbors);
-          (st, Array.to_list (Array.map (fun v -> (v, Entries fresh)) neighbors))
-        end
-    | 4 ->
-        (* Decide every owned edge and tell the partner. *)
-        let view = view_of st in
+        (* Announce the edges this node owns (me < neighbor), even none. *)
+        Array.iter (fun v -> if me < v then learn st (me, v)) neighbors;
+        send_fresh st neighbors
+    | 1 | 2 -> if st.fresh = [] then (st, []) else send_fresh st neighbors
+    | 3 ->
+        (* This node now knows every edge owned within distance 3, hence
+           every edge incident to its 2-ball: run Algorithm 1's pass on
+           them and tell each owned edge's partner. *)
+        let h, _, _ =
+          Regular_dc.of_sample st.known ~sampled:(Graph.filter_edges st.known coin) ~a ~b
+        in
         let outbox = ref [] in
         Array.iter
           (fun v ->
             if me < v then begin
-              let sampled =
-                match Hashtbl.find_opt st.know (me, v) with Some f -> f | None -> false
-              in
-              let in_h = if sampled then true else removed_edge_in_h view ~a ~b me v in
+              let in_h = Graph.mem_edge h me v in
               st.decisions <- (me, v, in_h) :: st.decisions;
               outbox := (v, Decision (me, v, in_h)) :: !outbox
             end)
@@ -188,10 +73,11 @@ let run ?thresholds ~seed g =
         (st, !outbox)
     | _ -> (st, [])
   in
-  let states, stats = Local_model.run g ~rounds:6 ~init ~step in
+  let states, stats = Local_model.run g ~rounds:5 ~init ~step in
   let spanner = Graph.empty_like g in
   Array.iter
-    (fun st -> List.iter (fun (u, v, in_h) -> if in_h then ignore (Graph.add_edge spanner u v)) st.decisions)
+    (fun st ->
+      List.iter (fun (u, v, in_h) -> if in_h then ignore (Graph.add_edge spanner u v)) st.decisions)
     states;
   (* Cross-check: every non-owner heard exactly its owner's decision, and
      the assembled spanner agrees with it (owners are the only writers, so
@@ -205,4 +91,10 @@ let run ?thresholds ~seed g =
         st.heard)
     states;
   let entries = Array.fold_left (fun acc st -> acc + st.entries_sent) 0 states in
-  { spanner; rounds = stats.Local_model.rounds; messages = stats.Local_model.messages; entries }
+  {
+    spanner;
+    sampled = Graph.filter_edges g coin;
+    rounds = stats.Local_model.rounds;
+    messages = stats.Local_model.messages;
+    entries;
+  }

@@ -7,9 +7,10 @@
     to exhibit that gap. *)
 
 val greedy : Graph.t -> k:int -> Graph.t
-(** Althöfer et al. greedy [(2k−1)]-spanner: scan the edges (normalized
-    order) and keep an edge, at its weight in [g], iff the current spanner
-    distance between its endpoints exceeds [2k−1] hops.  Size
-    [O(n^{1+1/k})] by the girth argument; on unit weights the stretch is
-    exactly certified by construction (the hop test does not bound a
-    weighted stretch). *)
+(** Althöfer et al. greedy [(2k−1)]-spanner: scan the edges in
+    nondecreasing [(weight, u, v)] order and keep [(u, v)], at its weight in
+    [g], iff the current spanner distance [d_H(u, v)] exceeds
+    [(2k−1)·w(u, v)].  Every edge of [g] then has stretch at most [2k−1]
+    under [g]'s weights, by construction; size [O(n^{1+1/k})] by the girth
+    argument.  On unit weights the order is {!Graph.iter_edges}'s and the
+    test counts hops. *)

@@ -28,8 +28,12 @@ type t = {
           routing reuses it *)
 }
 
+val default_p : Graph.t -> float
+(** The default sampling probability [min 1 (n^{2/3}/Δ)] ([Δ] at least 1),
+    shared with {!Dist_expander}'s coins. *)
+
 val build : ?p:float -> Prng.t -> Graph.t -> t
-(** Sample the spanner.  [p] overrides the default [n^{2/3}/Δ] (clamped to
+(** Sample the spanner.  [p] overrides {!default_p} (clamped to
     [(0, 1]]). *)
 
 val candidates : Graph.t -> sampled:(int -> int -> bool) -> int -> int -> Routing.path array

@@ -8,6 +8,7 @@ type t = {
   lambda : float;
   lambda_budget : float;
   expander_ok : bool;
+  weighted : bool;
 }
 
 let check g =
@@ -29,11 +30,12 @@ let check g =
     lambda;
     lambda_budget;
     expander_ok = lambda <= lambda_budget /. 2.0;
+    weighted = Graph.is_weighted g;
   }
 
 let theorem3_ok t = t.delta_ok && t.degree_ratio <= 2.0
 
-let theorem2_ok t = theorem3_ok t && t.expander_ok
+let theorem2_ok t = theorem3_ok t && t.expander_ok && not t.weighted
 
 type requirement = Any | Expander | Theorem3 | Theorem2
 
@@ -71,11 +73,16 @@ let expansion_warning t =
         t.lambda (t.lambda_budget /. 2.0);
     ]
 
+let weight_warning t =
+  if t.weighted then
+    [ "weighted graph: Theorem 2 is stated for unweighted expanders and its sampler counts hops" ]
+  else []
+
 let violations req t =
   match req with
   | Any -> []
   | Expander -> expansion_warning t
   | Theorem3 -> density_warning t @ regularity_warning t
-  | Theorem2 -> density_warning t @ regularity_warning t @ expansion_warning t
+  | Theorem2 -> density_warning t @ regularity_warning t @ expansion_warning t @ weight_warning t
 
 let describe t = violations Theorem2 t

@@ -17,6 +17,7 @@ type t = {
   lambda : float;  (** measured spectral expansion (Lanczos) *)
   lambda_budget : float;  (** [Δ²/n] — the Theorem 2 expansion allowance *)
   expander_ok : bool;  (** [λ ≤ Δ²/(2n)]: safely inside the o(·) regime *)
+  weighted : bool;  (** some edge weighs [<> 1] ({!Graph.is_weighted}) *)
 }
 
 val check : Graph.t -> t
@@ -28,7 +29,8 @@ val theorem3_ok : t -> bool
 
 val theorem2_ok : t -> bool
 (** Premises of Theorem 2: {!theorem3_ok} plus measured expansion within the
-    allowance. *)
+    allowance, on an unweighted graph (the theorem is stated for unweighted
+    expanders, and its sampler and router count hops). *)
 
 type requirement = Any | Expander | Theorem3 | Theorem2
 (** The premise a construction assumes of its input: nothing, measured

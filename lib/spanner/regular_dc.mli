@@ -47,7 +47,29 @@ type t = {
 val build : ?thresholds:thresholds -> ?repair:bool -> Prng.t -> Graph.t -> t
 (** Run Algorithm 1.  [repair] defaults to [true].  The input should be
     (near-)regular; [Δ] is taken as the maximum degree.  Deterministic given
-    the generator state. *)
+    the generator state: it draws [G'] with one [Prng.bool] per edge of [g]
+    in {!Graph.iter_edges} order at rate {!sampling_rate}[ g], then runs
+    {!of_sample} at {!support_thresholds}[ thresholds g].  Only [build]
+    adds to the [spanner.reinserted] and [spanner.repaired] counters. *)
+
+val sampling_rate : Graph.t -> float
+(** Line 3's [ρ = Δ'/Δ] on [g] ([1] when [g] has no edge). *)
+
+val support_thresholds : thresholds -> Graph.t -> int * int
+(** The support pair [(a, b)] the thresholds resolve to on [g] (from its
+    [n] and [Δ]). *)
+
+val of_sample : ?repair:bool -> Graph.t -> sampled:Graph.t -> a:int -> b:int -> Graph.t * int * int
+(** [of_sample g ~sampled ~a ~b] is Algorithm 1 after its coins: from the
+    sampled graph [G' = sampled], line 9 reinserts every edge of [g] that
+    is not [(a, b)]-supported in either direction (span
+    [spanner.sparsify]), then, unless [repair] is [false], the repair pass
+    re-adds every edge whose distance in that graph exceeds 3 times its
+    weight ({!Support.repair}, span [spanner.repair]).  Returns
+    [(H, reinserted, repaired)]; [sampled] is left untouched, and the two
+    counts go to no counter.  The decisions on the edges touching [N[u]]
+    read only the edges of [g] incident to [u]'s 2-ball, which is what lets
+    {!Dist_spanner} run this pass on each node's local knowledge. *)
 
 val detours : Graph.t -> cap:int -> int -> int -> Dc.paths
 (** The Lemma 17 path distribution on spanner [H]: [Direct] for an edge of

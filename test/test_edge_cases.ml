@@ -202,10 +202,11 @@ let test_lemma2_size_1 () =
 let test_dist_spanner_on_clique () =
   let g = Generators.complete 20 in
   let r = Dist_spanner.run ~seed:3 g in
-  let ref_h = Dist_spanner.reference ~seed:3 g in
+  let a, b = Regular_dc.support_thresholds Regular_dc.Scaled g in
+  let h, _, _ = Regular_dc.of_sample g ~sampled:r.Dist_spanner.sampled ~a ~b in
   check Alcotest.bool "clique agrees" true
-    (Graph.m r.Dist_spanner.spanner = Graph.m ref_h
-    && Graph.is_subgraph r.Dist_spanner.spanner ~of_:ref_h)
+    (Graph.m r.Dist_spanner.spanner = Graph.m h
+    && Graph.is_subgraph r.Dist_spanner.spanner ~of_:h)
 
 let test_local_model_zero_rounds () =
   let g = Generators.cycle 4 in

@@ -203,6 +203,22 @@ let test_premise_weak_expander_flagged () =
   check Alcotest.bool "expander check fails" false p.Premise.expander_ok;
   check Alcotest.bool "theorem 2 fails" false (Premise.theorem2_ok p)
 
+let test_premise_weighted_flagged () =
+  (* the good expander above, reweighted: only Theorem 2, whose sampler and
+     router count hops, objects *)
+  let g =
+    Generators.randomize_weights (Prng.create 22)
+      (Generators.random_regular (Prng.create 21) 216 80)
+      ~w_max:8
+  in
+  let p = Premise.check g in
+  check Alcotest.bool "theorem 3 premises" true (Premise.theorem3_ok p);
+  check Alcotest.bool "theorem 2 fails" false (Premise.theorem2_ok p);
+  check Alcotest.(list string) "one warning, the weights"
+    [ "weighted graph: Theorem 2 is stated for unweighted expanders and its sampler counts hops" ]
+    (Premise.violations Premise.Theorem2 p);
+  check Alcotest.(list string) "Theorem 3 does not object" [] (Premise.violations Premise.Theorem3 p)
+
 (* ---- Report CSV ---- *)
 
 let test_report_csv () =
@@ -267,6 +283,7 @@ let () =
           Alcotest.test_case "sparse graph flagged" `Quick test_premise_sparse_graph_flagged;
           Alcotest.test_case "irregular flagged" `Quick test_premise_irregular_flagged;
           Alcotest.test_case "weak expander flagged" `Quick test_premise_weak_expander_flagged;
+          Alcotest.test_case "weighted flagged for theorem 2" `Quick test_premise_weighted_flagged;
         ] );
       ("report-csv", [ Alcotest.test_case "escaping" `Quick test_report_csv ]);
       ("properties", q [ prop_literal_levels_cover; prop_routing_io_roundtrip ]);

@@ -130,7 +130,7 @@ let test_distributed_golden () =
   let d = Dist_spanner.run ~seed:6 g in
   check Alcotest.int "spanner size" 229 (Graph.m d.Dist_spanner.spanner);
   check Alcotest.int "messages" 4200 d.Dist_spanner.messages;
-  check Alcotest.int "rounds" 6 d.Dist_spanner.rounds
+  check Alcotest.int "rounds" 5 d.Dist_spanner.rounds
 
 let test_repeated_builds_identical () =
   (* Beyond pinned constants: the same seed twice gives the same edge sets. *)

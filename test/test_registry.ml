@@ -260,7 +260,7 @@ let prop_order_free =
 
 (* the entries whose repair pass or rule bounds the distance stretch *)
 let stretch_bounded =
-  [ "algorithm1"; "irregular"; "khop-5"; "khop-7"; "elkin-neiman"; "baswana-sen" ]
+  [ "algorithm1"; "irregular"; "khop-5"; "khop-7"; "elkin-neiman"; "baswana-sen"; "greedy" ]
 
 (* On a weighted G, every entry's spanner is a subgraph of G at G's
    weights, and the stretch-bounded entries meet their alpha under those
